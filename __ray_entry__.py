@@ -15,8 +15,109 @@ functions use, or inside the callables.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import importlib
+from collections.abc import Callable, Iterable
 from typing import Any
+
+# Every operator table, as (module under europarl_crawler_ray.pipelines,
+# name of its ``{name: (fn, sql)}`` dict), in merge order.
+_TABLES = [
+    ("queries", "SQL_QUERIES"),
+    ("ml_queries", "ML_SQL_QUERIES"),
+    ("corpus_ops", "CORPUS_SQL_QUERIES"),
+    ("training_ops", "TRAINING_SQL_QUERIES"),
+    ("join_ops", "JOIN_SQL_QUERIES"),
+    ("frontier_tools", "FRONTIER_SQL_QUERIES"),
+    ("sketch_ops", "SKETCH_SQL_QUERIES"),
+    ("webtext_ops", "WEBTEXT_SQL_QUERIES"),
+    ("curation_ops", "CURATION_SQL_QUERIES"),
+    ("webcorpus_ops", "WEBCORPUS_SQL_QUERIES"),
+    ("sampling_ops", "SAMPLING_SQL_QUERIES"),
+    ("mining_ops", "MINING_SQL_QUERIES"),
+    ("validation_ops", "VALIDATION_SQL_QUERIES"),
+    ("linkrank_ops", "LINKRANK_SQL_QUERIES"),
+    ("selection_ops", "SELECTION_SQL_QUERIES"),
+    ("timeseries_ops", "TIMESERIES_SQL_QUERIES"),
+    ("corpusstat_ops", "CORPUSSTAT_SQL_QUERIES"),
+    ("webstructure_ops", "WEBSTRUCTURE_SQL_QUERIES"),
+    ("centrality_ops", "CENTRALITY_SQL_QUERIES"),
+    ("sitegraph_ops", "SITEGRAPH_SQL_QUERIES"),
+    ("diagnostics_ops", "DIAGNOSTICS_SQL_QUERIES"),
+    ("crawlyield_ops", "CRAWLYIELD_SQL_QUERIES"),
+    ("sourceaudit_ops", "SOURCEAUDIT_SQL_QUERIES"),
+    ("trainaudit_ops", "TRAINAUDIT_SQL_QUERIES"),
+    ("blocking_ops", "BLOCKING_SQL_QUERIES"),
+    ("vectoraudit_ops", "VECTORAUDIT_SQL_QUERIES"),
+    ("robustness_ops", "ROBUSTNESS_SQL_QUERIES"),
+    ("iraudit_ops", "IRAUDIT_SQL_QUERIES"),
+    ("graphcut_ops", "GRAPHCUT_SQL_QUERIES"),
+    ("schedaudit_ops", "SCHEDAUDIT_SQL_QUERIES"),
+    ("distfit_ops", "DISTFIT_SQL_QUERIES"),
+    ("storageir_ops", "STORAGEIR_SQL_QUERIES"),
+    ("streamstat_ops", "STREAMSTAT_SQL_QUERIES"),
+    ("colcodec_ops", "COLCODEC_SQL_QUERIES"),
+    ("graphgeom_ops", "GRAPHGEOM_SQL_QUERIES"),
+    ("bpetrain_ops", "BPETRAIN_SQL_QUERIES"),
+    ("serving_ops", "SERVING_SQL_QUERIES"),
+    ("setsim_ops", "SETSIM_SQL_QUERIES"),
+    ("indexaudit_ops", "INDEXAUDIT_SQL_QUERIES"),
+    ("distjoin_ops", "DISTJOIN_SQL_QUERIES"),
+    ("lexstat_ops", "LEXSTAT_SQL_QUERIES"),
+    ("postings_ops", "POSTINGS_SQL_QUERIES"),
+    ("assignment_ops", "ASSIGNMENT_SQL_QUERIES"),
+    ("structgraph_ops", "STRUCTGRAPH_SQL_QUERIES"),
+    ("linsketch_ops", "LINSKETCH_SQL_QUERIES"),
+    ("significance_ops", "SIGNIFICANCE_SQL_QUERIES"),
+    ("queryproc_ops", "QUERYPROC_SQL_QUERIES"),
+    ("synopsis_ops", "SYNOPSIS_SQL_QUERIES"),
+    ("twosample_ops", "TWOSAMPLE_SQL_QUERIES"),
+    ("valuation_ops", "VALUATION_SQL_QUERIES"),
+    ("mechdesign_ops", "MECHDESIGN_SQL_QUERIES"),
+    ("coreset_ops", "CORESET_SQL_QUERIES"),
+    ("seqaudit_ops", "SEQAUDIT_SQL_QUERIES"),
+    ("survival_ops", "SURVIVAL_SQL_QUERIES"),
+    ("richness_ops", "RICHNESS_SQL_QUERIES"),
+    ("eventmine_ops", "EVENTMINE_SQL_QUERIES"),
+    ("inequality_ops", "INEQUALITY_SQL_QUERIES"),
+    ("dedupsketch_ops", "DEDUPSKETCH_SQL_QUERIES"),
+    ("nullmodel_ops", "NULLMODEL_SQL_QUERIES"),
+    ("focusedcrawl_ops", "FOCUSEDCRAWL_SQL_QUERIES"),
+    ("learnedindex_ops", "LEARNEDINDEX_SQL_QUERIES"),
+    ("keyword_ops", "KEYWORD_SQL_QUERIES"),
+    ("momentfit_ops", "MOMENTFIT_SQL_QUERIES"),
+    ("controlchart_ops", "CONTROLCHART_SQL_QUERIES"),
+    ("approx_ops", "APPROX_SQL_QUERIES"),
+    ("shopsched_ops", "SHOPSCHED_SQL_QUERIES"),
+    ("robustts_ops", "ROBUSTTS_SQL_QUERIES"),
+    ("flow_ops", "FLOW_SQL_QUERIES"),
+    ("onlinealgo_ops", "ONLINEALGO_SQL_QUERIES"),
+    ("encoding_ops", "ENCODING_SQL_QUERIES"),
+    ("codes_ops", "CODES_SQL_QUERIES"),
+    ("treeindex_ops", "TREEINDEX_SQL_QUERIES"),
+    ("numtheory_ops", "NUMTHEORY_SQL_QUERIES"),
+]
+
+
+def _tables() -> Iterable[tuple[str, dict]]:
+    for mod, attr in _TABLES:
+        module = importlib.import_module(f"europarl_crawler_ray.pipelines.{mod}")
+        yield f"{mod}.{attr}", getattr(module, attr)
+
+
+def _merge(entries: Iterable[tuple[str, str, Any]]) -> dict[str, Any]:
+    """``{name: value}`` from (source, name, value) triples; a name defined
+    twice is an error — one operator must never silently shadow another."""
+    out: dict[str, Any] = {}
+    source: dict[str, str] = {}
+    for src, name, value in entries:
+        if name in out:
+            raise RuntimeError(
+                f"operator registry name collision: {name!r} is defined by "
+                f"both {source[name]} and {src}"
+            )
+        out[name] = value
+        source[name] = src
+    return out
 
 
 def entry() -> Any:
@@ -39,160 +140,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
     returns a Dataset / pandas DataFrame / pyarrow Table. Name every
     computed/aggregate column so names match ``oracle_sql``.
     """
-    from europarl_crawler_ray.pipelines.corpus_ops import CORPUS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.ml_queries import ML_QUERIES, ML_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.queries import SQL_QUERIES
-    from europarl_crawler_ray.pipelines.frontier_tools import FRONTIER_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.join_ops import JOIN_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.training_ops import TRAINING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.sketch_ops import SKETCH_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.webtext_ops import WEBTEXT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.curation_ops import CURATION_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.webcorpus_ops import WEBCORPUS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.sampling_ops import SAMPLING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.mining_ops import MINING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.validation_ops import VALIDATION_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.linkrank_ops import LINKRANK_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.selection_ops import SELECTION_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.timeseries_ops import TIMESERIES_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.corpusstat_ops import CORPUSSTAT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.webstructure_ops import WEBSTRUCTURE_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.centrality_ops import CENTRALITY_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.sitegraph_ops import SITEGRAPH_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.diagnostics_ops import DIAGNOSTICS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.crawlyield_ops import CRAWLYIELD_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.sourceaudit_ops import SOURCEAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.trainaudit_ops import TRAINAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.blocking_ops import BLOCKING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.vectoraudit_ops import VECTORAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.robustness_ops import ROBUSTNESS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.iraudit_ops import IRAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.graphcut_ops import GRAPHCUT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.schedaudit_ops import SCHEDAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.distfit_ops import DISTFIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.storageir_ops import STORAGEIR_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.streamstat_ops import STREAMSTAT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.colcodec_ops import COLCODEC_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.graphgeom_ops import GRAPHGEOM_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.bpetrain_ops import BPETRAIN_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.serving_ops import SERVING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.setsim_ops import SETSIM_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.indexaudit_ops import INDEXAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.distjoin_ops import DISTJOIN_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.lexstat_ops import LEXSTAT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.postings_ops import POSTINGS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.assignment_ops import ASSIGNMENT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.structgraph_ops import STRUCTGRAPH_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.linsketch_ops import LINSKETCH_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.significance_ops import SIGNIFICANCE_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.queryproc_ops import QUERYPROC_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.synopsis_ops import SYNOPSIS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.twosample_ops import TWOSAMPLE_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.valuation_ops import VALUATION_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.mechdesign_ops import MECHDESIGN_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.coreset_ops import CORESET_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.seqaudit_ops import SEQAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.survival_ops import SURVIVAL_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.richness_ops import RICHNESS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.eventmine_ops import EVENTMINE_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.inequality_ops import INEQUALITY_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.dedupsketch_ops import DEDUPSKETCH_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.nullmodel_ops import NULLMODEL_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.focusedcrawl_ops import FOCUSEDCRAWL_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.learnedindex_ops import LEARNEDINDEX_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.keyword_ops import KEYWORD_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.momentfit_ops import MOMENTFIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.controlchart_ops import CONTROLCHART_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.approx_ops import APPROX_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.shopsched_ops import SHOPSCHED_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.robustts_ops import ROBUSTTS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.flow_ops import FLOW_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.onlinealgo_ops import ONLINEALGO_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.encoding_ops import ENCODING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.codes_ops import CODES_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.treeindex_ops import TREEINDEX_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.numtheory_ops import NUMTHEORY_SQL_QUERIES
-
-    out = {name: fn for name, (fn, _sql) in SQL_QUERIES.items()}
-    out.update({name: fn for name, (fn, _sql) in ML_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in CORPUS_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in TRAINING_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in JOIN_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in FRONTIER_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SKETCH_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in WEBTEXT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in CURATION_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in WEBCORPUS_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SAMPLING_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in MINING_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in VALIDATION_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in LINKRANK_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SELECTION_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in TIMESERIES_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in CORPUSSTAT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in WEBSTRUCTURE_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in CENTRALITY_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SITEGRAPH_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in DIAGNOSTICS_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in CRAWLYIELD_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SOURCEAUDIT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in TRAINAUDIT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in BLOCKING_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in VECTORAUDIT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in ROBUSTNESS_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in IRAUDIT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in GRAPHCUT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SCHEDAUDIT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in DISTFIT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in STORAGEIR_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in STREAMSTAT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in COLCODEC_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in GRAPHGEOM_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in BPETRAIN_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SERVING_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SETSIM_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in INDEXAUDIT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in DISTJOIN_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in LEXSTAT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in POSTINGS_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in ASSIGNMENT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in STRUCTGRAPH_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in LINSKETCH_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SIGNIFICANCE_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in QUERYPROC_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SYNOPSIS_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in TWOSAMPLE_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in VALUATION_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in MECHDESIGN_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in CORESET_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SEQAUDIT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SURVIVAL_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in RICHNESS_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in EVENTMINE_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in INEQUALITY_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in DEDUPSKETCH_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in NULLMODEL_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in FOCUSEDCRAWL_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in LEARNEDINDEX_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in KEYWORD_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in MOMENTFIT_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in CONTROLCHART_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in APPROX_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in SHOPSCHED_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in ROBUSTTS_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in FLOW_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in ONLINEALGO_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in ENCODING_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in CODES_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in TREEINDEX_SQL_QUERIES.items()})
-    out.update({name: fn for name, (fn, _sql) in NUMTHEORY_SQL_QUERIES.items()})
-    out.update(ML_QUERIES)
-
+    from europarl_crawler_ray.pipelines.ml_queries import ML_QUERIES
     from europarl_crawler_ray.pipelines.webcorpus_ops import q_compression_ratio
 
+    entries = [
+        (src, name, fn) for src, table in _tables() for name, (fn, _sql) in table.items()
+    ]
+    entries += [("ml_queries.ML_QUERIES", name, fn) for name, fn in ML_QUERIES.items()]
     # rows-only: DuckDB has no zlib to recompute the compressed size
-    out["compression_ratio"] = q_compression_ratio
-    return out
+    entries.append(("webcorpus_ops", "compression_ratio", q_compression_ratio))
+    return _merge(entries)
 
 
 def oracle_sql() -> dict[str, str]:
@@ -202,151 +159,9 @@ def oracle_sql() -> dict[str, str]:
     embeddings). Omit for non-SQL-expressible ops → driver records a
     weaker rows-only check.
     """
-    from europarl_crawler_ray.pipelines.corpus_ops import CORPUS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.ml_queries import ML_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.queries import SQL_QUERIES
-    from europarl_crawler_ray.pipelines.frontier_tools import FRONTIER_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.join_ops import JOIN_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.training_ops import TRAINING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.sketch_ops import SKETCH_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.webtext_ops import WEBTEXT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.curation_ops import CURATION_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.webcorpus_ops import WEBCORPUS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.sampling_ops import SAMPLING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.mining_ops import MINING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.validation_ops import VALIDATION_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.linkrank_ops import LINKRANK_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.selection_ops import SELECTION_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.timeseries_ops import TIMESERIES_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.corpusstat_ops import CORPUSSTAT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.webstructure_ops import WEBSTRUCTURE_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.centrality_ops import CENTRALITY_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.sitegraph_ops import SITEGRAPH_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.diagnostics_ops import DIAGNOSTICS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.crawlyield_ops import CRAWLYIELD_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.sourceaudit_ops import SOURCEAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.trainaudit_ops import TRAINAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.blocking_ops import BLOCKING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.vectoraudit_ops import VECTORAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.robustness_ops import ROBUSTNESS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.iraudit_ops import IRAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.graphcut_ops import GRAPHCUT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.schedaudit_ops import SCHEDAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.distfit_ops import DISTFIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.storageir_ops import STORAGEIR_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.streamstat_ops import STREAMSTAT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.colcodec_ops import COLCODEC_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.graphgeom_ops import GRAPHGEOM_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.bpetrain_ops import BPETRAIN_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.serving_ops import SERVING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.setsim_ops import SETSIM_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.indexaudit_ops import INDEXAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.distjoin_ops import DISTJOIN_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.lexstat_ops import LEXSTAT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.postings_ops import POSTINGS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.assignment_ops import ASSIGNMENT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.structgraph_ops import STRUCTGRAPH_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.linsketch_ops import LINSKETCH_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.significance_ops import SIGNIFICANCE_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.queryproc_ops import QUERYPROC_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.synopsis_ops import SYNOPSIS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.twosample_ops import TWOSAMPLE_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.valuation_ops import VALUATION_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.mechdesign_ops import MECHDESIGN_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.coreset_ops import CORESET_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.seqaudit_ops import SEQAUDIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.survival_ops import SURVIVAL_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.richness_ops import RICHNESS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.eventmine_ops import EVENTMINE_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.inequality_ops import INEQUALITY_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.dedupsketch_ops import DEDUPSKETCH_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.nullmodel_ops import NULLMODEL_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.focusedcrawl_ops import FOCUSEDCRAWL_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.learnedindex_ops import LEARNEDINDEX_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.keyword_ops import KEYWORD_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.momentfit_ops import MOMENTFIT_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.controlchart_ops import CONTROLCHART_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.approx_ops import APPROX_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.shopsched_ops import SHOPSCHED_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.robustts_ops import ROBUSTTS_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.flow_ops import FLOW_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.onlinealgo_ops import ONLINEALGO_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.encoding_ops import ENCODING_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.codes_ops import CODES_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.treeindex_ops import TREEINDEX_SQL_QUERIES
-    from europarl_crawler_ray.pipelines.numtheory_ops import NUMTHEORY_SQL_QUERIES
-
-    out = {name: sql for name, (_fn, sql) in SQL_QUERIES.items() if sql is not None}
-    out.update({name: sql for name, (_fn, sql) in ML_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in CORPUS_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in TRAINING_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in JOIN_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in FRONTIER_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SKETCH_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in WEBTEXT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in CURATION_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in WEBCORPUS_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SAMPLING_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in MINING_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in VALIDATION_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in LINKRANK_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SELECTION_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in TIMESERIES_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in CORPUSSTAT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in WEBSTRUCTURE_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in CENTRALITY_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SITEGRAPH_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in DIAGNOSTICS_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in CRAWLYIELD_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SOURCEAUDIT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in TRAINAUDIT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in BLOCKING_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in VECTORAUDIT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in ROBUSTNESS_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in IRAUDIT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in GRAPHCUT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SCHEDAUDIT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in DISTFIT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in STORAGEIR_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in STREAMSTAT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in COLCODEC_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in GRAPHGEOM_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in BPETRAIN_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SERVING_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SETSIM_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in INDEXAUDIT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in DISTJOIN_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in LEXSTAT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in POSTINGS_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in ASSIGNMENT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in STRUCTGRAPH_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in LINSKETCH_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SIGNIFICANCE_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in QUERYPROC_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SYNOPSIS_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in TWOSAMPLE_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in VALUATION_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in MECHDESIGN_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in CORESET_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SEQAUDIT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SURVIVAL_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in RICHNESS_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in EVENTMINE_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in INEQUALITY_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in DEDUPSKETCH_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in NULLMODEL_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in FOCUSEDCRAWL_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in LEARNEDINDEX_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in KEYWORD_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in MOMENTFIT_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in CONTROLCHART_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in APPROX_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in SHOPSCHED_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in ROBUSTTS_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in FLOW_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in ONLINEALGO_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in ENCODING_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in CODES_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in TREEINDEX_SQL_QUERIES.items()})
-    out.update({name: sql for name, (_fn, sql) in NUMTHEORY_SQL_QUERIES.items()})
-    return out
+    return _merge(
+        (src, name, sql)
+        for src, table in _tables()
+        for name, (_fn, sql) in table.items()
+        if sql is not None
+    )

@@ -61,7 +61,7 @@ class CrawlConfig:
     min_interval: float = 3.0
     simulated_politeness: bool = True
     fetch_concurrency: int = 4
-    fetch_batch_size: int = 256
+    fetch_batch_size: int = 256  # wave mode; run_streamed fetches per block
     checkpoint_every: int = 1
     max_waves: int | None = None
     n_politeness_shards: int = 1  # coordinators sharded by hash(host)
@@ -78,9 +78,8 @@ class CrawlConfig:
     stream_partitions: int = 8
     # how many partition pipelines execute concurrently (object-store
     # footprint is bounded at this many partitions of pages). Measured at
-    # bench scale: once the per-partition fetch batch size is right,
-    # overlap ≥2 adds nothing and oversubscribes workers — default 1;
-    # raise it when partitions are IO-tail-heavy (remote storage)
+    # bench scale: overlap ≥2 adds nothing and oversubscribes workers —
+    # default 1; raise it when partitions are IO-tail-heavy (remote storage)
     stream_overlap: int = 1
 
     @property
@@ -137,6 +136,25 @@ def discovery_batch(cfg: CrawlConfig, st: CrawlState) -> list[date]:
     retry_dates = sorted(st.retry)[:limit]
     union = new_dates + retry_dates
     return sorted(union)[:limit]
+
+
+# run_streamed() block target in ESTIMATED rows (days × (rules + probe)):
+# 50 days × 23 rows, the block size the 9,860-day bench partition has
+# always run with. Each block is one probe+dedup task and one fetch task,
+# so this trades per-task fixed cost (task launch, one seen-set and one
+# politeness round trip) against pipeline parallelism.
+STREAM_BLOCK_ROWS = 1150
+STREAM_MAX_BLOCKS = 512
+
+
+def stream_block_plan(n_days: int, n_rules: int, fetch_concurrency: int) -> int:
+    """Days per probe block for one streamed partition of ``n_days``
+    dates: ceil(est_rows / STREAM_BLOCK_ROWS) blocks, at least one per
+    fetch slot, at most STREAM_MAX_BLOCKS and never more than one per day."""
+    est_rows = n_days * (n_rules + 1)
+    n_blocks = -(-est_rows // STREAM_BLOCK_ROWS)
+    n_blocks = min(max(n_blocks, fetch_concurrency), STREAM_MAX_BLOCKS, n_days)
+    return max(1, -(-n_days // max(1, n_blocks)))
 
 
 def candidate_combos(st: CrawlState, rules) -> list[tuple[date, str, str]]:
@@ -475,11 +493,28 @@ class CrawlDriver:
             json.dump(doc, f)
         os.replace(tmp, self._streamed_manifest_path())
 
+    @staticmethod
+    def _streamed_confirmed_days(probe_dir: str) -> int:
+        """Distinct dates whose session-day probe returned 200, read from
+        the per-block probe log ``probes/streamed_*.parquet``."""
+        import glob
+
+        import pyarrow.compute as pc
+        import pyarrow.dataset as pads
+
+        files = glob.glob(os.path.join(probe_dir, "streamed_*.parquet"))
+        if not files:
+            return 0
+        t = pads.dataset(files).to_table(
+            columns=["date"], filter=pc.field("status_code") == 200
+        )
+        return len(pc.unique(t.column("date")))
+
     def run_streamed(self, max_partitions: int | None = None) -> dict:
         """Streaming pipeline over the date range, PARTITIONED for resume
         (VERDICT r2 missing #3):
 
-            dates[p] → probe(+inline retry)+expand → seen-dedup → fetch
+            dates[p] → probe(+inline retry)+expand+seen-dedup → fetch
                      → extract → pages/part=p Parquet
 
         The date range splits into ``cfg.stream_partitions`` contiguous
@@ -540,8 +575,9 @@ class CrawlDriver:
 
         def make_probe_expand(wave: int):
             """Probe each date (inline retry until {200,404}); for 200
-            dates unfold the active-rule frontier rows. ``wave`` carries
-            the stream partition index into the output rows."""
+            dates unfold the active-rule frontier rows and drop those the
+            seen set already holds. ``wave`` carries the stream partition
+            index into the output rows."""
 
             def probe_expand(batch: pa.Table) -> pa.Table:
                 return _probe_expand(batch, wave)
@@ -549,12 +585,15 @@ class CrawlDriver:
             return probe_expand
 
         def _probe_expand(batch: pa.Table, wave: int) -> pa.Table:
+            import zlib as _z
+
+            import pyarrow.parquet as pq
+
             from ..sources.synth import MockHttp
 
             http = MockHttp(seed, page_scale=scale)
-            out_dates, out_rules, out_urls, out_attempts = [], [], [], []
-            out_status, out_html, out_redir = [], [], []
-            host_statuses: list[int] = []
+            p_dates, p_urls, p_attempts, p_status, p_redir = [], [], [], [], []
+            d_dates, d_rules, d_urls = [], [], []
             days_ = batch.column("date").to_pylist()
             coord = _coord_for("europarl.europa.eu")
             n_fetches = 0
@@ -579,75 +618,66 @@ class CrawlDriver:
                 while True:
                     _token()
                     n_fetches += 1
-                    status, body, redir = http.fetch(url, attempt, SESSION_DAY_RULE.name)
+                    status, _body, redir = http.fetch(url, attempt, SESSION_DAY_RULE.name)
                     if status in OK_PROBE or attempt > 8:
                         break
                     attempt += 1
-                host_statuses.append(status)
-                out_dates.append(day)
-                out_rules.append(SESSION_DAY_RULE.name)
-                out_urls.append(url)
-                out_attempts.append(attempt)
-                out_status.append(status)
-                out_html.append(None)
-                out_redir.append(redir)
+                p_dates.append(day)
+                p_urls.append(url)
+                p_attempts.append(attempt)
+                p_status.append(status)
+                p_redir.append(redir)
                 if status == 200:
                     for r in rules:
-                        out_dates.append(day)
-                        out_rules.append(r.name)
-                        out_urls.append(r.url(day))
-                        out_attempts.append(0)
-                        out_status.append(None)  # to be fetched downstream
-                        out_html.append(None)
-                        out_redir.append(None)
+                        d_dates.append(day)
+                        d_rules.append(r.name)
+                        d_urls.append(r.url(day))
             if coord is not None and simulated and n_fetches:
                 ray.get(coord.lease.remote("europarl.europa.eu", n_fetches))
-            if coord is not None and host_statuses:
-                ray.get(coord.report.remote("europarl.europa.eu", host_statuses))
-            t = pa.table(
-                {
-                    "url": pa.array(out_urls, pa.string()),
-                    "rulename": pa.array(out_rules, pa.string()),
-                    "date": pa.array(out_dates, pa.date32()),
-                    "attempt": pa.array(out_attempts, pa.int32()),
-                    "wave": pa.array([wave] * len(out_urls), pa.int32()),
-                    "status_code": pa.array(out_status, pa.int32()),
-                    "html": pa.array(out_html, pa.binary()),
-                    "redirected_url": pa.array(out_redir, pa.string()),
-                }
-            )
-            import pyarrow.compute as pc
-            import pyarrow.parquet as pq
-            import zlib as _z
+            if coord is not None and p_status:
+                ray.get(coord.report.remote("europarl.europa.eu", p_status))
 
-            probe_mask = pc.equal(t.column("rulename"), SESSION_DAY_RULE.name)
-            probes = t.filter(probe_mask)
-            if probes.num_rows:
-                # probe urls enter the seen set under their rule pair, as
-                # in wave mode (they are not re-fetchable documents)
-                ph1, ph2 = hash_urls(
-                    [SESSION_DAY_RULE.name + "\x00" + u for u in probes.column("url").to_pylist()]
-                )
-                seen.check_and_add(ph1, ph2)
+            # ONE seen-set call per block: probe keys first, then the
+            # document keys, each under its (rulename, url) pair like the
+            # urls-table UNIQUE constraint. The two key sets are disjoint
+            # by rulename prefix, so exact/cuckoo shards decide exactly as
+            # two calls would; a bloom shard tests the whole batch before
+            # inserting it, so merging can only remove a probe→document
+            # false positive, never add one.
+            keys = [SESSION_DAY_RULE.name + "\x00" + u for u in p_urls]
+            keys += [rn + "\x00" + u for rn, u in zip(d_rules, d_urls)]
+            h1, h2 = hash_urls(keys)
+            keep = ~seen.check_and_add(h1, h2)[len(p_urls):]
+            if p_urls:
                 # side-write the probe log per block (deterministic name →
                 # idempotent overwrite); probe rows NEVER enter the pages
                 # output — wave mode keeps them in probes/ too
+                n = len(p_urls)
+                probes = pa.table(
+                    {
+                        "url": pa.array(p_urls, pa.string()),
+                        "rulename": pa.array([SESSION_DAY_RULE.name] * n, pa.string()),
+                        "date": pa.array(p_dates, pa.date32()),
+                        "attempt": pa.array(p_attempts, pa.int32()),
+                        "wave": pa.array([wave] * n, pa.int32()),
+                        "status_code": pa.array(p_status, pa.int32()),
+                        "html": pa.nulls(n, pa.binary()),
+                        "redirected_url": pa.array(p_redir, pa.string()),
+                    }
+                )
                 os.makedirs(probe_dir, exist_ok=True)
                 key = _z.crc32(",".join(d.isoformat() for d in days_).encode())
                 pq.write_table(probes, os.path.join(probe_dir, f"streamed_{key:08x}.parquet"))
-            return t.filter(pc.invert(probe_mask))
-
-        def dedup_filter(batch: pa.Table) -> pa.Table:
-            keys = [
-                rn + "\x00" + u
-                for rn, u in zip(
-                    batch.column("rulename").to_pylist(), batch.column("url").to_pylist()
-                )
-            ]
-            h1, h2 = hash_urls(keys)
-            dup = seen.check_and_add(h1, h2)
-            return batch.filter(pa.array(~dup))
-
+            n = len(d_urls)
+            return pa.table(
+                {
+                    "url": pa.array(d_urls, pa.string()),
+                    "rulename": pa.array(d_rules, pa.string()),
+                    "date": pa.array(d_dates, pa.date32()),
+                    "attempt": pa.array([0] * n, pa.int32()),
+                    "wave": pa.array([wave] * n, pa.int32()),
+                }
+            ).filter(pa.array(keep, pa.bool_()))
 
         fetch_kwargs = {
             "coordinator": self.coords,
@@ -658,12 +688,7 @@ class CrawlDriver:
         }
 
         def fetch_fn(batch: pa.Table) -> pa.Table:
-            # probe rows were diverted in probe_expand: every row here is a
-            # pending document (fixes the empty-tables IndexError the old
-            # pass-through branch had on fully-deduped batches)
-            return Fetcher(**fetch_kwargs)(
-                batch.drop_columns(["status_code", "html", "redirected_url"])
-            )
+            return Fetcher(**fetch_kwargs)(batch)
 
         from .._util import atomic_write_parquet
 
@@ -680,34 +705,25 @@ class CrawlDriver:
             hi = len(days) if p == n_parts - 1 else lo + chunk
             part_days = days[lo:hi]
             dates_t = pa.table({"date": pa.array(part_days, pa.date32())})
-            # block granularity sets downstream task parallelism (operators
-            # are fused task-per-block): ~50 dates/block → ~380 output
-            # rows/block. Pre-split driver-side — no repartition shuffle.
-            n_blocks = int(np.clip(len(part_days) // 50, cfg.fetch_concurrency * 4, 512))
-            step = max(1, (dates_t.num_rows + n_blocks - 1) // n_blocks)
+            # one block per STREAM_BLOCK_ROWS estimated rows, pre-split on
+            # the driver (no repartition shuffle). Each block is ONE
+            # probe+dedup task (one seen-set call, one politeness lease +
+            # report) and then ONE fetch task: batch_size=None keeps the
+            # fetch stage from coalescing blocks, so per-task fixed cost
+            # scales with rows, not with days or CPUs.
+            step = stream_block_plan(len(part_days), len(rules), cfg.fetch_concurrency)
             ds = ray.data.from_arrow(
                 [dates_t.slice(i, step) for i in range(0, dates_t.num_rows, step)]
             )
-            # distinct num_cpus keeps probe/dedup as their own (cheap)
-            # stages so the heavy fused fetch+extract+write stage pipelines
-            # behind them — full fusion of the whole chain measured ~2x
+            # probe+dedup's num_cpus differs from fetch's, so it stays its
+            # own cheap stage and the heavy fused fetch+extract+write stage
+            # pipelines behind it — fusing the whole chain measured ~2x
             # slower (seen-shard/politeness RPC stalls serialize fused tasks)
-            ds = ds.map_batches(make_probe_expand(p), batch_format="pyarrow", num_cpus=1)
-            ds = ds.map_batches(dedup_filter, batch_format="pyarrow", num_cpus=0.25)
-            # fetch batch size scales with PARTITION size: batch_size also
-            # coalesces blocks, so a fixed 256 over a 1/8th-range partition
-            # left the heavy fused fetch+extract+write stage only ~26 tasks
-            # for 32 cpus (measured: 8 partitions ran 1.5x slower than 1
-            # for that reason alone); target ~6 tasks per fetch slot
-            est_rows = max(1, len(part_days) * (len(rules) + 1))
-            bs = int(np.clip(est_rows // (cfg.fetch_concurrency * 6), 32, cfg.fetch_batch_size))
-            ds = ds.map_batches(
-                fetch_fn, batch_format="pyarrow", batch_size=bs, num_cpus=1
-            )
+            ds = ds.map_batches(make_probe_expand(p), batch_format="pyarrow", num_cpus=0.5)
+            ds = ds.map_batches(fetch_fn, batch_format="pyarrow", batch_size=None, num_cpus=1)
             ds = ds.map_batches(extract_batch, batch_format="pyarrow", zero_copy_batch=True)
             part_dir = os.path.join(pages_root, f"part={p}")
             part_rows = atomic_write_parquet(ds, part_dir, keep_existing_if_empty=True)
-            self.last_stats = ds.stats()
             return p, part_rows, part_days
 
         def commit(p: int, part_rows: int, part_days: list) -> None:
@@ -786,11 +802,10 @@ class CrawlDriver:
             "urls_new": n_pages,
             "partitions_done": ran,
             "partitions_skipped_on_resume": n_skipped,
-            # -1 = not tracked in streamed mode: probe confirmations
-            # happen inside partition tasks and intentionally never
-            # round-trip to driver state (the streamed pipeline's whole
-            # point); the wave driver's run() reports the real count
-            "confirmed_days": -1,
+            # probe confirmations never round-trip to driver state inside
+            # the pipeline; they are counted from the probe log afterwards,
+            # which also covers partitions an earlier invocation finished
+            "confirmed_days": self._streamed_confirmed_days(probe_dir),
             "seen_size": stats["n_added"],
         }
 

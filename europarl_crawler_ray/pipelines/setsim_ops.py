@@ -475,7 +475,7 @@ HAVING COUNT(*) >= n.minsup
 """
 
 
-# =========================================================== cdc_chunks
+# ===================================================== cdc_token_chunks
 #
 # Token-level content-defined chunking: a chunk boundary falls AFTER
 # token j when md5_64('cdc:42:' || token_j) % CDC_D == 0 (expected
@@ -578,5 +578,5 @@ FROM w LEFT JOIN agg ON agg.doc_id = w.doc_id
 SETSIM_SQL_QUERIES: dict[str, tuple] = {
     "allpairs_jaccard": (q_allpairs_jaccard, ALLPAIRS_JACCARD_SQL),
     "freq_itemsets": (q_freq_itemsets, FREQ_ITEMSETS_SQL),
-    "cdc_chunks": (q_cdc_chunks, CDC_CHUNKS_SQL),
+    "cdc_token_chunks": (q_cdc_chunks, CDC_CHUNKS_SQL),
 }

@@ -1,5 +1,5 @@
 """Tests for the round-5 batch-34 set-similarity operators
-(setsim_ops): allpairs_jaccard, freq_itemsets, cdc_chunks — DuckDB
+(setsim_ops): allpairs_jaccard, freq_itemsets, cdc_token_chunks — DuckDB
 parity plus independent brute force. The AllPairs test plants
 near-duplicate doc pairs (shared shingle runs) that must surface with
 exactly the right intersection/union counts; the Apriori test pins the
