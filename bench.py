@@ -96,9 +96,8 @@ def bench_headline(num_cpus: int, out_dir: str) -> dict:
         num_seen_shards=8,
         seen_exact=False,          # bloom-only at bench scale (10^10 design)
         seen_bits_per_shard=1 << 26,
-        # fetch (render ~4ms/page) vs extract+write (~3ms/page): give the
-        # actor pool ~55% of CPUs so the downstream task stages keep up —
-        # a pool that reserves every CPU starves extract and serializes
+        # fetch slots, the floor of stream_block_plan's block count (the
+        # HEADLINE partition's ~200 row-sized blocks are above it)
         fetch_concurrency=max(2, min(int(num_cpus * 0.55), num_cpus - 2)),
         fetch_batch_size=256,
         checkpoint_every=10**9,    # don't checkpoint inside the timed loop

@@ -13,7 +13,7 @@ Layout
                  extraction, canonicalization, text analysis, dedup sketches)
 - ``sources``    synthetic page generator + mock HTTP resolver + parquet io
 - ``state``      stateful actors: seen-set shards, politeness coordinator
-- ``stages``     map_batches stage callables (fetcher pool, extractor)
+- ``stages``     map_batches stage callables (fetcher, extractor)
 - ``pipelines``  wave driver, postprocess pipeline, query library
 
 No module in this package calls ``ray.init``/``ray.shutdown`` — sessions are

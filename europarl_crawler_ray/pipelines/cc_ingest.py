@@ -6,31 +6,36 @@ A multi-host, Zipf-skewed url frontier streamed through:
     → politeness-gated fetch (per-host leases + robots, hot-host aware)
     → extract (byte-exact html→text) → pages Parquet
 
-Output is PARTITIONED (``part=K/``) with a manifest listing finished
-partitions; a restarted run skips them (resumable output — a failed 100 TB
-run re-does only the partition in flight). Each partition is one lazy
-Dataset pipeline; partitions stream sequentially so the object store never
-holds more than one partition's pages.
+Output is PARTITIONED (``part=K/``) through the partition core
+(``partitions.py``) that the streamed crawl also uses: a manifest lists
+finished partitions and a restarted run skips them (resumable output — a
+failed 100 TB run re-does only the partition in flight). Each partition is
+one lazy Dataset pipeline; partitions run sequentially so the object store
+never holds more than one partition's pages.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
 import ray
-import ray.data
 
-from .._util import atomic_write_parquet
+# unused here: the partition core calls ``_util.atomic_write_parquet``, but
+# crawlbench's tracing wraps this name on this module and fails without it
+from .._util import atomic_write_parquet  # noqa: F401
 from ..functions.canonical import hash_urls
-from ..sources.synth import cc_urls
-from ..stages.extract import extract_batch
-from ..stages.fetch import Fetcher
 from ..state.politeness import PolitenessCoordinator
 from ..state.seen import SeenSet
+from .partitions import (
+    PartitionManifest,
+    fetch_extract_write,
+    frontier_table,
+    run_partitions,
+    sliced_dataset,
+)
 
 
 @dataclass
@@ -73,11 +78,14 @@ class CCIngest:
             np.random.default_rng(cfg.seed).zipf(cfg.zipf_a, size=cfg.n_urls) - 1,
             cfg.n_hosts - 1,
         )
-        # resume: restore the seen-set checkpoint so dedup is consistent
-        # across restarts (urls fetched by finished partitions stay seen)
-        seen_dir = os.path.join(cfg.output_dir, "_seen")
-        if self._done() and os.path.exists(seen_dir):
-            self.seen.restore(seen_dir)
+        self._manifest = PartitionManifest(
+            os.path.join(cfg.output_dir, "_cc_manifest.json"),
+            # the fields that decide which urls each partition holds
+            {
+                k: getattr(cfg, k)
+                for k in ("n_urls", "n_partitions", "seed", "n_hosts", "zipf_a", "dup_fraction")
+            },
+        )
 
     # ------------------------------------------------------------ frontier
     def _partition_urls(self, p: int) -> np.ndarray:
@@ -99,50 +107,24 @@ class CCIngest:
             dtype=object,
         )
 
-    # ------------------------------------------------------------ manifest
-    def _manifest_path(self) -> str:
-        return os.path.join(self.cfg.output_dir, "_cc_manifest.json")
-
-    def _manifest(self) -> dict:
-        if not os.path.exists(self._manifest_path()):
-            return {"done_partitions": [], "lineage": {}}
-        with open(self._manifest_path()) as f:
-            doc = json.load(f)
-        doc.setdefault("lineage", {})
-        return doc
-
-    def _done(self) -> set[int]:
-        return set(self._manifest()["done_partitions"])
-
-    def _mark_done(self, p: int, lineage: dict) -> None:
-        doc = self._manifest()
-        doc["done_partitions"] = sorted(set(doc["done_partitions"]) | {p})
-        doc["lineage"][str(p)] = lineage  # per-partition lineage + metrics
-        tmp = self._manifest_path() + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(doc, f)
-        os.replace(tmp, self._manifest_path())
-
     # ------------------------------------------------------------ pipeline
+    def _mark_done(self, p: int, lineage: dict) -> None:
+        self._manifest.mark_done(p, lineage)
+
     def run(self, max_partitions: int | None = None) -> dict:
         cfg = self.cfg
         seen = self.seen
-        coords = self.coords
-        n_pages = 0
-        n_skipped = 0
-        ran = 0
-        for p in range(cfg.n_partitions):
-            if p in self._done():
-                n_skipped += 1
-                continue
-            if max_partitions is not None and ran >= max_partitions:
-                break
+        fetch_kwargs = {
+            "coordinator": self.coords,
+            "seed": cfg.seed,
+            "simulated": True,
+            "page_scale": cfg.page_scale,
+        }
+
+        def write(p: int) -> dict:
             urls = self._partition_urls(p)
             t = pa.table({"url": pa.array(urls.tolist(), pa.string())})
             step = max(1, (t.num_rows + cfg.blocks_per_partition - 1) // cfg.blocks_per_partition)
-            ds = ray.data.from_arrow(
-                [t.slice(i, step) for i in range(0, t.num_rows, step)]
-            )
 
             def dedup(batch: pa.Table) -> pa.Table:
                 h1, h2 = hash_urls(batch.column("url").to_pylist())
@@ -151,60 +133,33 @@ class CCIngest:
 
             def to_frontier(batch: pa.Table) -> pa.Table:
                 n = batch.num_rows
-                return pa.table(
-                    {
-                        "url": batch.column("url"),
-                        "rulename": pa.array(["cc"] * n, pa.string()),
-                        "date": pa.array([None] * n, pa.date32()),
-                        "attempt": pa.array([0] * n, pa.int32()),
-                        "wave": pa.array([p] * n, pa.int32()),
-                    }
-                )
+                return frontier_table(batch.column("url"), ["cc"] * n, [None] * n, p)
 
-            seed, scale = cfg.seed, cfg.page_scale
-
-            def fetch_fn(batch: pa.Table) -> pa.Table:
-                return Fetcher(
-                    coordinator=coords, seed=seed, simulated=True, page_scale=scale
-                )(batch)
-
+            ds = sliced_dataset(t, step)
             ds = ds.map_batches(dedup, batch_format="pyarrow", num_cpus=0.25)
             ds = ds.map_batches(to_frontier, batch_format="pyarrow", num_cpus=0.25)
-            ds = ds.map_batches(
-                fetch_fn, batch_format="pyarrow", batch_size=cfg.fetch_batch_size, num_cpus=1
-            )
-            ds = ds.map_batches(
-                lambda t: extract_batch(t, default_filetype=".html"),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
             part_dir = os.path.join(cfg.output_dir, f"part={p}")
-            # keep_existing_if_empty: if a restored seen-set dedups every
-            # url of a partition that is already durable on disk, the old
-            # data must NOT be replaced by an empty write (review finding)
-            part_rows = atomic_write_parquet(ds, part_dir, keep_existing_if_empty=True)
-            n_pages += part_rows
-            # COMMIT ORDER: durable data → manifest → seen checkpoint. A
-            # crash after _mark_done but before checkpoint can only cause
-            # bounded duplicate re-admission in LATER partitions; the old
-            # order (checkpoint before mark) could erase a durable
-            # partition on resume (review finding).
-            self._mark_done(
-                p,
-                {
-                    "input_urls": int(len(urls)),
-                    "pages": int(part_rows),
-                    "path": part_dir,
-                    "seed": cfg.seed,
-                },
+            part_rows = fetch_extract_write(
+                ds, fetch_kwargs, part_dir, batch_size=cfg.fetch_batch_size,
+                default_filetype=".html",
             )
-            self.seen.checkpoint(os.path.join(cfg.output_dir, "_seen"))
-            ran += 1
+            return {
+                "input_urls": int(len(urls)),
+                "pages": int(part_rows),
+                "path": part_dir,
+                "seed": cfg.seed,
+            }
+
+        committed, n_skipped = run_partitions(
+            self._manifest, cfg.n_partitions, write, self._mark_done,
+            seen, os.path.join(cfg.output_dir, "_seen"),
+            max_partitions=max_partitions,
+        )
         stats = seen.stats()
         return {
-            "partitions_done": len(self._done()),
+            "partitions_done": len(self._manifest.done()),
             "partitions_skipped_on_resume": n_skipped,
-            "pages": n_pages,
+            "pages": sum(c["pages"] for c in committed),
             "unique_urls": stats["n_added"],
             "est_fpr": stats["est_fpr"],
         }

@@ -1,13 +1,17 @@
-"""Wave-based crawl driver — the Ray-Data rebuild of ``jobs/crawler.py``.
+"""Crawl driver — the Ray-Data rebuild of ``jobs/crawler.py``.
 
 The reference runs an infinite polling loop over Postgres-backed queues
-(``/root/reference/europarl/jobs/crawler.py:47-99``); the rebuild runs
-discrete WAVES, each one lazy Dataset pipeline (SURVEY §3.1):
+(reference ``europarl/jobs/crawler.py:47-99``). The rebuild has two
+modes, and both write their pages through the one partition core in
+``partitions.py`` (``Fetcher`` tasks → ``extract_batch`` → one atomic
+Parquet directory per partition):
 
-    candidate dates (F3)  →  probe session_day urls (politeness-gated)
-    →  confirmed dates × active rules unfold (F2)  →  seen-set dedup (F1)
-    →  fetch (actor pool)  →  extract (map_batches)  →  wave Parquet
-    →  manifest + seen checkpoint
+``run()`` — discrete WAVES that keep the reference's ordering (SURVEY §3.1):
+
+    candidate dates (F3)  →  probe session_day urls on the driver
+    (politeness-gated)  →  confirmed dates × active rules unfold (F2)
+    →  seen-set dedup (F1)  →  partition core: pages/wave=N
+    →  manifest.json (CrawlState) + seen checkpoint
 
 Reference-ordering contract (north rule): discovery batches reproduce
 ``SessionDay.get_unchecked_days`` exactly — newest-first new dates with
@@ -18,9 +22,15 @@ confirmed-dates × active-rules anti-join ordered ``dates DESC``
 (``url.py:94-137``). Equivalence is at wave granularity (same wave
 membership + same final seen-set); within-wave fetch order is parallel.
 
+``run_streamed()`` — one pipeline per date-range partition, with no
+driver barrier between probe and fetch:
+
+    dates[p] → probe+expand+seen-dedup tasks → partition core:
+    pages/part=p → streamed_manifest.json + seen checkpoint
+
 Resume contract mirrors ``drop_uncrawled_urls`` (``url.py:139-156``,
-invoked on shutdown at ``crawler.py:102-109``): only durably-written wave
-partitions are in the manifest; anything in flight is re-derived.
+invoked on shutdown at ``crawler.py:102-109``): only durably-written
+partitions are in a manifest; anything in flight is re-derived.
 """
 
 from __future__ import annotations
@@ -33,14 +43,19 @@ from datetime import date, timedelta
 import numpy as np
 import pyarrow as pa
 import ray
-import ray.data
 
 from ..functions.canonical import hash_urls
 from ..functions.rules import DOCUMENT_RULES, SESSION_DAY_RULE, RULES_BY_NAME
-from ..stages.extract import extract_batch
 from ..stages.fetch import Fetcher
 from ..state.politeness import PolitenessCoordinator
 from ..state.seen import SeenSet
+from .partitions import (
+    PartitionManifest,
+    fetch_extract_write,
+    frontier_table,
+    run_partitions,
+    sliced_dataset,
+)
 
 OK_PROBE = (200, 404)
 
@@ -60,27 +75,21 @@ class CrawlConfig:
     seen_exact: bool = True
     min_interval: float = 3.0
     simulated_politeness: bool = True
+    # fetch slots the partition core's blocks are cut for: a wave splits
+    # into at most 4 blocks per slot, a streamed partition into at least 1
     fetch_concurrency: int = 4
-    fetch_batch_size: int = 256  # wave mode; run_streamed fetches per block
-    checkpoint_every: int = 1
+    fetch_batch_size: int = 256  # wave mode; a streamed block is one batch
+    checkpoint_every: int = 1    # seen checkpoint cadence, in waves/partitions
     max_waves: int | None = None
     n_politeness_shards: int = 1  # coordinators sharded by hash(host)
     page_scale: int = 1          # synthetic page size multiplier (bench)
     # 'mock' = synthetic web (default, the only live option in-sandbox);
     # 'real' = requests-backed RealHttpClient with the reference envelope
     transport: str = "mock"
-    # waves below this row count fetch via plain tasks (fast start)
-    # instead of a fresh actor pool; waves ≤64 rows run on the driver
-    small_wave_rows: int = 8192
     # run_streamed(): resumable output granularity — the date range splits
-    # into this many pages/part=K directories, each committed atomically
-    # (a crash re-does only the partitions in flight)
+    # into this many pages/part=K directories, run one after another and
+    # each committed atomically (a crash re-does only the one in flight)
     stream_partitions: int = 8
-    # how many partition pipelines execute concurrently (object-store
-    # footprint is bounded at this many partitions of pages). Measured at
-    # bench scale: overlap ≥2 adds nothing and oversubscribes workers —
-    # default 1; raise it when partitions are IO-tail-heavy (remote storage)
-    stream_overlap: int = 1
 
     @property
     def horizon(self) -> date:
@@ -198,13 +207,14 @@ class CrawlDriver:
         self.state = CrawlState()
         self.metrics: list[dict] = []
         os.makedirs(cfg.output_dir, exist_ok=True)
-        self._probe_fetcher = Fetcher(
-            coordinator=self.coords,
-            seed=cfg.seed,
-            simulated=cfg.simulated_politeness,
-            page_scale=cfg.page_scale,
-            transport=cfg.transport,
-        )
+        self._fetch_kwargs = {
+            "coordinator": self.coords,
+            "seed": cfg.seed,
+            "simulated": cfg.simulated_politeness,
+            "page_scale": cfg.page_scale,
+            "transport": cfg.transport,
+        }
+        self._probe_fetcher = Fetcher(**self._fetch_kwargs)
         if resume and os.path.exists(self._manifest_path()):
             self._resume()
 
@@ -234,55 +244,21 @@ class CrawlDriver:
 
     # ---------------------------------------------------------- one wave
     def _probe(self, dates: list[date]) -> pa.Table:
-        """Session-day probes (W2). Small batches run on the driver through
-        the same Fetcher/politeness path (the reference probes serially);
-        large discovery waves go through a Dataset actor pool so the probe
-        phase scales with the cluster instead of the driver."""
-        urls = [SESSION_DAY_RULE.url(d) for d in dates]
-        t = pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "rulename": pa.array([SESSION_DAY_RULE.name] * len(dates)),
-                "date": pa.array(dates, pa.date32()),
-                "attempt": pa.array(
-                    [self.state.retry.get(d, 0) for d in dates], pa.int32()
-                ),
-                "wave": pa.array([self.state.wave] * len(dates), pa.int32()),
-            }
+        """Session-day probes (W2), on the driver through the same
+        Fetcher/politeness path as the fetch stage (the reference probes
+        serially). A wave probes at most ``discovery_limit`` dates."""
+        t = frontier_table(
+            [SESSION_DAY_RULE.url(d) for d in dates],
+            [SESSION_DAY_RULE.name] * len(dates),
+            dates,
+            self.state.wave,
+            attempts=[self.state.retry.get(d, 0) for d in dates],
         )
         # only narrow columns survive the probe (a probe is a liveness
-        # check — the body is never consumed, and collecting 200-response
-        # html to the driver would not survive probes that carry real
-        # pages; VERDICT r1 #10)
-        probe_cols = ["url", "rulename", "date", "attempt", "wave", "status_code"]
-        cfg = self.cfg
-        if t.num_rows <= cfg.small_wave_rows:
-            return self._probe_fetcher(t).select(probe_cols)
-        # probes run as plain TASKS, not an actor pool: the probe stage owns
-        # no per-worker state (throttle/robots state lives in the politeness
-        # coordinator actor) and task pipelines start ~10x faster than actor
-        # pools — the pool is reserved for the stateful document fetch stage.
-        coords, seed, simulated, scale, transport = (
-            self.coords, cfg.seed, cfg.simulated_politeness, cfg.page_scale,
-            cfg.transport,
+        # check — the body is never consumed)
+        return self._probe_fetcher(t).select(
+            ["url", "rulename", "date", "attempt", "wave", "status_code"]
         )
-
-        def probe_fn(batch: pa.Table) -> pa.Table:
-            fetched = Fetcher(
-                coordinator=coords, seed=seed, simulated=simulated,
-                page_scale=scale, transport=transport,
-            )(batch)
-            return fetched.select(probe_cols)  # html dropped IN the task
-
-        ds = ray.data.from_arrow(t).repartition(cfg.fetch_concurrency * 2)
-        ds = ds.map_batches(
-            probe_fn,
-            batch_format="pyarrow",
-            batch_size=cfg.fetch_batch_size,
-            num_cpus=1,
-        )
-        tables = ray.get(ds.to_arrow_refs())
-        return pa.concat_tables([x for x in tables if x.num_rows])
 
     def run_wave(self) -> dict | None:
         cfg, st = self.cfg, self.state
@@ -361,15 +337,7 @@ class CrawlDriver:
         cands = candidate_combos(self.state, self.rules)
         self._last_frontier_checked = len(cands)
         if not cands:
-            return pa.table(
-                {
-                    "url": pa.array([], pa.string()),
-                    "rulename": pa.array([], pa.string()),
-                    "date": pa.array([], pa.date32()),
-                    "attempt": pa.array([], pa.int32()),
-                    "wave": pa.array([], pa.int32()),
-                }
-            ), set()
+            return frontier_table([], [], [], self.state.wave), set()
         # dedup key is the (rulename, url) PAIR — the reference's UNIQUE
         # (rule_id, url) constraint (url.py:45): the same url string under
         # two rules (e.g. both named_voting rules) is two frontier entries.
@@ -384,87 +352,16 @@ class CrawlDriver:
         # a date is fully expanded when none of its candidate urls remain
         remaining_dates = {cands[i][0] for i in np.nonzero(~already)[0][self.cfg.expansion_limit:]}
         fully_done = {d for d, _, _ in cands} - remaining_dates
-        return pa.table(
-            {
-                "url": pa.array([u for _, _, u in sel], pa.string()),
-                "rulename": pa.array([rn for _, rn, _ in sel], pa.string()),
-                "date": pa.array([d for d, _, _ in sel], pa.date32()),
-                "attempt": pa.array([0] * len(sel), pa.int32()),
-                "wave": pa.array([self.state.wave] * len(sel), pa.int32()),
-            }
-        ), fully_done
+        dates, rulenames, urls = zip(*sel) if sel else ((), (), ())
+        return frontier_table(list(urls), list(rulenames), list(dates), self.state.wave), fully_done
 
     def _fetch_extract_write(self, frontier: pa.Table) -> int:
         cfg = self.cfg
-        path = os.path.join(cfg.output_dir, "pages", f"wave={self.state.wave}")
-        if frontier.num_rows <= 64:
-            # tiny tail waves: any pipeline startup dwarfs the work. Still
-            # atomic (tmp dir + rename) — dropping a file into a possibly
-            # pre-existing wave dir would duplicate rows next to stale
-            # parts (review finding).
-            import shutil as _sh
-
-            import pyarrow.parquet as pq
-
-            out = extract_batch(self._probe_fetcher(frontier))
-            tmp = path + "__tmp"
-            _sh.rmtree(tmp, ignore_errors=True)
-            os.makedirs(tmp)
-            pq.write_table(out, os.path.join(tmp, "part-0.parquet"))
-            _sh.rmtree(path, ignore_errors=True)
-            os.replace(tmp, path)
-            return out.num_rows
-        ds = ray.data.from_arrow(frontier)
-        # split the single in-memory block so the pool/tasks are saturated
+        # split the single in-memory block so the fetch tasks are saturated
         n_blocks = max(1, min(frontier.num_rows // max(64, cfg.fetch_batch_size // 4), cfg.fetch_concurrency * 4))
-        if n_blocks > 1:
-            ds = ds.repartition(n_blocks)
-        if frontier.num_rows <= cfg.small_wave_rows:
-            # mid-size waves: task-based fetch (no per-worker state needed —
-            # throttle/robots live in the coordinator actor); task pipelines
-            # start ~10x faster than actor pools
-            coords, seed, simulated, scale, transport = (
-                self.coords, cfg.seed, cfg.simulated_politeness, cfg.page_scale,
-                cfg.transport,
-            )
-
-            def fetch_fn(batch: pa.Table) -> pa.Table:
-                return Fetcher(
-                    coordinator=coords, seed=seed, simulated=simulated,
-                    page_scale=scale, transport=transport,
-                )(batch)
-
-            ds = ds.map_batches(
-                fetch_fn,
-                batch_format="pyarrow",
-                batch_size=cfg.fetch_batch_size,
-                num_cpus=1,
-            )
-        else:
-            ds = ds.map_batches(
-                Fetcher,
-                fn_constructor_kwargs={
-                    "coordinator": self.coords,
-                    "seed": cfg.seed,
-                    "simulated": cfg.simulated_politeness,
-                    "page_scale": cfg.page_scale,
-                    "transport": cfg.transport,
-                },
-                batch_format="pyarrow",
-                batch_size=cfg.fetch_batch_size,
-                # autoscaling pool: Ray releases idle fetch actors so their
-                # CPUs flow to the extract/write tasks at the stage tail
-                concurrency=(2, cfg.fetch_concurrency),
-                num_cpus=1,
-            )
-        ds = ds.map_batches(
-            extract_batch,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        from .._util import atomic_write_parquet
-
-        return atomic_write_parquet(ds, path)
+        ds = sliced_dataset(frontier, -(-frontier.num_rows // n_blocks))
+        path = os.path.join(cfg.output_dir, "pages", f"wave={self.state.wave}")
+        return fetch_extract_write(ds, self._fetch_kwargs, path, batch_size=cfg.fetch_batch_size)
 
     def _write_wave_parquet(self, table: pa.Table, kind: str) -> None:
         import pyarrow.parquet as pq
@@ -474,29 +371,14 @@ class CrawlDriver:
         pq.write_table(table, os.path.join(d, f"wave_{self.state.wave:05d}.parquet"))
 
     # ------------------------------------------------ streamed (one pipe)
-    def _streamed_manifest_path(self) -> str:
-        return os.path.join(self.cfg.output_dir, "streamed_manifest.json")
-
-    def _streamed_manifest(self) -> dict:
-        if not os.path.exists(self._streamed_manifest_path()):
-            return {"done_partitions": [], "lineage": {}}
-        with open(self._streamed_manifest_path()) as f:
-            return json.load(f)
-
-    def _streamed_mark_done(self, p: int, header: dict, lineage: dict) -> None:
-        doc = self._streamed_manifest()
-        doc.update(header)
-        doc["done_partitions"] = sorted(set(doc["done_partitions"]) | {p})
-        doc.setdefault("lineage", {})[str(p)] = lineage
-        tmp = self._streamed_manifest_path() + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(doc, f)
-        os.replace(tmp, self._streamed_manifest_path())
+    def _streamed_mark_done(self, p: int, lineage: dict) -> None:
+        self._streamed_manifest.mark_done(p, lineage)
 
     @staticmethod
-    def _streamed_confirmed_days(probe_dir: str) -> int:
+    def _streamed_confirmed_days(probe_dir: str, wave: int | None = None) -> int:
         """Distinct dates whose session-day probe returned 200, read from
-        the per-block probe log ``probes/streamed_*.parquet``."""
+        the per-block probe log ``probes/streamed_*.parquet``; ``wave``
+        limits the count to one stream partition."""
         import glob
 
         import pyarrow.compute as pc
@@ -505,111 +387,49 @@ class CrawlDriver:
         files = glob.glob(os.path.join(probe_dir, "streamed_*.parquet"))
         if not files:
             return 0
-        t = pads.dataset(files).to_table(
-            columns=["date"], filter=pc.field("status_code") == 200
-        )
+        flt = pc.field("status_code") == 200
+        if wave is not None:
+            flt &= pc.field("wave") == wave
+        t = pads.dataset(files).to_table(columns=["date"], filter=flt)
         return len(pc.unique(t.column("date")))
 
-    def run_streamed(self, max_partitions: int | None = None) -> dict:
-        """Streaming pipeline over the date range, PARTITIONED for resume
-        (VERDICT r2 missing #3):
-
-            dates[p] → probe(+inline retry)+expand+seen-dedup → fetch
-                     → extract → pages/part=p Parquet
-
-        The date range splits into ``cfg.stream_partitions`` contiguous
-        chunks; each runs as one lazy Dataset pipeline (no driver-side
-        barriers — the streaming executor pipelines every stage with
-        backpressure) and commits in cc_ingest's crash-safe order:
-        durable data → streamed manifest → seen checkpoint. A restarted
-        run skips finished partitions and re-derives only the one in
-        flight, mirroring the reference's resume-from-Postgres
-        ``drop_uncrawled_urls`` semantics (url.py:139-156). ``run()``
-        keeps the wave-equivalence contract; this mode trades wave
-        ordering for throughput while producing the SAME final page set.
-        ``max_partitions`` bounds one invocation (test/chaos hook)."""
+    def _make_probe_expand(self, wave: int):
+        """The streamed probe+dedup stage for stream partition ``wave``:
+        probe each date (inline retry until {200,404}), unfold the
+        active-rule frontier rows of the 200 dates and drop those the seen
+        set already holds. Each block's probe rows are side-written to
+        ``probes/``. The returned callable closes over plain values and
+        actor handles only, never ``self``."""
         cfg = self.cfg
-        if self.state.wave > 0:
-            raise RuntimeError(
-                "run_streamed() requires a fresh output dir (this one has "
-                "wave-mode progress); resume interrupted wave crawls with "
-                "run(), or point --out at a new directory"
-            )
-        days = []
-        d = cfg.horizon
-        while d >= cfg.start_date:
-            days.append(d)
-            d -= timedelta(days=1)
-
-        n_parts = max(1, min(cfg.stream_partitions, len(days))) if days else 0
-        header = {
-            "n_partitions": n_parts,
-            "start": cfg.start_date.isoformat(),
-            "horizon": cfg.horizon.isoformat(),
-        }
-        manifest = self._streamed_manifest()
-        done = set(manifest["done_partitions"])
-        if done:
-            for k, v in header.items():
-                if manifest.get(k) != v:
-                    raise RuntimeError(
-                        f"streamed resume config mismatch: manifest {k}="
-                        f"{manifest.get(k)!r} vs run {v!r}; use a fresh output dir"
-                    )
-            # restore dedup state so finished partitions' urls stay seen
-            seen_dir = os.path.join(cfg.output_dir, "seen")
-            if os.path.exists(seen_dir) and self.seen.stats()["n_added"] == 0:
-                self.seen.restore(seen_dir)
-
-        coords, seed, simulated, scale = (
-            self.coords, cfg.seed, cfg.simulated_politeness, cfg.page_scale,
-        )
-        rules = self.rules
-        seen = self.seen
+        coords, seed, simulated = self.coords, cfg.seed, cfg.simulated_politeness
+        scale, transport = cfg.page_scale, cfg.transport
+        rules, seen = self.rules, self.seen
         probe_dir = os.path.join(cfg.output_dir, "probes")
 
-        def _coord_for(host: str):
-            import zlib as _z
-
-            return coords[_z.crc32(host.encode()) % len(coords)] if coords else None
-
-        def make_probe_expand(wave: int):
-            """Probe each date (inline retry until {200,404}); for 200
-            dates unfold the active-rule frontier rows and drop those the
-            seen set already holds. ``wave`` carries the stream partition
-            index into the output rows."""
-
-            def probe_expand(batch: pa.Table) -> pa.Table:
-                return _probe_expand(batch, wave)
-
-            return probe_expand
-
-        def _probe_expand(batch: pa.Table, wave: int) -> pa.Table:
+        def probe_expand(batch: pa.Table) -> pa.Table:
+            import time as _time
             import zlib as _z
 
             import pyarrow.parquet as pq
 
-            from ..sources.synth import MockHttp
+            from ..stages.fetch import make_http_client
 
-            http = MockHttp(seed, page_scale=scale)
+            http = make_http_client(transport, seed=seed, page_scale=scale)
             p_dates, p_urls, p_attempts, p_status, p_redir = [], [], [], [], []
             d_dates, d_rules, d_urls = [], [], []
             days_ = batch.column("date").to_pylist()
-            coord = _coord_for("europarl.europa.eu")
+            host = "europarl.europa.eu"
+            coord = coords[_z.crc32(host.encode()) % len(coords)] if coords else None
             n_fetches = 0
 
             def _token() -> None:
                 # real politeness: block until a token is granted before
-                # EVERY attempt (mirrors Fetcher._lease_all — the old code
-                # leased len(days) once and retried unpaced beyond the
-                # grant); simulated mode records stats in one batched
-                # lease after the loop
+                # EVERY attempt (mirrors Fetcher._lease_all); simulated
+                # mode records stats in one batched lease after the loop
                 if coord is None or simulated:
                     return
-                import time as _time
-
-                while ray.get(coord.lease.remote("europarl.europa.eu", 1)) < 1:
-                    w = ray.get(coord.wait_time.remote("europarl.europa.eu", 1))
+                while ray.get(coord.lease.remote(host, 1)) < 1:
+                    w = ray.get(coord.wait_time.remote(host, 1))
                     _time.sleep(min(w, 30.0))
 
             for day in days_:
@@ -633,9 +453,9 @@ class CrawlDriver:
                         d_rules.append(r.name)
                         d_urls.append(r.url(day))
             if coord is not None and simulated and n_fetches:
-                ray.get(coord.lease.remote("europarl.europa.eu", n_fetches))
+                ray.get(coord.lease.remote(host, n_fetches))
             if coord is not None and p_status:
-                ray.get(coord.report.remote("europarl.europa.eu", p_status))
+                ray.get(coord.report.remote(host, p_status))
 
             # ONE seen-set call per block: probe keys first, then the
             # document keys, each under its (rulename, url) pair like the
@@ -668,145 +488,106 @@ class CrawlDriver:
                 os.makedirs(probe_dir, exist_ok=True)
                 key = _z.crc32(",".join(d.isoformat() for d in days_).encode())
                 pq.write_table(probes, os.path.join(probe_dir, f"streamed_{key:08x}.parquet"))
-            n = len(d_urls)
-            return pa.table(
-                {
-                    "url": pa.array(d_urls, pa.string()),
-                    "rulename": pa.array(d_rules, pa.string()),
-                    "date": pa.array(d_dates, pa.date32()),
-                    "attempt": pa.array([0] * n, pa.int32()),
-                    "wave": pa.array([wave] * n, pa.int32()),
-                }
-            ).filter(pa.array(keep, pa.bool_()))
-
-        fetch_kwargs = {
-            "coordinator": self.coords,
-            "seed": cfg.seed,
-            "simulated": cfg.simulated_politeness,
-            "page_scale": cfg.page_scale,
-            "transport": cfg.transport,
-        }
-
-        def fetch_fn(batch: pa.Table) -> pa.Table:
-            return Fetcher(**fetch_kwargs)(batch)
-
-        from .._util import atomic_write_parquet
-
-        pages_root = os.path.join(cfg.output_dir, "pages")
-        os.makedirs(pages_root, exist_ok=True)
-        # contiguous newest-first chunks; the last absorbs the remainder
-        chunk = len(days) // n_parts if n_parts else 0
-        n_pages = 0
-        n_skipped = 0
-        ran = 0
-
-        def exec_partition(p: int) -> tuple[int, int, list]:
-            lo = p * chunk
-            hi = len(days) if p == n_parts - 1 else lo + chunk
-            part_days = days[lo:hi]
-            dates_t = pa.table({"date": pa.array(part_days, pa.date32())})
-            # one block per STREAM_BLOCK_ROWS estimated rows, pre-split on
-            # the driver (no repartition shuffle). Each block is ONE
-            # probe+dedup task (one seen-set call, one politeness lease +
-            # report) and then ONE fetch task: batch_size=None keeps the
-            # fetch stage from coalescing blocks, so per-task fixed cost
-            # scales with rows, not with days or CPUs.
-            step = stream_block_plan(len(part_days), len(rules), cfg.fetch_concurrency)
-            ds = ray.data.from_arrow(
-                [dates_t.slice(i, step) for i in range(0, dates_t.num_rows, step)]
+            return frontier_table(d_urls, d_rules, d_dates, wave).filter(
+                pa.array(keep, pa.bool_())
             )
-            # probe+dedup's num_cpus differs from fetch's, so it stays its
-            # own cheap stage and the heavy fused fetch+extract+write stage
-            # pipelines behind it — fusing the whole chain measured ~2x
-            # slower (seen-shard/politeness RPC stalls serialize fused tasks)
-            ds = ds.map_batches(make_probe_expand(p), batch_format="pyarrow", num_cpus=0.5)
-            ds = ds.map_batches(fetch_fn, batch_format="pyarrow", batch_size=None, num_cpus=1)
-            ds = ds.map_batches(extract_batch, batch_format="pyarrow", zero_copy_batch=True)
-            part_dir = os.path.join(pages_root, f"part={p}")
-            part_rows = atomic_write_parquet(ds, part_dir, keep_existing_if_empty=True)
-            return p, part_rows, part_days
 
-        def commit(p: int, part_rows: int, part_days: list) -> None:
-            # COMMIT ORDER (cc_ingest contract): durable data → manifest →
-            # seen checkpoint. Partition skip-on-resume depends only on the
-            # manifest; the seen checkpoint (cfg.checkpoint_every, in
-            # partitions, + final) bounds duplicate re-admission for work
-            # not yet durable — the reverse order could erase a durable
-            # partition on resume.
+        return probe_expand
+
+    def run_streamed(self, max_partitions: int | None = None) -> dict:
+        """Streaming pipeline over the date range, PARTITIONED for resume:
+
+            dates[p] → probe(+inline retry)+expand+seen-dedup → fetch
+                     → extract → pages/part=p Parquet
+
+        The date range splits into ``cfg.stream_partitions`` contiguous
+        newest-first chunks. Each runs as one lazy Dataset pipeline (no
+        driver-side barriers — the streaming executor pipelines every
+        stage with backpressure) and commits through the partition core
+        (``partitions.run_partitions``): a restarted run skips finished
+        partitions and re-derives only the one in flight. ``run()`` keeps
+        the wave-equivalence contract; this mode trades wave ordering for
+        throughput while producing the SAME final page set.
+        ``max_partitions`` bounds one invocation (test/chaos hook)."""
+        cfg = self.cfg
+        if self.state.wave > 0:
+            raise RuntimeError(
+                "run_streamed() requires a fresh output dir (this one has "
+                "wave-mode progress); resume interrupted wave crawls with "
+                "run(), or point --out at a new directory"
+            )
+        days = []
+        d = cfg.horizon
+        while d >= cfg.start_date:
+            days.append(d)
+            d -= timedelta(days=1)
+
+        n_parts = max(1, min(cfg.stream_partitions, len(days))) if days else 0
+        self._streamed_manifest = PartitionManifest(
+            os.path.join(cfg.output_dir, "streamed_manifest.json"),
+            {
+                "n_partitions": n_parts,
+                "start": cfg.start_date.isoformat(),
+                "horizon": cfg.horizon.isoformat(),
+            },
+        )
+        probe_dir = os.path.join(cfg.output_dir, "probes")
+        pages_root = os.path.join(cfg.output_dir, "pages")
+        # a zero-day window still commits an (empty) pages dir
+        os.makedirs(pages_root, exist_ok=True)
+        # the last chunk absorbs the remainder
+        chunk = len(days) // n_parts if n_parts else 0
+
+        def write(p: int) -> dict:
+            lo = p * chunk
+            part_days = days[lo:len(days) if p == n_parts - 1 else lo + chunk]
+            # one block per STREAM_BLOCK_ROWS estimated rows. Each block is
+            # ONE probe+dedup task (one seen-set call, one politeness lease
+            # + report) and then ONE fetch task: batch_size=None keeps the
+            # fetch stage from coalescing blocks, so per-task fixed cost
+            # scales with rows, not with days or CPUs. probe+dedup's
+            # num_cpus differs from fetch's, so it stays its own cheap
+            # stage and the fused fetch+extract+write stage pipelines
+            # behind it — fusing the whole chain measured ~2x slower
+            # (seen-shard/politeness RPC stalls serialize fused tasks)
+            step = stream_block_plan(len(part_days), len(self.rules), cfg.fetch_concurrency)
+            ds = sliced_dataset(pa.table({"date": pa.array(part_days, pa.date32())}), step)
+            ds = ds.map_batches(self._make_probe_expand(p), batch_format="pyarrow", num_cpus=0.5)
+            part_dir = os.path.join(pages_root, f"part={p}")
+            part_rows = fetch_extract_write(ds, self._fetch_kwargs, part_dir, batch_size=None)
             self.metrics.append(
                 {
                     "wave": p,
                     "dates_probed": len(part_days),
-                    "confirmed_new": -1,
+                    "confirmed_new": self._streamed_confirmed_days(probe_dir, wave=p),
                     "urls_new": part_rows,
                     "pages": part_rows,
                 }
             )
-            self._streamed_mark_done(
-                p,
-                header,
-                {
-                    "dates": [part_days[-1].isoformat(), part_days[0].isoformat()]
-                    if part_days
-                    else [],
-                    "pages": int(part_rows),
-                    "path": os.path.join(pages_root, f"part={p}"),
-                },
-            )
+            return {
+                "dates": [part_days[-1].isoformat(), part_days[0].isoformat()],
+                "pages": int(part_rows),
+                "path": part_dir,
+            }
 
-        todo = [p for p in range(n_parts) if p not in done]
-        n_skipped = n_parts - len(todo)
-        if max_partitions is not None:
-            todo = todo[:max_partitions]
-        # bounded partition OVERLAP: each partition's pipeline has a drain
-        # tail where CPUs idle (measured ~25% of wall at 8 partitions /
-        # 32 cpus); running ≤ stream_overlap pipelines concurrently hides
-        # the tails while keeping the object-store footprint bounded at
-        # `overlap` partitions. Safe: dates are disjoint across partitions
-        # (no cross-partition dedup order dependence) and each commit is
-        # per-partition atomic. Dataset execution from multiple driver
-        # threads is supported; commits happen on the main thread.
-        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-        overlap = max(1, cfg.stream_overlap)
-        if todo:
-            with ThreadPoolExecutor(max_workers=overlap) as pool:
-                pending = set()
-                it = iter(todo)
-                while True:
-                    while len(pending) < overlap:
-                        p = next(it, None)
-                        if p is None:
-                            break
-                        pending.add(pool.submit(exec_partition, p))
-                    if not pending:
-                        break
-                    done_futs, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in done_futs:
-                        p, part_rows, part_days = fut.result()
-                        commit(p, part_rows, part_days)
-                        n_pages += part_rows
-                        ran += 1
-                        if ran % max(1, cfg.checkpoint_every) == 0:
-                            self.seen.checkpoint(os.path.join(cfg.output_dir, "seen"))
-        if ran:
-            self.seen.checkpoint(os.path.join(cfg.output_dir, "seen"))
-        if n_parts == 0:
-            # zero-day window still commits an (empty) pages dir + manifest
-            self._streamed_mark_done(-1, header, {"pages": 0})
-        stats = self.seen.stats()
+        committed, n_skipped = run_partitions(
+            self._streamed_manifest, n_parts, write, self._streamed_mark_done,
+            self.seen, os.path.join(cfg.output_dir, "seen"),
+            checkpoint_every=cfg.checkpoint_every, max_partitions=max_partitions,
+        )
         self._write_manifest()
+        n_pages = sum(c["pages"] for c in committed)
         return {
-            "waves": max(1, ran),
+            "waves": max(1, len(committed)),
             "pages": n_pages,
             "urls_new": n_pages,
-            "partitions_done": ran,
+            "partitions_done": len(committed),
             "partitions_skipped_on_resume": n_skipped,
             # probe confirmations never round-trip to driver state inside
             # the pipeline; they are counted from the probe log afterwards,
             # which also covers partitions an earlier invocation finished
             "confirmed_days": self._streamed_confirmed_days(probe_dir),
-            "seen_size": stats["n_added"],
+            "seen_size": self.seen.stats()["n_added"],
         }
 
     def shutdown(self) -> None:

@@ -1,8 +1,9 @@
-"""Fetcher stage — a stateful actor-pool callable for ``map_batches``.
+"""Fetcher stage — the callable the partition core's fetch tasks run
+(``pipelines/partitions.py``), and the crawl driver's probe client.
 
 Replaces the reference's ``DocumentDownloader``/``SessionDayChecker``
 worker processes (``/root/reference/europarl/workers/documentdownloader.py``,
-``sessiondaychecker.py``): per-actor persistent HTTP state, politeness
+``sessiondaychecker.py``): an HTTP client per Fetcher, politeness
 leases drawn in batches from the ``PolitenessCoordinator``, robots gating,
 and status logging. One attempt per url per wave — failed documents are NOT
 retried in-loop; the status lands in the log and (for probe urls) the date
@@ -152,11 +153,11 @@ def _lang_from_url(url: str) -> str:
 
 
 class Fetcher:
-    """Callable class for ``map_batches(Fetcher, concurrency=N, ...)``.
+    """Callable over one frontier batch; built per ``map_batches`` task.
 
-    ``fn_constructor_kwargs``: coordinator (actor handle), seed, simulated.
+    Constructor: coordinator (actor handle or list), seed, simulated, ...
     In simulated mode no wall-clock sleeping happens (the coordinator still
-    tracks throttle state); in real mode the actor sleeps out the per-host
+    tracks throttle state); in real mode the caller sleeps out the per-host
     wait time before fetching the remainder.
     """
 

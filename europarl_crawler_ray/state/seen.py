@@ -20,10 +20,12 @@ shard per batch — never per-url actor calls.
 from __future__ import annotations
 
 import os
+import warnings
 from typing import Sequence
 
 import numpy as np
 import ray
+from ray.util.annotations import RayDeprecationWarning
 
 
 def _bloom_positions(h1: np.ndarray, h2: np.ndarray, k: int, m_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +362,11 @@ class SeenShard:
         # only a RESTARTED actor reloads (a fresh run over a dir with a
         # stale checkpoint must start empty — explicit resume goes through
         # SeenSet.restore())
-        restarted = ray.get_runtime_context().was_current_actor_reconstructed
+        with warnings.catch_warnings():
+            # Ray's own property reads the deprecated ``actor_id`` and
+            # would log a RayDeprecationWarning once per shard actor
+            warnings.simplefilter("ignore", RayDeprecationWarning)
+            restarted = ray.get_runtime_context().was_current_actor_reconstructed
         if ckpt_path and restarted and os.path.exists(ckpt_path):
             self.bloom = cls.load(ckpt_path)
         elif backend == "cuckoo":

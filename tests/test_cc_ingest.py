@@ -8,9 +8,9 @@ from europarl_crawler_ray.pipelines.cc_ingest import CCIngest, CCIngestConfig
 
 
 def _cfg(tmp_path, **kw):
+    kw.setdefault("n_urls", 4000)
     return CCIngestConfig(
         output_dir=str(tmp_path / "cc"),
-        n_urls=4000,
         n_hosts=50,
         n_partitions=4,
         num_seen_shards=2,
@@ -39,8 +39,8 @@ def test_ingest_dedups_across_partitions(ray_session, tmp_path):
 def test_ingest_resume_skips_done_partitions(ray_session, tmp_path):
     cfg = _cfg(tmp_path)
     ing = CCIngest(cfg)
-    ing.run(max_partitions=2)  # "crash" after two durable partitions
-    assert len(ing._done()) == 2
+    s1 = ing.run(max_partitions=2)  # "crash" after two durable partitions
+    assert s1["partitions_done"] == 2
     ing.shutdown()
     ing2 = CCIngest(cfg)  # fresh actors; seen-set restored from checkpoint
     s = ing2.run()
@@ -51,6 +51,18 @@ def test_ingest_resume_skips_done_partitions(ray_session, tmp_path):
     # seen checkpoint restored on resume → dedup stays consistent across
     # the restart: no url fetched twice, even across the crash boundary
     assert len(urls) == len(set(urls))
+    ing2.shutdown()
+
+
+def test_ingest_resume_rejects_different_frontier(ray_session, tmp_path):
+    """A resumed run whose partitions would hold other urls must fail
+    loudly instead of mixing two frontiers in one output dir."""
+    ing = CCIngest(_cfg(tmp_path))
+    ing.run(max_partitions=1)
+    ing.shutdown()
+    ing2 = CCIngest(_cfg(tmp_path, n_urls=5000))
+    with pytest.raises(RuntimeError, match="mismatch.*n_urls"):
+        ing2.run()
     ing2.shutdown()
 
 

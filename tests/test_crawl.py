@@ -166,6 +166,8 @@ def test_streamed_mode_same_final_page_set(crawl_run, tmp_path, stream_partition
     assert stream_pairs | probe_pairs == o["urls_seen"]
     assert s["pages"] == len(stream_pairs)
     assert s["confirmed_days"] == crawl_run[2]["confirmed_days"] == len(o["confirmed"])
+    # partitions hold disjoint dates, so their manifest counts add up
+    assert sum(m["confirmed_new"] for m in drv.metrics) == s["confirmed_days"]
 
 
 def test_politeness_throttle_state_evolves(crawl_run):
@@ -286,6 +288,39 @@ def test_stream_block_plan_sizes_blocks_by_estimated_rows():
     # (fetch_concurrency 17) keeps its ~200 blocks of ~50 days
     step = stream_block_plan(9_862, 22, 17)
     assert 45 <= step <= 55 and 190 <= blocks(9_862, conc=17) <= 210
+
+
+def test_streamed_probe_uses_configured_transport(ray_session, tmp_path, monkeypatch):
+    """The streamed probe stage must build its client from cfg.transport.
+    With transport='real' and no route out, every probe maps to 460, so no
+    day is confirmed and no document row leaves the stage (the synthetic
+    calendar would confirm both days). The stage is called in-process with
+    requests.Session stubbed, so no request leaves the host."""
+    import pyarrow as pa
+    import requests
+
+    class _NoRoute:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def get(self, url, **kwargs):
+            raise requests.ConnectionError(f"no route to {url}")
+
+    monkeypatch.setattr(requests, "Session", _NoRoute)
+    cfg = _cfg(tmp_path, transport="real")
+    days = sorted(_oracle()["confirmed"])[:2]
+    drv = CrawlDriver(cfg, resume=False)
+    try:
+        out = drv._make_probe_expand(0)(pa.table({"date": pa.array(days, pa.date32())}))
+    finally:
+        drv.shutdown()
+    assert out.num_rows == 0
+    probes = pads.dataset(f"{cfg.output_dir}/probes").to_table(columns=["status_code"])
+    assert probes.column("status_code").to_pylist() == [460, 460]
+    assert CrawlDriver._streamed_confirmed_days(f"{cfg.output_dir}/probes") == 0
 
 
 def test_streamed_resume_rejects_mismatched_window(ray_session, tmp_path):
