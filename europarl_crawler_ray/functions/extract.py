@@ -5,9 +5,7 @@ The reference extracts text as ``BeautifulSoup(file.read(), "html.parser")
 (``/root/reference/europarl/rules/extraction.py:40-43``) and pins
 ``beautifulsoup4==4.9.3`` (Pipfile.lock). bs4 is not available in this
 environment, so this module is a from-scratch reimplementation of exactly
-that call's observable semantics on top of stdlib ``html.parser`` (which is
-also what bs4's "html.parser" tree builder wraps). Replicated behaviors, in
-bs4 4.9.3 terms:
+that call's observable semantics, in bs4 4.9.3 terms:
 
 - character references are converted (``convert_charrefs=True``, the
   HTMLParserTreeBuilder default) — except inside script/style CDATA content,
@@ -28,12 +26,49 @@ bs4 4.9.3 terms:
 - any error (here: undecodable bytes) yields ``None``
   (``extraction.py:48-50``).
 
+Two paths, one answer. :func:`get_text` first runs a one-pass tokenizer
+(:func:`_fast_text`): one compiled regex whose every match consumes a run
+of text plus the next construct, driving the same tree rules as the
+collector (run merge and whitespace collapse, the ``_popToTag`` stack,
+the ``template``/``pre``/``textarea`` depths, script/style raw text). It
+accepts only a strict subset of HTML:
+
+- tag names ``[a-zA-Z][a-zA-Z0-9]*``; attributes separated by ASCII
+  whitespace whose values are quoted, or bare, not starting with ``=``
+  and followed by whitespace or ``>`` (``<a b=c/>`` is a start tag to
+  html.parser, not self-closing);
+- end tags ``</name>`` with only whitespace before the ``>``;
+- comments with no ``--`` inside that do not open with ``>``/``->``;
+  ``<!DOCTYPE ...>`` with no quotes, brackets or ``<``; ``<?...>``;
+  ``<![CDATA[...]]>`` with no ``]`` inside;
+- ``&name;`` and ``&#...;`` only when they end in ``;``; a bare ``&``
+  followed by something other than a letter or ``#``; a bare ``<``
+  followed by something other than a letter, ``/``, ``!`` or ``?``;
+- a script/style body whose first ``</script`` (any case, any leading
+  whitespace) is a plain ``</script>`` with optional trailing whitespace;
+- nothing left open at EOF (no unclosed tag, comment, script or ``&x``).
+
+Anything else makes the tokenizer give up on the WHOLE document, and
+:func:`get_text` runs :class:`_TextCollector` on it instead — a subclass of
+stdlib ``html.parser`` (the parser bs4's "html.parser" builder wraps), so
+every malformed-input quirk is html.parser's own. There is no hand-off in
+the middle of a document and nothing selects the path but the input.
+
+The collector stays as the fallback AND as the differential oracle:
+``tests/test_extract_fast.py`` and ``tools/extract_diff.py`` check the
+tokenizer against it on the golden corpus, the synthetic web and fuzzed
+pages. html.parser's tokenizer has changed across CPython releases (comment
+closing, script end tags, RCDATA elements); the subset keeps to constructs
+CPython 3.11 handles in one way, and those differential tests re-check it on
+whatever Python runs them.
+
 Golden fixtures in ``tests/test_extract.py`` pin this contract with
 hand-written expected outputs.
 """
 
 from __future__ import annotations
 
+import re
 from html.parser import HTMLParser
 
 ASCII_SPACES = " \n\t\x0c\r"  # bs4 4.9.3 BeautifulSoup.ASCII_SPACES
@@ -56,6 +91,153 @@ _EMPTY_ELEMENT_TAGS = frozenset(
 )
 
 
+def _charref(name: str) -> str:
+    """bs4 BeautifulSoupHTMLParser.handle_charref: numeric refs < 256 decode
+    as windows-1252 first (original_encoding is None when a str was
+    parsed), then chr(), then U+FFFD."""
+    if name.lower().startswith("x"):
+        real = int(name[1:], 16)
+    else:
+        real = int(name)
+    data = None
+    if real < 256:
+        try:
+            data = bytearray([real]).decode("windows-1252")
+        except UnicodeDecodeError:
+            pass
+    if not data:
+        try:
+            data = chr(real)
+        except (ValueError, OverflowError):
+            pass
+    return data or "\N{REPLACEMENT CHARACTER}"
+
+
+# ------------------------------------------------------------ fast path
+# The whitespace html.parser ends a tag name on; attribute separators are
+# kept to it too (html.parser also takes Unicode \s there). A bare value
+# may not start with "=": html.parser reads "==" as one value indicator.
+# Every piece has one parse, so the quantifiers are possessive.
+_WS = r"[ \t\n\r\f]"
+_ATTR = (
+    rf"{_WS}++[^\s\"'<>/=`]++"
+    rf"(?:{_WS}*+={_WS}*+(?:\"[^\"]*+\"|'[^']*+'|[^\s\"'<>`=][^\s\"'<>`]*+(?={_WS}|>)))?+"
+)
+_TOKEN = re.compile(
+    r"([^<&]*+)(?:"                                           # 1 text run
+    rf"(<([a-zA-Z][a-zA-Z0-9]*+)(?:{_ATTR})*+{_WS}*+(/?)>)"   # 2 start tag: 3 name, 4 "/"
+    rf"|(</([a-zA-Z][a-zA-Z0-9]*+){_WS}*+>)"                  # 5 end tag: 6 name
+    r"|(<!--(?!-?>)[^-]*+(?:-[^-]++)*+-->"                    # 7 comment,
+    r"|<![dD][oO][cC][tT][yY][pP][eE][^<>\"'\[\]]*+>"          #   doctype
+    r"|<\?[^>]*+>)"                                           #   or PI
+    r"|(<!\[CDATA\[([^\]]*+)\]\]>)"                            # 8 CDATA: 9 content
+    r"|(\Z)"                                                  # 10 end of input
+    r"|(&([a-zA-Z][a-zA-Z0-9]*+);)"                           # 11 entity: 12 name
+    r"|&#([0-9]++|[xX][0-9a-fA-F]++);"                        # 13 char ref name
+    r"|(&(?=[^a-zA-Z#])|<(?=[^a-zA-Z/!?]))"                   # 14 literal & or <
+    r")"
+)
+# groups 2-10 are tree events that end the pending text run; 11-14 extend it
+_START, _END, _CDATA, _EOF, _ENTITY, _CHARREF = 2, 5, 8, 10, 11, 13
+
+# Raw-text end of script/style: the first "</" + optional whitespace + the
+# name in any case (what html.parser searches for, Unicode case folding
+# included) must be a plain ASCII-named end tag, else the tokenizer gives up.
+_RAW_END = {
+    name: re.compile(
+        "</(?:" + "".join(f"[{c}{c.upper()}]" for c in name) + rf"{_WS}*(>)|\s*(?i:{name}))"
+    )
+    for name in _CDATA_ELEMS
+}
+_DEPTH_TAGS = frozenset(("template",) + _PRESERVE_WS)
+# what a start tag does to the open-tag stack; absent tags are pushed
+_VOID, _RAW, _DEPTH = 0, 1, 2
+_START_ACTION = {
+    **dict.fromkeys(_EMPTY_ELEMENT_TAGS, _VOID),
+    **dict.fromkeys(_CDATA_ELEMS, _RAW),
+    **dict.fromkeys(_DEPTH_TAGS, _DEPTH),
+}
+
+
+def _fast_text(html: str) -> str | None:
+    """bs4-4.9.3 ``get_text()`` of ``html`` in one regex pass, or None when
+    the document leaves the subset the module docstring lists."""
+    parts: list[str] = []
+    run: list[str] = []  # data chunks since the last tree event
+    stack: list[str] = []  # open tags, as _TextCollector._stack
+    template_depth = preserve_depth = 0
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(html, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        kind = m.lastindex
+        if kind >= _ENTITY:  # a reference or a literal: the run goes on
+            if m[1]:
+                run.append(m[1])
+            if kind == _ENTITY:
+                run.append(HTML4_ENTITY_TO_CHARACTER.get(m[12]) or m[11])
+            elif kind == _CHARREF:
+                run.append(_charref(m[13]))
+            else:
+                run.append(m[14])
+            continue
+        # a tree event: the pending run ends here (bs4 endData)
+        text = m[1]
+        if run:
+            if text:
+                run.append(text)
+            text = "".join(run)
+            run.clear()
+        if text and not template_depth:
+            if not preserve_depth and not text.strip(ASCII_SPACES):
+                text = "\n" if "\n" in text else " "
+            parts.append(text)
+        if kind == _START:
+            if m[4]:
+                continue  # <x/>: start + end, no net stack change
+            tag = m[3].lower()
+            action = _START_ACTION.get(tag)
+            if action is None:
+                stack.append(tag)
+            elif action == _RAW:
+                end = _RAW_END[tag].search(html, pos)
+                if end is None or end[1] is None:
+                    return None
+                pos = end.end()  # body excluded; its push and pop cancel out
+            elif action == _DEPTH:
+                stack.append(tag)
+                if tag == "template":
+                    template_depth += 1
+                else:
+                    preserve_depth += 1
+        elif kind == _END:
+            tag = m[6].lower()
+            if tag in stack:  # bs4 _popToTag; a stray end tag is ignored
+                while True:
+                    top = stack.pop()
+                    if top in _DEPTH_TAGS:
+                        if top == "template":
+                            template_depth -= 1
+                        else:
+                            preserve_depth -= 1
+                    if top == tag:
+                        break
+        elif kind == _CDATA:
+            cdata = m[9]
+            if cdata and not template_depth:
+                if not preserve_depth and not cdata.strip(ASCII_SPACES):
+                    cdata = "\n" if "\n" in cdata else " "
+                parts.append(cdata)
+        elif kind == _EOF:
+            return "".join(parts)
+
+
+# ------------------------------------------------------------ fallback
+
+
 class _TextCollector(HTMLParser):
     """Collects exactly the strings bs4-4.9.3 ``get_text()`` would join."""
 
@@ -70,6 +252,12 @@ class _TextCollector(HTMLParser):
         self._stack: list[str] = []
         self._template_depth = 0
         self._preserve_ws_depth = 0
+
+    def updatepos(self, i: int, j: int) -> int:
+        # html.parser calls this on every token to keep getpos()'s line and
+        # column current by counting newlines in rawdata[i:j]; nothing on the
+        # text path reads getpos(), so only the new position is returned
+        return j
 
     # -- run buffering (bs4 current_data + endData) --------------------
     def _flush(self) -> None:
@@ -121,25 +309,7 @@ class _TextCollector(HTMLParser):
         self._run.append(char if char is not None else f"&{name};")
 
     def handle_charref(self, name: str) -> None:
-        # bs4 BeautifulSoupHTMLParser.handle_charref: numeric refs < 256
-        # decode as windows-1252 first (original_encoding is None when a
-        # str was parsed), then chr(), then U+FFFD
-        if name.lower().startswith("x"):
-            real = int(name[1:], 16)
-        else:
-            real = int(name)
-        data = None
-        if real < 256:
-            try:
-                data = bytearray([real]).decode("windows-1252")
-            except UnicodeDecodeError:
-                pass
-        if not data:
-            try:
-                data = chr(real)
-            except (ValueError, OverflowError):
-                pass
-        self._run.append(data or "\N{REPLACEMENT CHARACTER}")
+        self._run.append(_charref(name))
 
     def handle_starttag(self, tag: str, attrs) -> None:
         self._flush()
@@ -193,12 +363,19 @@ class _TextCollector(HTMLParser):
         return "".join(self.parts)
 
 
-def get_text(html: str) -> str:
-    """bs4-4.9.3-equivalent ``BeautifulSoup(html, "html.parser").get_text()``."""
+def _collector_text(html: str) -> str:
+    """``get_text`` through :class:`_TextCollector` alone (the fallback and
+    the oracle the tokenizer is tested against)."""
     p = _TextCollector()
     p.feed(html)
     p.close()
     return p.text()
+
+
+def get_text(html: str) -> str:
+    """bs4-4.9.3-equivalent ``BeautifulSoup(html, "html.parser").get_text()``."""
+    text = _fast_text(html)
+    return _collector_text(html) if text is None else text
 
 
 def html_to_text(html_bytes: bytes | None, encoding: str = "utf-8") -> str | None:

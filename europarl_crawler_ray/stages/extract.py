@@ -12,9 +12,10 @@ Replaces the reference's ``PostProcessingWorker`` (E2-E6,
   (lines end ``\\n``, pages end ``\\x0c``)
 - anything else → None (reference returns content None for unknown formats)
 
-HTML parsing cannot be vectorized (it's a per-document parse), but the
-batch loop is over an Arrow binary column with no pandas conversion, and
-filesize uses the pyarrow kernel.
+HTML extraction runs once per document: a one-pass regex tokenizer, with
+the ``html.parser`` collector as its whole-document fallback
+(``functions/extract.py``). The batch loop is over an Arrow binary column
+with no pandas conversion, and filesize uses the pyarrow kernel.
 """
 
 from __future__ import annotations

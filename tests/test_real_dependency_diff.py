@@ -4,7 +4,10 @@ importable, fuzz the from-scratch reimplementations —
 ``functions/extract.get_text`` (bs4-4.9.3 ``html.parser`` get_text
 semantics, reference europarl/rules/extraction.py:40-45) and
 ``functions/pdf.pdf_to_text`` (pdfminer-shaped text) — against the real
-libraries over the synthetic corpus plus seeded random mutations.
+libraries over the synthetic corpus plus seeded random mutations
+(generators in ``tests/htmlfuzz.py``). ``get_text`` takes the one-pass
+tokenizer wherever it accepts the input and the ``html.parser`` collector
+elsewhere, so this checks both paths against real bs4.
 
 This sandbox ships neither package, so every test here skips; on a
 machine WITH them the harness either passes or turns a divergence into
@@ -20,35 +23,7 @@ import pytest
 bs4 = pytest.importorskip("bs4", reason="differential harness needs real bs4")
 
 from europarl_crawler_ray.functions.extract import get_text  # noqa: E402
-
-TAGS = ["p", "div", "span", "b", "i", "a", "ul", "li", "table", "tr", "td",
-        "h1", "br", "hr", "img", "script", "style", "title", "pre"]
-ENTITIES = ["&amp;", "&lt;", "&gt;", "&quot;", "&nbsp;", "&eacute;",
-            "&#65;", "&#x1F600;", "&#xg;", "&unknown;", "&", "&#", "&#x"]
-SNIPPETS = ["<!-- comment -->", "<!-- unterminated", "<![CDATA[raw]]>",
-            "<!DOCTYPE html>", "<?php noise ?>", "</missing>", "<>",
-            "< notatag", "<p", "<p attr='unclosed"]
-
-
-def _rand_html(rng: random.Random, depth: int = 0) -> str:
-    parts = []
-    for _ in range(rng.randint(1, 6)):
-        kind = rng.randint(0, 9)
-        if kind <= 3:
-            parts.append(
-                "".join(rng.choice(string.printable[:70] + "äé€ ")
-                        for _ in range(rng.randint(0, 12)))
-            )
-        elif kind <= 5:
-            parts.append(rng.choice(ENTITIES))
-        elif kind <= 7 and depth < 4:
-            tag = rng.choice(TAGS)
-            inner = _rand_html(rng, depth + 1)
-            close = rng.random() < 0.85
-            parts.append(f"<{tag}>{inner}" + (f"</{tag}>" if close else ""))
-        else:
-            parts.append(rng.choice(SNIPPETS))
-    return "".join(parts)
+from tests.htmlfuzz import base_page, mutated_page, rand_html  # noqa: E402
 
 
 class TestHtmlGetTextParity:
@@ -72,32 +47,13 @@ class TestHtmlGetTextParity:
 
     @pytest.mark.parametrize("seed", range(200))
     def test_fuzzed_html(self, seed):
-        self._assert_parity(_rand_html(random.Random(seed)))
+        self._assert_parity(rand_html(random.Random(seed)))
 
     @pytest.mark.parametrize("seed", range(100))
     def test_mutated_real_page(self, seed):
         """Random byte-level mutations of a well-formed page — truncation,
         splice, entity corruption — the classes real crawls hit."""
-        from europarl_crawler_ray.sources.synth import render_html
-
-        from europarl_crawler_ray.functions.rules import RULES
-
-        base = render_html(
-            "https://www.europarl.europa.eu/doceo/document/A-9-2021-0001_EN.html",
-            RULES[0].name, date(2021, 3, 9), "EN",
-        )
-        base = base.decode("utf-8") if isinstance(base, bytes) else base
-        rng = random.Random(10_000 + seed)
-        mode = rng.randint(0, 2)
-        if mode == 0:
-            html = base[: rng.randint(0, len(base))]
-        elif mode == 1:
-            cut = rng.randint(0, len(base) - 1)
-            html = base[:cut] + rng.choice(ENTITIES + SNIPPETS) + base[cut:]
-        else:
-            pos = rng.randint(0, max(len(base) - 10, 1))
-            html = base[:pos] + base[pos:].replace("<", "&lt;", 1)
-        self._assert_parity(html)
+        self._assert_parity(mutated_page(base_page(), random.Random(10_000 + seed)))
 
 
 class TestPdfToTextParity:
