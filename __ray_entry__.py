@@ -58,7 +58,6 @@ _TABLES = [
     ("colcodec_ops", "COLCODEC_SQL_QUERIES"),
     ("graphgeom_ops", "GRAPHGEOM_SQL_QUERIES"),
     ("bpetrain_ops", "BPETRAIN_SQL_QUERIES"),
-    ("serving_ops", "SERVING_SQL_QUERIES"),
     ("setsim_ops", "SETSIM_SQL_QUERIES"),
     ("indexaudit_ops", "INDEXAUDIT_SQL_QUERIES"),
     ("distjoin_ops", "DISTJOIN_SQL_QUERIES"),
@@ -67,34 +66,15 @@ _TABLES = [
     ("assignment_ops", "ASSIGNMENT_SQL_QUERIES"),
     ("structgraph_ops", "STRUCTGRAPH_SQL_QUERIES"),
     ("linsketch_ops", "LINSKETCH_SQL_QUERIES"),
-    ("significance_ops", "SIGNIFICANCE_SQL_QUERIES"),
     ("queryproc_ops", "QUERYPROC_SQL_QUERIES"),
     ("synopsis_ops", "SYNOPSIS_SQL_QUERIES"),
-    ("twosample_ops", "TWOSAMPLE_SQL_QUERIES"),
     ("valuation_ops", "VALUATION_SQL_QUERIES"),
-    ("mechdesign_ops", "MECHDESIGN_SQL_QUERIES"),
     ("coreset_ops", "CORESET_SQL_QUERIES"),
     ("seqaudit_ops", "SEQAUDIT_SQL_QUERIES"),
-    ("survival_ops", "SURVIVAL_SQL_QUERIES"),
     ("richness_ops", "RICHNESS_SQL_QUERIES"),
-    ("eventmine_ops", "EVENTMINE_SQL_QUERIES"),
-    ("inequality_ops", "INEQUALITY_SQL_QUERIES"),
     ("dedupsketch_ops", "DEDUPSKETCH_SQL_QUERIES"),
-    ("nullmodel_ops", "NULLMODEL_SQL_QUERIES"),
     ("focusedcrawl_ops", "FOCUSEDCRAWL_SQL_QUERIES"),
-    ("learnedindex_ops", "LEARNEDINDEX_SQL_QUERIES"),
     ("keyword_ops", "KEYWORD_SQL_QUERIES"),
-    ("momentfit_ops", "MOMENTFIT_SQL_QUERIES"),
-    ("controlchart_ops", "CONTROLCHART_SQL_QUERIES"),
-    ("approx_ops", "APPROX_SQL_QUERIES"),
-    ("shopsched_ops", "SHOPSCHED_SQL_QUERIES"),
-    ("robustts_ops", "ROBUSTTS_SQL_QUERIES"),
-    ("flow_ops", "FLOW_SQL_QUERIES"),
-    ("onlinealgo_ops", "ONLINEALGO_SQL_QUERIES"),
-    ("encoding_ops", "ENCODING_SQL_QUERIES"),
-    ("codes_ops", "CODES_SQL_QUERIES"),
-    ("treeindex_ops", "TREEINDEX_SQL_QUERIES"),
-    ("numtheory_ops", "NUMTHEORY_SQL_QUERIES"),
 ]
 
 
