@@ -146,6 +146,7 @@ def bench_dedup(n_urls: int = 4_000_000, num_shards: int = 8) -> dict:
         mask = seen.check_and_add(h1, h2)
         n_new += int((~mask).sum())
     dt = time.perf_counter() - t0
+    seen.shutdown()
     return {
         "seconds": round(dt, 3),
         "urls": n_urls,

@@ -48,6 +48,7 @@ class CCIngestConfig:
     seed: int = 42
     page_scale: int = 1
     dup_fraction: float = 0.2     # fraction of frontier urls that repeat
+    # logical seen shards; the seen actors are one per node (state/seen.py)
     num_seen_shards: int = 8
     seen_bits_per_shard: int = 1 << 26
     n_politeness_shards: int = 2
@@ -62,7 +63,7 @@ class CCIngest:
             num_shards=cfg.num_seen_shards,
             m_bits_per_shard=cfg.seen_bits_per_shard,
             exact=False,
-            # shard actors auto-restart and reload this checkpoint on
+            # seen actors auto-restart and reload this checkpoint on
             # failure (bounded at-least-once — see state/seen.py)
             checkpoint_dir=os.path.join(cfg.output_dir, "_seen"),
         )
@@ -167,5 +168,4 @@ class CCIngest:
     def shutdown(self) -> None:
         for a in self.coords:
             ray.kill(a, no_restart=True)
-        for a in self.seen.shards:
-            ray.kill(a, no_restart=True)
+        self.seen.shutdown()

@@ -70,6 +70,8 @@ class CrawlConfig:
     expansion_limit: int = 50                # combo rows per wave (PrefetchLimit)
     active_rule_names: list[str] | None = None
     seed: int = 42
+    # logical seen shards (state size, one checkpoint file each); the
+    # seen ACTOR count follows the cluster — one per node, see state/seen.py
     num_seen_shards: int = 4
     seen_bits_per_shard: int = 1 << 22
     seen_exact: bool = True
@@ -200,7 +202,7 @@ class CrawlDriver:
             num_shards=cfg.num_seen_shards,
             m_bits_per_shard=cfg.seen_bits_per_shard,
             exact=cfg.seen_exact,
-            # shard actors auto-restart and reload this checkpoint on
+            # seen actors auto-restart and reload this checkpoint on
             # failure (bounded at-least-once — see state/seen.py)
             checkpoint_dir=os.path.join(cfg.output_dir, "seen"),
         )
@@ -591,13 +593,12 @@ class CrawlDriver:
         }
 
     def shutdown(self) -> None:
-        """Kill this driver's long-lived actors (coordinators + seen
-        shards). Call when the driver is done inside a longer session so
+        """Kill this CrawlDriver's long-lived actors (coordinators + seen
+        actors). Call when a longer-lived program is done with it, so
         repeated pipeline invocations don't accumulate idle actors."""
         for a in self.coords:
             ray.kill(a, no_restart=True)
-        for a in self.seen.shards:
-            ray.kill(a, no_restart=True)
+        self.seen.shutdown()
 
     # ---------------------------------------------------------- run loop
     def run(self, max_waves: int | None = None) -> dict:

@@ -1,26 +1,35 @@
 """Sharded URL-seen set — the frontier's exact-dedup core (north rule F1).
 
 The reference's dedup is a Postgres ``UNIQUE (rule_id, url)`` upsert
-(``/root/reference/europarl/db/url.py:45,71-92``). The rebuild is a pool of
-Ray actors, each owning one shard of a Bloom filter (plus an optional exact
-hash set for verification-scale runs), keyed by ``h1 % num_shards``.
+(the reference crawler's ``europarl/db/url.py:45,71-92``). The rebuild splits the
+set into ``num_shards`` LOGICAL shards, keyed by ``h1 % num_shards``, each
+a Bloom filter (plus an optional exact hash set for verification-scale
+runs) or a cuckoo filter. The shards are hosted by a few Ray ACTORS: one
+per alive node, logical shard ``s`` on actor ``s % n_actors``. The shard
+count sizes the state and its checkpoint files; the actor count follows
+the cluster, so a single-node crawl starts one seen actor, not one per
+shard.
 
 Scale design (SURVEY §7.3 item 4): at 10^10 urls with 12 bits/key and
-1024 shards, each shard holds ~1.5 GiB of bit array — fits a 256-node
-cluster at 4 shards/node. FPR at 12 bits/key, k=8 is ~5e-4; runs that need
-an exact seen-set (equivalence vs the reference) use ``mode="exact"``
-(numpy-array-backed hash set per shard) or a cold-path
-``groupby(url_hash)`` compaction.
+1024 logical shards, each shard holds ~1.5 GiB of bit array — fits a
+256-node cluster at 4 shards/node, i.e. 256 actors hosting 4 shards
+each, placed by a ``memory=`` reservation of their shards' bytes. FPR at
+12 bits/key, k=8 is ~5e-4; runs that need an exact seen-set (equivalence
+vs the reference) use ``mode="exact"`` (numpy-array-backed hash set per
+shard) or a cold-path ``groupby(url_hash)`` compaction.
 
-Batch API only: ``check_and_add(h1, h2) -> seen_mask`` per shard; callers
-(fetch stages) partition a batch's hashes by shard and issue ONE call per
-shard per batch — never per-url actor calls.
+Batch API only: ``check_and_add(h1, h2) -> seen_mask``. The caller splits
+a batch by actor with one argsort and issues ONE call per actor per
+batch; the actor splits its rows over its hosted shards the same way —
+never per-url actor calls. Checkpoints are one ``seen_shard_{s:05d}.npz``
+per logical shard, so they restore onto any actor count.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -337,92 +346,184 @@ class CuckooSet:
         return obj
 
 
+def shard_path(directory: str, shard: int) -> str:
+    """Checkpoint file of logical shard ``shard``: one file per logical
+    shard, so a checkpoint restores onto any number of actors."""
+    return os.path.join(directory, f"seen_shard_{shard:05d}.npz")
+
+
+def actor_count(num_shards: int, alive_nodes: int) -> int:
+    """Actors that host ``num_shards`` logical shards: one per alive node,
+    never more actors than shards."""
+    return max(1, min(num_shards, alive_nodes))
+
+
+def actor_options(n_hosted: int, m_bits_per_shard: int, recoverable: bool) -> dict:
+    """Ray options of one seen actor that hosts ``n_hosted`` logical shards.
+
+    num_cpus=0: control-plane actors must never reserve data-plane CPUs —
+    a seen pool that holds real CPU slots can starve the repartition /
+    extract tasks into a scheduling deadlock. Shard work is short
+    vectorized bursts, so actors are placed by the memory their shards
+    hold instead: ``m_bits/8`` bytes per hosted shard (the cuckoo backend
+    is sized to the same budget), spread one actor per node.
+
+    ``recoverable`` (a checkpoint directory is configured): the actor
+    restarts on failure and reloads its shards' last checkpoint
+    (at-least-once — see SeenShard); without one, a dead actor fails the
+    crawl LOUDLY (``SeenSet._gather``) rather than silently restarting
+    empty.
+    """
+    opts: dict = {
+        "num_cpus": 0,
+        "max_concurrency": 1,
+        "memory": n_hosted * (m_bits_per_shard // 8),
+        "scheduling_strategy": "SPREAD",
+    }
+    if recoverable:
+        opts.update(max_restarts=-1, max_task_retries=-1)
+    return opts
+
+
+def split_rows(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(key, row indices)`` for every distinct key, from one stable
+    argsort: each group keeps its rows in batch order, so the first
+    occurrence of an intra-batch duplicate stays the new one."""
+    order = np.argsort(keys, kind="stable")
+    groups, starts = np.unique(keys[order], return_index=True)
+    return list(zip(groups.tolist(), np.split(order, starts[1:])))
+
+
+def _shard_stats(b: BloomSet | CuckooSet) -> dict:
+    if isinstance(b, CuckooSet):
+        fill = float((b.table != 0).mean())
+        return {
+            "n_added": b.n_added,
+            "n_checked": b.n_checked,
+            "fill_ratio": round(fill, 6),
+            # 2 buckets x 4 slots x P(fp match) = 8 / 2^16 per filled slot
+            "est_fpr": round(8.0 * fill / 65535.0, 9),
+            "n_spilled": b.n_spilled,
+            "exact": b.exact,
+        }
+    # surfaced FPR (SURVEY §7.3 item 4): fill ratio p → FPR ≈ p^k
+    fill = float(np.unpackbits(b.bits[:: max(1, len(b.bits) // 65536)]).mean())
+    return {
+        "n_added": b.n_added,
+        "n_checked": b.n_checked,
+        "fill_ratio": round(fill, 6),
+        "est_fpr": round(fill**b.k, 9),
+        "exact": b.exact,
+    }
+
+
 @ray.remote
 class SeenShard:
-    """One seen-set shard as a Ray actor (single-threaded → atomic batches).
+    """The logical shards ``index, index + n_actors, ...`` of a seen set,
+    hosted in one Ray actor (single-threaded calls → atomic batches).
 
-    ``ckpt_path``: when set, a (re)started actor reloads the last durable
-    checkpoint in ``__init__`` — combined with ``max_restarts`` this is
-    the crash-recovery story for the 10¹⁰-url design point: a lost shard
-    resumes from its checkpoint, and urls seen after that checkpoint are
-    forgotten → re-admitted once (bounded at-least-once, same contract as
-    the crawl's partition resume)."""
+    Logical shard ``s`` sits at position ``s // n_actors`` of
+    ``self.shards``; each is a plain :class:`BloomSet` / :class:`CuckooSet`.
+    A call's rows are split over the hosted shards with one argsort, and
+    the shards' kernels run on a thread pool. Checkpoints stay one file
+    per logical shard (:func:`shard_path`), saved and loaded on the same
+    pool. numpy and zlib release the GIL, so hosted shards hash, sort and
+    compress in parallel, as the one-process-per-shard layout did.
+
+    ``ckpt_dir``: when set, a (re)started actor reloads the last durable
+    checkpoint of every shard it hosts in ``__init__`` — combined with
+    ``max_restarts`` this is the crash-recovery story for the
+    10¹⁰-url design point: a lost actor resumes from its shards'
+    checkpoints, and urls seen after them are forgotten → re-admitted
+    once (bounded at-least-once, same contract as the crawl's partition
+    resume)."""
 
     def __init__(
         self,
+        index: int,
+        n_actors: int,
+        num_shards: int,
         m_bits: int,
         k: int,
         exact: bool,
-        ckpt_path: str | None = None,
+        ckpt_dir: str | None = None,
         backend: str = "bloom",
     ):
-        self._ckpt_path = ckpt_path
-        self._backend = backend
-        cls = CuckooSet if backend == "cuckoo" else BloomSet
+        self.n_actors = n_actors
+        self.num_shards = num_shards
+        self.shard_ids = list(range(index, num_shards, n_actors))
+        self._cls = CuckooSet if backend == "cuckoo" else BloomSet
+        self._threads = min(len(self.shard_ids), os.cpu_count() or 1)
+        self._pool = ThreadPoolExecutor(self._threads)
         # only a RESTARTED actor reloads (a fresh run over a dir with a
         # stale checkpoint must start empty — explicit resume goes through
         # SeenSet.restore())
         with warnings.catch_warnings():
             # Ray's own property reads the deprecated ``actor_id`` and
-            # would log a RayDeprecationWarning once per shard actor
+            # would log a RayDeprecationWarning once per actor
             warnings.simplefilter("ignore", RayDeprecationWarning)
             restarted = ray.get_runtime_context().was_current_actor_reconstructed
-        if ckpt_path and restarted and os.path.exists(ckpt_path):
-            self.bloom = cls.load(ckpt_path)
-        elif backend == "cuckoo":
+        if backend == "cuckoo":
             # same bit budget as the bloom sizing: m buckets x 4 slots x
             # 16-bit fingerprints = 64·m bits
             m_buckets = 1 << max(10, (m_bits // 64).bit_length() - 1)
-            self.bloom = CuckooSet(m_buckets=m_buckets, exact=exact)
+            self.shards = [CuckooSet(m_buckets=m_buckets, exact=exact) for _ in self.shard_ids]
         else:
-            self.bloom = BloomSet(m_bits=m_bits, k=k, exact=exact)
+            self.shards = [BloomSet(m_bits=m_bits, k=k, exact=exact) for _ in self.shard_ids]
+        if ckpt_dir and restarted:
+
+            def reload(j: int) -> None:
+                path = shard_path(ckpt_dir, self.shard_ids[j])
+                if os.path.exists(path):
+                    self.shards[j] = self._cls.load(path)
+
+            list(self._pool.map(reload, range(len(self.shards))))
+
+    def _per_shard(self, method: str, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(h1), dtype=bool)
+        local = (h1 % np.uint64(self.num_shards)) // np.uint64(self.n_actors)
+        groups = split_rows(local)
+
+        def run(part: list[tuple[int, np.ndarray]]) -> None:
+            for j, idx in part:
+                out[idx] = getattr(self.shards[j], method)(h1[idx], h2[idx])
+
+        # one task per pool thread, not per shard: the kernels release the
+        # GIL only inside numpy, so per-shard tasks convoy on small batches
+        n = min(self._threads, len(groups))
+        list(self._pool.map(run, [groups[t::n] for t in range(n)]))
+        return out
 
     def check_and_add(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        return self.bloom.check_and_add(h1, h2)
+        return self._per_shard("check_and_add", h1, h2)
 
     def contains(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        return self.bloom.contains(h1, h2)
+        return self._per_shard("contains", h1, h2)
 
-    def stats(self) -> dict:
-        b = self.bloom
-        if self._backend == "cuckoo":
-            fill = float((b.table != 0).mean())
-            return {
-                "n_added": b.n_added,
-                "n_checked": b.n_checked,
-                "fill_ratio": round(fill, 6),
-                # 2 buckets x 4 slots x P(fp match) = 8 / 2^16 per filled slot
-                "est_fpr": round(8.0 * fill / 65535.0, 9),
-                "n_spilled": b.n_spilled,
-                "exact": b.exact,
-            }
-        # surfaced FPR (SURVEY §7.3 item 4): fill ratio p → FPR ≈ p^k
-        fill = float(np.unpackbits(b.bits[:: max(1, len(b.bits) // 65536)]).mean())
-        return {
-            "n_added": b.n_added,
-            "n_checked": b.n_checked,
-            "fill_ratio": round(fill, 6),
-            "est_fpr": round(fill**b.k, 9),
-            "exact": b.exact,
-        }
+    def stats(self) -> list[dict]:
+        """One entry per hosted shard, in ``self.shard_ids`` order."""
+        return [_shard_stats(b) for b in self.shards]
 
-    def checkpoint(self, path: str) -> str:
-        self.bloom.save(path)
-        return path
+    def checkpoint(self, directory: str) -> list[str]:
+        paths = [shard_path(directory, s) for s in self.shard_ids]
+        list(self._pool.map(lambda b, p: b.save(p), self.shards, paths))
+        return paths
 
-    def restore(self, path: str) -> int:
-        cls = CuckooSet if self._backend == "cuckoo" else BloomSet
-        self.bloom = cls.load(path)
-        return self.bloom.n_added
+    def restore(self, directory: str) -> int:
+        paths = [shard_path(directory, s) for s in self.shard_ids]
+        self.shards = list(self._pool.map(self._cls.load, paths))
+        return sum(b.n_added for b in self.shards)
 
 
 class SeenSet:
-    """Driver-side handle over the shard pool.
+    """Driver-side handle over the seen actors.
 
-    ``filter_new(urls, h1, h2)``: one remote call per shard per batch,
-    returns the not-seen mask in input order. Shard routing key is
-    ``h1 % num_shards`` — reused everywhere so the same url always lands on
-    the same shard (cluster-wide consistency without a shuffle).
+    ``num_shards`` logical shards, routed by ``h1 % num_shards`` — reused
+    everywhere so the same url always lands on the same shard
+    (cluster-wide consistency without a shuffle). Logical shard ``s``
+    lives on actor ``s % n_actors``, with one actor per alive node
+    (:func:`actor_count`). A batch is split by actor with one argsort and
+    costs one RPC per actor it hits; masks come back in input order.
     """
 
     def __init__(
@@ -438,30 +539,14 @@ class SeenSet:
         self.exact = exact
         self.checkpoint_dir = checkpoint_dir
         self.backend = backend
-        # num_cpus=0: control-plane actors must never reserve data-plane
-        # CPUs — a shard pool that holds real CPU slots can starve the
-        # repartition/extract tasks into a scheduling deadlock. Shard work
-        # is short vectorized bursts; at multi-node scale place shards by
-        # memory (each ~1.5 GiB at 10^10 urls / 1024 shards) not CPU.
-        #
-        # Recovery: with a checkpoint_dir, shards restart on failure and
-        # reload their last checkpoint (at-least-once — see SeenShard);
-        # without one, a dead shard fails the crawl LOUDLY (below) rather
-        # than silently restarting empty.
-        opts: dict = {"num_cpus": 0, "max_concurrency": 1}
-        if checkpoint_dir is not None:
-            opts.update(max_restarts=-1, max_task_retries=-1)
-        self.shards = [
-            SeenShard.options(**opts).remote(
-                m_bits_per_shard,
-                k,
-                exact,
-                os.path.join(checkpoint_dir, f"seen_shard_{i:05d}.npz")
-                if checkpoint_dir is not None
-                else None,
-                backend,
-            )
-            for i in range(num_shards)
+        n = actor_count(num_shards, sum(1 for node in ray.nodes() if node["Alive"]))
+        self.actors = [
+            SeenShard.options(
+                **actor_options(
+                    len(range(a, num_shards, n)), m_bits_per_shard, checkpoint_dir is not None
+                )
+            ).remote(a, n, num_shards, m_bits_per_shard, k, exact, checkpoint_dir, backend)
+            for a in range(n)
         ]
 
     def _gather(self, refs: list):
@@ -470,55 +555,47 @@ class SeenSet:
         except ray.exceptions.RayActorError as e:
             if self.checkpoint_dir is not None:
                 raise RuntimeError(
-                    "a seen-set shard actor died PERMANENTLY despite "
+                    "a seen-set actor died PERMANENTLY despite "
                     f"auto-restart (checkpoint_dir={self.checkpoint_dir!r})"
                     " — its restarts are failing (unreadable checkpoint, "
-                    "lost node, or repeated crashes); inspect the shard "
+                    "lost node, or repeated crashes); inspect the actor "
                     "logs, then resume the run from the output manifest"
                 ) from e
             raise RuntimeError(
-                "a seen-set shard actor died and no checkpoint_dir is "
+                "a seen-set actor died and no checkpoint_dir is "
                 "configured for auto-recovery — construct "
                 "SeenSet(checkpoint_dir=...) (the crawl drivers do) so a "
-                "restarted shard reloads its last checkpoint; without it "
-                "the dedup state is unrecoverable and the run must restart "
-                "from the output manifest"
+                "restarted actor reloads its shards' last checkpoint; "
+                "without it the dedup state is unrecoverable and the run "
+                "must restart from the output manifest"
             ) from e
 
-    def check_and_add(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        """Bool mask, True = already seen. Batch is split by shard."""
+    def _per_actor(self, method: str, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         h1 = np.asarray(h1, dtype=np.uint64)
         h2 = np.asarray(h2, dtype=np.uint64)
-        shard_of = (h1 % np.uint64(self.num_shards)).astype(np.int64)
+        n = np.uint64(len(self.actors))
+        groups = split_rows(h1 % np.uint64(self.num_shards) % n)
+        refs = [
+            getattr(self.actors[a], method).remote(h1[idx], h2[idx]) for a, idx in groups
+        ]
         seen = np.zeros(len(h1), dtype=bool)
-        refs, idxs = [], []
-        for s in range(self.num_shards):
-            idx = np.nonzero(shard_of == s)[0]
-            if len(idx):
-                refs.append(self.shards[s].check_and_add.remote(h1[idx], h2[idx]))
-                idxs.append(idx)
-        for idx, mask in zip(idxs, self._gather(refs)):
+        for (_, idx), mask in zip(groups, self._gather(refs)):
             seen[idx] = mask
         return seen
+
+    def check_and_add(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        """Bool mask, True = already seen. Adds every row."""
+        return self._per_actor("check_and_add", h1, h2)
 
     def contains_mask(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """Bool mask, True = already seen. Read-only (no insertion)."""
-        h1 = np.asarray(h1, dtype=np.uint64)
-        h2 = np.asarray(h2, dtype=np.uint64)
-        shard_of = (h1 % np.uint64(self.num_shards)).astype(np.int64)
-        seen = np.zeros(len(h1), dtype=bool)
-        refs, idxs = [], []
-        for s in range(self.num_shards):
-            idx = np.nonzero(shard_of == s)[0]
-            if len(idx):
-                refs.append(self.shards[s].contains.remote(h1[idx], h2[idx]))
-                idxs.append(idx)
-        for idx, mask in zip(idxs, self._gather(refs)):
-            seen[idx] = mask
-        return seen
+        return self._per_actor("contains", h1, h2)
 
     def stats(self) -> dict:
-        per = self._gather([s.stats.remote() for s in self.shards])
+        """Totals plus one ``shards`` entry per logical shard, in shard order."""
+        per_actor = self._gather([a.stats.remote() for a in self.actors])
+        n = len(self.actors)
+        per = [per_actor[s % n][s // n] for s in range(self.num_shards)]
         return {
             "n_added": sum(p["n_added"] for p in per),
             "n_checked": sum(p["n_checked"] for p in per),
@@ -530,21 +607,15 @@ class SeenSet:
         directory = directory if directory is not None else self.checkpoint_dir
         assert directory is not None, "no checkpoint directory configured"
         os.makedirs(directory, exist_ok=True)
-        self._gather(
-            [
-                s.checkpoint.remote(os.path.join(directory, f"seen_shard_{i:05d}.npz"))
-                for i, s in enumerate(self.shards)
-            ]
-        )
+        self._gather([a.checkpoint.remote(directory) for a in self.actors])
 
     def restore(self, directory: str | None = None) -> int:
         directory = directory if directory is not None else self.checkpoint_dir
         assert directory is not None, "no checkpoint directory configured"
-        return sum(
-            self._gather(
-                [
-                    s.restore.remote(os.path.join(directory, f"seen_shard_{i:05d}.npz"))
-                    for i, s in enumerate(self.shards)
-                ]
-            )
-        )
+        return sum(self._gather([a.restore.remote(directory) for a in self.actors]))
+
+    def shutdown(self) -> None:
+        """Kill the actors for good; the crawl drivers' ``shutdown`` calls
+        this so repeated pipeline runs don't accumulate idle actors."""
+        for a in self.actors:
+            ray.kill(a, no_restart=True)

@@ -4,6 +4,7 @@ spills exactly instead of dropping, checkpoints round-trip, and the
 sharded SeenSet runs on the cuckoo backend end-to-end."""
 
 import numpy as np
+import pytest
 
 from europarl_crawler_ray.state.seen import CuckooSet, SeenSet
 
@@ -172,4 +173,45 @@ class TestSeenSetCuckooBackend:
             st = seen.stats()
             assert st["n_added"] == len(firsts)
         finally:
-            pass
+            seen.shutdown()
+
+
+@pytest.mark.parametrize("n_actors", [1, 2, 8])
+def test_cuckoo_masks_independent_of_actor_count(ray_session, monkeypatch, n_actors):
+    """8 logical cuckoo shards on 1, 2 or 8 actors answer exactly like the
+    straight-line per-shard oracle, intra-batch duplicates included."""
+    from europarl_crawler_ray.state import seen as seen_mod
+
+    monkeypatch.setattr(seen_mod, "actor_count", lambda num_shards, alive: n_actors)
+    h1, h2 = _hashes(300, seed=12)
+    # every third row repeats an earlier one, inside and across batches
+    dup = np.arange(300) % 3 == 2
+    h1[dup], h2[dup] = h1[np.nonzero(dup)[0] // 2], h2[np.nonzero(dup)[0] // 2]
+    p1, p2 = _hashes(100, seed=13)
+    q1, q2 = np.concatenate([h1[:100], p1]), np.concatenate([h2[:100], p2])
+    calls = [("check_and_add", h1[:200], h2[:200]), ("check_and_add", h1[100:], h2[100:])]
+    calls.append(("contains", q1, q2))
+
+    # m_bits 1<<16 → 1024 buckets per shard, as SeenShard sizes them
+    oracle = [CuckooSet(m_buckets=1 << 10) for _ in range(8)]
+    want = []
+    for method, a, b in calls:
+        mask = np.zeros(len(a), dtype=bool)
+        for s in range(8):
+            idx = np.nonzero(a % np.uint64(8) == s)[0]
+            mask[idx] = getattr(oracle[s], method)(a[idx], b[idx])
+        want.append(mask.tolist())
+
+    seen = SeenSet(num_shards=8, m_bits_per_shard=1 << 16, exact=False, backend="cuckoo")
+    try:
+        got = [
+            (seen.check_and_add if m == "check_and_add" else seen.contains_mask)(a, b).tolist()
+            for m, a, b in calls
+        ]
+        st = seen.stats()
+    finally:
+        seen.shutdown()
+    assert got == want
+    assert any(want[0])  # the first batch really held duplicates
+    assert st["n_added"] == sum(c.n_added for c in oracle)
+    assert len(st["shards"]) == 8 and all("n_spilled" in p for p in st["shards"])

@@ -61,3 +61,22 @@ def test_partition_tail_looks_up_extract_and_write_at_call_time(monkeypatch):
     (fetch, fetch_kw), (ext, _) = ds.stages
     assert "fetch" in fetch.__name__ and fetch_kw["batch_size"] is None
     assert ext is traced_extract
+
+
+def test_seen_set_hooks_keep_their_names():
+    """tracing counts seen RPCs as ``rpc.SeenShard.check_and_add`` /
+    ``.contains`` and wraps those actor methods for ``seen.busy_s``; it
+    wraps the four SeenSet entry points below; the workloads find the
+    actors by the ``ray::SeenShard`` process title and sum the
+    ``seen_shard_*.npz`` checkpoint files."""
+    import fnmatch
+
+    from europarl_crawler_ray.state import seen
+
+    actor_cls = seen.SeenShard.__ray_metadata__.modified_class
+    assert actor_cls.__name__ == "SeenShard"
+    for name in ("check_and_add", "contains", "stats", "checkpoint", "restore"):
+        assert callable(getattr(actor_cls, name))
+    for name in ("check_and_add", "contains_mask", "checkpoint", "stats", "shutdown"):
+        assert callable(getattr(seen.SeenSet, name))
+    assert fnmatch.fnmatch(seen.shard_path("d", 7).split("/")[-1], "seen_shard_*.npz")
