@@ -129,16 +129,16 @@ class CCIngest:
 
             def dedup(batch: pa.Table) -> pa.Table:
                 h1, h2 = hash_urls(batch.column("url").to_pylist())
-                dup = seen.check_and_add(h1, h2)
-                return batch.filter(pa.array(~dup))
-
-            def to_frontier(batch: pa.Table) -> pa.Table:
+                batch = batch.filter(pa.array(~seen.check_and_add(h1, h2)))
                 n = batch.num_rows
                 return frontier_table(batch.column("url"), ["cc"] * n, [None] * n, p)
 
+            # one whole-CPU stage: with the write's resource reservation
+            # off, a fractional-CPU stage would start a task (and a worker
+            # process) per block at once. It does not fuse into fetch,
+            # whose batch_size differs.
             ds = sliced_dataset(t, step)
-            ds = ds.map_batches(dedup, batch_format="pyarrow", num_cpus=0.25)
-            ds = ds.map_batches(to_frontier, batch_format="pyarrow", num_cpus=0.25)
+            ds = ds.map_batches(dedup, batch_format="pyarrow", num_cpus=1)
             part_dir = os.path.join(cfg.output_dir, f"part={p}")
             part_rows = fetch_extract_write(
                 ds, fetch_kwargs, part_dir, batch_size=cfg.fetch_batch_size,

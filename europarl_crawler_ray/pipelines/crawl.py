@@ -44,9 +44,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from ..functions.canonical import hash_urls
+from ..functions.canonical import hash_urls, host_of
 from ..functions.rules import DOCUMENT_RULES, SESSION_DAY_RULE, RULES_BY_NAME
-from ..stages.fetch import Fetcher
+from ..stages.fetch import Fetcher, make_http_client
 from ..state.politeness import PolitenessCoordinator
 from ..state.seen import SeenSet
 from .partitions import (
@@ -77,8 +77,9 @@ class CrawlConfig:
     seen_exact: bool = True
     min_interval: float = 3.0
     simulated_politeness: bool = True
-    # fetch slots the partition core's blocks are cut for: a wave splits
-    # into at most 4 blocks per slot, a streamed partition into at least 1
+    # fetch slots: the most fetch tasks that run at once (and, streamed,
+    # the most probe tasks). A wave splits into at most 4 blocks per slot
+    # and a streamed partition into at least 1, one fetch task each
     fetch_concurrency: int = 4
     fetch_batch_size: int = 256  # wave mode; a streamed block is one batch
     checkpoint_every: int = 1    # seen checkpoint cadence, in waves/partitions
@@ -363,7 +364,10 @@ class CrawlDriver:
         n_blocks = max(1, min(frontier.num_rows // max(64, cfg.fetch_batch_size // 4), cfg.fetch_concurrency * 4))
         ds = sliced_dataset(frontier, -(-frontier.num_rows // n_blocks))
         path = os.path.join(cfg.output_dir, "pages", f"wave={self.state.wave}")
-        return fetch_extract_write(ds, self._fetch_kwargs, path, batch_size=cfg.fetch_batch_size)
+        return fetch_extract_write(
+            ds, self._fetch_kwargs, path, batch_size=cfg.fetch_batch_size,
+            concurrency=cfg.fetch_concurrency,
+        )
 
     def _write_wave_parquet(self, table: pa.Table, kind: str) -> None:
         import pyarrow.parquet as pq
@@ -413,8 +417,6 @@ class CrawlDriver:
             import zlib as _z
 
             import pyarrow.parquet as pq
-
-            from ..stages.fetch import make_http_client
 
             http = make_http_client(transport, seed=seed, page_scale=scale)
             p_dates, p_urls, p_attempts, p_status, p_redir = [], [], [], [], []
@@ -547,16 +549,28 @@ class CrawlDriver:
             # ONE probe+dedup task (one seen-set call, one politeness lease
             # + report) and then ONE fetch task: batch_size=None keeps the
             # fetch stage from coalescing blocks, so per-task fixed cost
-            # scales with rows, not with days or CPUs. probe+dedup's
-            # num_cpus differs from fetch's, so it stays its own cheap
-            # stage and the fused fetch+extract+write stage pipelines
-            # behind it — fusing the whole chain measured ~2x slower
-            # (seen-shard/politeness RPC stalls serialize fused tasks)
+            # scales with rows, not with days or CPUs. The write runs
+            # without Ray Data's resource reservation (_util), so every
+            # fetch slot runs a task at once; fetch and the 0.5-CPU probe
+            # stage are both capped at fetch_concurrency tasks, so neither
+            # starts more tasks and worker processes than there are
+            # slots. Fusing probe into fetch (probe at 1 CPU) measured
+            # 3-9% faster per call at 2 CPUs (2.18 -> 1.98 s and 2.29 ->
+            # 2.22 s on two seeds), but crawlbench reports a fused chain
+            # under its first operator, so its fetch layer would read
+            # zero; the probe stays its own operator until the benchmark
+            # can report the two apart.
             step = stream_block_plan(len(part_days), len(self.rules), cfg.fetch_concurrency)
             ds = sliced_dataset(pa.table({"date": pa.array(part_days, pa.date32())}), step)
-            ds = ds.map_batches(self._make_probe_expand(p), batch_format="pyarrow", num_cpus=0.5)
+            ds = ds.map_batches(
+                self._make_probe_expand(p), batch_format="pyarrow", num_cpus=0.5,
+                concurrency=cfg.fetch_concurrency,
+            )
             part_dir = os.path.join(pages_root, f"part={p}")
-            part_rows = fetch_extract_write(ds, self._fetch_kwargs, part_dir, batch_size=None)
+            part_rows = fetch_extract_write(
+                ds, self._fetch_kwargs, part_dir, batch_size=None,
+                concurrency=cfg.fetch_concurrency,
+            )
             self.metrics.append(
                 {
                     "wave": p,
@@ -572,6 +586,11 @@ class CrawlDriver:
                 "path": part_dir,
             }
 
+        # robots.txt of every document host is loaded once, here: two
+        # fetch tasks that start side by side would both find the host
+        # unknown and both fetch and load it
+        for host in sorted({host_of(r.url(cfg.horizon)) for r in self.rules}):
+            self._probe_fetcher.load_robots(host)
         committed, n_skipped = run_partitions(
             self._streamed_manifest, n_parts, write, self._streamed_mark_done,
             self.seen, os.path.join(cfg.output_dir, "seen"),

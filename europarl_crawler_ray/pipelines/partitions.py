@@ -8,6 +8,14 @@ durable data → manifest → seen checkpoint (the reverse order could erase a
 durable partition on resume), like the reference's ``drop_uncrawled_urls``
 (url.py:139-156).
 
+The write (``_util.atomic_write_parquet``) runs its Dataset with Ray
+Data's per-operator resource reservation off, so the 1-CPU fetch stage
+runs one task per free CPU instead of one at a time. A stage cheaper than
+one CPU would then fan out to a task and a worker process per block, so
+callers run their upstream stages at whole CPUs (cc_ingest's ``dedup``)
+or cap them with ``concurrency`` (the crawl caps its probe and fetch
+stages at ``fetch_concurrency``).
+
 ``extract_batch`` and ``atomic_write_parquet`` are looked up on their
 modules at call time, so wrappers installed there after import (tracing)
 see every partition.
@@ -48,19 +56,24 @@ def sliced_dataset(table: pa.Table, step: int):
 
 
 def fetch_extract_write(
-    ds, fetch_kwargs: dict, part_dir: str, batch_size: int | None, default_filetype: str = ""
+    ds, fetch_kwargs: dict, part_dir: str, batch_size: int | None, default_filetype: str = "",
+    concurrency: int | None = None,
 ) -> int:
     """Fetch ``ds``'s frontier rows, extract their text and write them to
     ``part_dir`` atomically; returns the rows written. Fetch runs as plain
-    tasks (throttle and robots state live in the politeness coordinators);
-    ``batch_size=None`` gives one fetch task per input block. If a restored
-    seen set drops every url of an already durable partition, its data
-    stays (``keep_existing_if_empty``)."""
+    tasks (throttle and robots state live in the politeness coordinators),
+    at most ``concurrency`` at once if given; ``batch_size=None`` gives one
+    fetch task per input block. If a restored seen set drops every url of
+    an already durable partition, its data stays
+    (``keep_existing_if_empty``)."""
 
     def fetch_fn(batch: pa.Table) -> pa.Table:
         return Fetcher(**fetch_kwargs)(batch)
 
-    ds = ds.map_batches(fetch_fn, batch_format="pyarrow", batch_size=batch_size, num_cpus=1)
+    ds = ds.map_batches(
+        fetch_fn, batch_format="pyarrow", batch_size=batch_size, num_cpus=1,
+        concurrency=concurrency,
+    )
     ds = ds.map_batches(
         extract.extract_batch,
         batch_format="pyarrow",

@@ -20,6 +20,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from ..functions.extract import html_to_text
+from ..functions.pdf import render_pdf_text
 from ..functions.rules import RULES_BY_NAME, UrlRule
 
 SEED = 42
@@ -127,8 +128,6 @@ def render_pdf(url: str, seed: int = SEED) -> bytes:
     ``TJ`` word arrays with kerning gaps instead of literal spaces; every
     5th a PDF 1.5 xref STREAM (PNG-predicted W rows), every 10th with the
     dict objects additionally packed in a /Type/ObjStm."""
-    from ..functions.pdf import render_pdf_text
-
     rng = _rng_for(url, seed)
     n_words = int(rng.integers(80, 400))
     words = [_PDF_WORDS[i] for i in rng.integers(0, len(_PDF_WORDS), n_words)]

@@ -197,14 +197,21 @@ class Fetcher:
             granted += ray.get(coord.lease.remote(host, n - granted))
         return n if self.simulated else granted
 
+    def load_robots(self, host: str) -> None:
+        """Fetch ``host``'s robots.txt and hand it to its coordinator."""
+        coord = self._coord(host)
+        if coord is None:
+            return
+        _, body, _ = self.http.fetch(f"https://{host}/robots.txt")
+        txt = body.decode("utf-8", "replace") if body else None
+        ray.get(coord.load_robots.remote(host, txt))
+
     def _robots_mask(self, host: str, urls: list[str]) -> np.ndarray:
         coord = self._coord(host)
         if coord is None:
             return np.ones(len(urls), dtype=bool)
         if not ray.get(coord.robots_known.remote(host)):
-            _, body, _ = self.http.fetch(f"https://{host}/robots.txt")
-            txt = body.decode("utf-8", "replace") if body else None
-            ray.get(coord.load_robots.remote(host, txt))
+            self.load_robots(host)
         paths = ["/" + u.split("/", 3)[3] if u.count("/") >= 3 else "/" for u in urls]
         return np.asarray(ray.get(coord.allowed.remote(host, paths)), dtype=bool)
 

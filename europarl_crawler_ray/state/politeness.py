@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import ray
 
+from ..functions.robots import parse_robots
+
 THROTTLE_CAP_FACTOR = 65536  # reference tokenbucket.py:58
 RATE_LIMIT_STATUSES = frozenset({429, 460})
 # reference uses list(range(500, 599)) — 599 itself EXCLUDED; kept verbatim
@@ -107,15 +109,11 @@ class RobotsGate:
     behavior, shared with q_robots_filter's oracle-gated path)."""
 
     def __init__(self, user_agent: str = "europarl-bot/1.0"):
-        from ..functions.robots import RobotsMatcher  # noqa: F401 (typing)
-
         self._ua = user_agent
         # host -> matcher (None = no robots.txt -> allow all)
         self._matchers: dict[str, object | None] = {}
 
     def load(self, host: str, robots_txt: str | None) -> None:
-        from ..functions.robots import parse_robots
-
         self._matchers[host] = (
             parse_robots(robots_txt, self._ua) if robots_txt else None
         )

@@ -6,9 +6,22 @@ execution."""
 import inspect
 from types import SimpleNamespace
 
+import numpy as np
+
 from europarl_crawler_ray import _util
 from europarl_crawler_ray.pipelines import cc_ingest, crawl, partitions
 from europarl_crawler_ray.stages import extract
+
+
+class _Dataset:
+    """Records ``map_batches`` stages instead of running them."""
+
+    def __init__(self):
+        self.stages = []
+
+    def map_batches(self, fn, **kwargs):
+        self.stages.append((fn, kwargs))
+        return self
 
 
 def test_crawlbench_hooks_keep_their_names():
@@ -35,14 +48,6 @@ def test_partition_tail_looks_up_extract_and_write_at_call_time(monkeypatch):
     """Tracing rebinds ``extract.extract_batch`` and
     ``_util.atomic_write_parquet`` after import; the tail must use the
     rebound functions, or traced runs report no extract/write layers."""
-
-    class _Dataset:
-        def __init__(self):
-            self.stages = []
-
-        def map_batches(self, fn, **kwargs):
-            self.stages.append((fn, kwargs))
-            return self
 
     def traced_extract(batch, default_filetype=""):
         return batch
@@ -80,3 +85,49 @@ def test_seen_set_hooks_keep_their_names():
     for name in ("check_and_add", "contains_mask", "checkpoint", "stats", "shutdown"):
         assert callable(getattr(seen.SeenSet, name))
     assert fnmatch.fnmatch(seen.shard_path("d", 7).split("/")[-1], "seen_shard_*.npz")
+
+
+def _record_first_partition(monkeypatch, module, run):
+    """Build ``module``'s partition-0 pipeline through the real partition
+    tail on a ``_Dataset`` recorder and return its stages; nothing runs."""
+    ds = _Dataset()
+    monkeypatch.setattr(module, "sliced_dataset", lambda table, step: ds)
+    monkeypatch.setattr(_util, "atomic_write_parquet", lambda ds, final_dir, **kw: 0)
+
+    def first_partition(manifest, n_parts, write, *args, **kwargs):
+        write(0)
+        return [], 0
+
+    monkeypatch.setattr(module, "run_partitions", first_partition)
+    run()
+    return ds.stages
+
+
+def test_no_partition_stage_fans_out_past_the_fetch_slots(monkeypatch, tmp_path):
+    """The write runs without Ray Data's resource reservation, so a stage
+    under one CPU would start a task and a worker process per block at
+    once. cc's stages are whole-CPU; the streamed probe (0.5 CPU) and
+    fetch are capped at the fetch slots."""
+    seen = SimpleNamespace(stats=lambda: {"n_added": 0, "est_fpr": 0.0})
+
+    ing = cc_ingest.CCIngest.__new__(cc_ingest.CCIngest)
+    ing.cfg = cc_ingest.CCIngestConfig(output_dir=str(tmp_path / "cc"), n_urls=64, n_partitions=2)
+    ing.seen, ing.coords = seen, []
+    ing._all_hosts = np.zeros(64, dtype=np.int64)
+    ing._manifest = SimpleNamespace(done=set)
+    stages = _record_first_partition(monkeypatch, cc_ingest, ing.run)
+    assert [fn.__name__ for fn, _ in stages][0] == "dedup"
+    assert len(stages) == 3  # dedup, fetch, extract
+    for fn, kw in stages:
+        assert kw.get("num_cpus", 1) >= 1, (fn.__name__, kw)
+
+    drv = crawl.CrawlDriver.__new__(crawl.CrawlDriver)
+    drv.cfg = crawl.CrawlConfig(output_dir=str(tmp_path / "crawl"), fetch_concurrency=3)
+    drv.state, drv.metrics = crawl.CrawlState(), []
+    drv.rules, drv.seen, drv.coords, drv._fetch_kwargs = list(crawl.DOCUMENT_RULES), seen, [], {}
+    drv._probe_fetcher = crawl.Fetcher()
+    stages = _record_first_partition(monkeypatch, crawl, drv.run_streamed)
+    (probe, probe_kw), (fetch, fetch_kw), (ext, ext_kw) = stages
+    assert probe.__name__ == "probe_expand" and "fetch" in fetch.__name__
+    assert probe_kw["concurrency"] == fetch_kw["concurrency"] == drv.cfg.fetch_concurrency
+    assert fetch_kw["num_cpus"] == 1 and ext_kw.get("num_cpus", 1) >= 1
