@@ -96,9 +96,12 @@ def bench_headline(num_cpus: int, out_dir: str) -> dict:
         num_seen_shards=8,
         seen_exact=False,          # bloom-only at bench scale (10^10 design)
         seen_bits_per_shard=1 << 26,
-        # fetch slots, the floor of stream_block_plan's block count (the
-        # HEADLINE partition's ~200 row-sized blocks are above it)
-        fetch_concurrency=max(2, min(int(num_cpus * 0.55), num_cpus - 2)),
+        # block tasks at once: a task takes one CPU for its whole block
+        # (probe+dedup, fetch, extract, write), so all CPUs but two run
+        # one; the two are left to the driver and the num_cpus=0 seen and
+        # politeness actors. Also the floor of stream_block_plan's block
+        # count (the HEADLINE partition's ~200 row-sized blocks are above it)
+        fetch_concurrency=max(2, num_cpus - 2),
         fetch_batch_size=256,
         checkpoint_every=10**9,    # don't checkpoint inside the timed loop
         # resumable-output granularity: each partition costs ~2-3 s of

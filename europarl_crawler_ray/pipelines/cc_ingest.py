@@ -9,9 +9,11 @@ A multi-host, Zipf-skewed url frontier streamed through:
 Output is PARTITIONED (``part=K/``) through the partition core
 (``partitions.py``) that the streamed crawl also uses: a manifest lists
 finished partitions and a restarted run skips them (resumable output — a
-failed 100 TB run re-does only the partition in flight). Each partition is
-one lazy Dataset pipeline; partitions run sequentially so the object store
-never holds more than one partition's pages.
+failed 100 TB run re-does only the partitions in flight). A partition is
+``ceil(urls / fetch_batch_size)`` blocks (at most ``blocks_per_partition``)
+and each block is one task: dedup, fetch, extract and the block's own
+Parquet file, so pages never pass through the object store. The
+partitions between two seen checkpoints share one Dataset.
 """
 
 from __future__ import annotations
@@ -23,18 +25,20 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-# unused here: the partition core calls ``_util.atomic_write_parquet``, but
-# crawlbench's tracing wraps this name on this module and fails without it
+# unused here: block tasks write their own files (partitions.py) and no
+# crawl calls it, but crawlbench's tracing wraps this name on this module
+# and fails without it
 from .._util import atomic_write_parquet  # noqa: F401
 from ..functions.canonical import hash_urls
 from ..state.politeness import PolitenessCoordinator
 from ..state.seen import SeenSet
 from .partitions import (
+    Partition,
     PartitionManifest,
-    fetch_extract_write,
     frontier_table,
+    read_columns,
     run_partitions,
-    sliced_dataset,
+    slices,
 )
 
 
@@ -122,10 +126,11 @@ class CCIngest:
             "page_scale": cfg.page_scale,
         }
 
-        def write(p: int) -> dict:
+        def plan(p: int) -> Partition:
             urls = self._partition_urls(p)
             t = pa.table({"url": pa.array(urls.tolist(), pa.string())})
-            step = max(1, (t.num_rows + cfg.blocks_per_partition - 1) // cfg.blocks_per_partition)
+            n_blocks = min(-(-t.num_rows // cfg.fetch_batch_size), cfg.blocks_per_partition)
+            step = max(1, -(-t.num_rows // max(1, n_blocks)))
 
             def dedup(batch: pa.Table) -> pa.Table:
                 h1, h2 = hash_urls(batch.column("url").to_pylist())
@@ -133,28 +138,20 @@ class CCIngest:
                 n = batch.num_rows
                 return frontier_table(batch.column("url"), ["cc"] * n, [None] * n, p)
 
-            # one whole-CPU stage: with the write's resource reservation
-            # off, a fractional-CPU stage would start a task (and a worker
-            # process) per block at once. It does not fuse into fetch,
-            # whose batch_size differs.
-            ds = sliced_dataset(t, step)
-            ds = ds.map_batches(dedup, batch_format="pyarrow", num_cpus=1)
-            part_dir = os.path.join(cfg.output_dir, f"part={p}")
-            part_rows = fetch_extract_write(
-                ds, fetch_kwargs, part_dir, batch_size=cfg.fetch_batch_size,
-                default_filetype=".html",
+            return Partition(
+                os.path.join(cfg.output_dir, f"part={p}"), slices(t, step), dedup,
+                {"input_urls": int(len(urls)), "seed": cfg.seed},
             )
-            return {
-                "input_urls": int(len(urls)),
-                "pages": int(part_rows),
-                "path": part_dir,
-                "seed": cfg.seed,
-            }
+
+        def partition_keys(p: int) -> list[str]:
+            # the seen keys partition p added: the urls it fetched
+            part_dir = os.path.join(cfg.output_dir, f"part={p}")
+            return read_columns(part_dir, ["url"])["url"].to_pylist()
 
         committed, n_skipped = run_partitions(
-            self._manifest, cfg.n_partitions, write, self._mark_done,
-            seen, os.path.join(cfg.output_dir, "_seen"),
-            max_partitions=max_partitions,
+            self._manifest, cfg.n_partitions, plan, self._mark_done,
+            seen, os.path.join(cfg.output_dir, "_seen"), fetch_kwargs, partition_keys,
+            max_partitions=max_partitions, default_filetype=".html",
         )
         stats = seen.stats()
         return {

@@ -3,8 +3,9 @@
 The reference runs an infinite polling loop over Postgres-backed queues
 (reference ``europarl/jobs/crawler.py:47-99``). The rebuild has two
 modes, and both write their pages through the one partition core in
-``partitions.py`` (``Fetcher`` tasks → ``extract_batch`` → one atomic
-Parquet directory per partition):
+``partitions.py``: one task per input block runs the row step, ``Fetcher``
+and ``extract_batch`` and writes the block's file, and a partition's
+directory is committed when its last block reports:
 
 ``run()`` — discrete WAVES that keep the reference's ordering (SURVEY §3.1):
 
@@ -22,11 +23,14 @@ confirmed-dates × active-rules anti-join ordered ``dates DESC``
 (``url.py:94-137``). Equivalence is at wave granularity (same wave
 membership + same final seen-set); within-wave fetch order is parallel.
 
-``run_streamed()`` — one pipeline per date-range partition, with no
-driver barrier between probe and fetch:
+``run_streamed()`` — date-range partitions with no driver barrier between
+probe and fetch; the partitions between two seen checkpoints share one
+Dataset:
 
-    dates[p] → probe+expand+seen-dedup tasks → partition core:
-    pages/part=p → streamed_manifest.json + seen checkpoint
+    dates[p] → one task per block: probe+expand+seen-dedup → fetch
+    → extract → pages/part=p/<block>.parquet; last block of p reported
+    → commit pages/part=p → streamed_manifest.json; segment drained
+    → seen checkpoint
 
 Resume contract mirrors ``drop_uncrawled_urls`` (``url.py:139-156``,
 invoked on shutdown at ``crawler.py:102-109``): only durably-written
@@ -35,6 +39,7 @@ partitions are in a manifest; anything in flight is re-derived.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 from dataclasses import dataclass, field
@@ -42,6 +47,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import ray
 
 from ..functions.canonical import hash_urls, host_of
@@ -50,11 +57,13 @@ from ..stages.fetch import Fetcher, make_http_client
 from ..state.politeness import PolitenessCoordinator
 from ..state.seen import SeenSet
 from .partitions import (
+    Partition,
     PartitionManifest,
-    fetch_extract_write,
     frontier_table,
+    read_columns,
     run_partitions,
-    sliced_dataset,
+    run_segment,
+    slices,
 )
 
 OK_PROBE = (200, 404)
@@ -77,12 +86,14 @@ class CrawlConfig:
     seen_exact: bool = True
     min_interval: float = 3.0
     simulated_politeness: bool = True
-    # fetch slots: the most fetch tasks that run at once (and, streamed,
-    # the most probe tasks). A wave splits into at most 4 blocks per slot
-    # and a streamed partition into at least 1, one fetch task each
+    # the most block tasks that run at once; each task probes and dedups
+    # (streamed), fetches, extracts and writes one block. A streamed
+    # partition splits into at least one block per slot
     fetch_concurrency: int = 4
-    fetch_batch_size: int = 256  # wave mode; a streamed block is one batch
-    checkpoint_every: int = 1    # seen checkpoint cadence, in waves/partitions
+    fetch_batch_size: int = 256  # wave mode block rows; streamed blocks are days
+    # seen checkpoint cadence, in waves/partitions; run_streamed() also
+    # runs each such segment of partitions as one Dataset
+    checkpoint_every: int = 1
     max_waves: int | None = None
     n_politeness_shards: int = 1  # coordinators sharded by hash(host)
     page_scale: int = 1          # synthetic page size multiplier (bench)
@@ -90,8 +101,8 @@ class CrawlConfig:
     # 'real' = requests-backed RealHttpClient with the reference envelope
     transport: str = "mock"
     # run_streamed(): resumable output granularity — the date range splits
-    # into this many pages/part=K directories, run one after another and
-    # each committed atomically (a crash re-does only the one in flight)
+    # into this many pages/part=K directories, each committed atomically
+    # when its last block reports (a crash re-does only those in flight)
     stream_partitions: int = 8
 
     @property
@@ -152,9 +163,9 @@ def discovery_batch(cfg: CrawlConfig, st: CrawlState) -> list[date]:
 
 # run_streamed() block target in ESTIMATED rows (days × (rules + probe)):
 # 50 days × 23 rows, the block size the 9,860-day bench partition has
-# always run with. Each block is one probe+dedup task and one fetch task,
-# so this trades per-task fixed cost (task launch, one seen-set and one
-# politeness round trip) against pipeline parallelism.
+# always run with. Each block is one task (probe+dedup, fetch, extract,
+# one file), so this trades per-task fixed cost (task launch, one seen-set
+# and one politeness round trip, one file) against parallelism.
 STREAM_BLOCK_ROWS = 1150
 STREAM_MAX_BLOCKS = 512
 
@@ -359,15 +370,17 @@ class CrawlDriver:
         return frontier_table(list(urls), list(rulenames), list(dates), self.state.wave), fully_done
 
     def _fetch_extract_write(self, frontier: pa.Table) -> int:
+        """The wave's frontier through the partition core as one partition
+        of ``fetch_batch_size``-row blocks; returns its pages."""
         cfg = self.cfg
-        # split the single in-memory block so the fetch tasks are saturated
-        n_blocks = max(1, min(frontier.num_rows // max(64, cfg.fetch_batch_size // 4), cfg.fetch_concurrency * 4))
-        ds = sliced_dataset(frontier, -(-frontier.num_rows // n_blocks))
         path = os.path.join(cfg.output_dir, "pages", f"wave={self.state.wave}")
-        return fetch_extract_write(
-            ds, self._fetch_kwargs, path, batch_size=cfg.fetch_batch_size,
+        lineages = []
+        run_segment(
+            {self.state.wave: Partition(path, slices(frontier, cfg.fetch_batch_size))},
+            self._fetch_kwargs, lambda p, lineage: lineages.append(lineage),
             concurrency=cfg.fetch_concurrency,
         )
+        return lineages[0]["pages"]
 
     def _write_wave_parquet(self, table: pa.Table, kind: str) -> None:
         import pyarrow.parquet as pq
@@ -385,11 +398,6 @@ class CrawlDriver:
         """Distinct dates whose session-day probe returned 200, read from
         the per-block probe log ``probes/streamed_*.parquet``; ``wave``
         limits the count to one stream partition."""
-        import glob
-
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-
         files = glob.glob(os.path.join(probe_dir, "streamed_*.parquet"))
         if not files:
             return 0
@@ -505,13 +513,15 @@ class CrawlDriver:
                      → extract → pages/part=p Parquet
 
         The date range splits into ``cfg.stream_partitions`` contiguous
-        newest-first chunks. Each runs as one lazy Dataset pipeline (no
-        driver-side barriers — the streaming executor pipelines every
-        stage with backpressure) and commits through the partition core
-        (``partitions.run_partitions``): a restarted run skips finished
-        partitions and re-derives only the one in flight. ``run()`` keeps
-        the wave-equivalence contract; this mode trades wave ordering for
-        throughput while producing the SAME final page set.
+        newest-first chunks, each cut into probe blocks of
+        ``stream_block_plan`` days. The partition core
+        (``partitions.run_partitions``) runs every ``checkpoint_every``
+        partitions as one Dataset with one task per block (probe+dedup,
+        fetch, extract and the block's own Parquet file) and commits each
+        partition when its last block reports: a restarted run skips
+        finished partitions and re-derives only those in flight. ``run()``
+        keeps the wave-equivalence contract; this mode trades wave
+        ordering for throughput while producing the SAME final page set.
         ``max_partitions`` bounds one invocation (test/chaos hook)."""
         cfg = self.cfg
         if self.state.wave > 0:
@@ -542,49 +552,47 @@ class CrawlDriver:
         # the last chunk absorbs the remainder
         chunk = len(days) // n_parts if n_parts else 0
 
-        def write(p: int) -> dict:
+        def part_days(p: int) -> list[date]:
             lo = p * chunk
-            part_days = days[lo:len(days) if p == n_parts - 1 else lo + chunk]
-            # one block per STREAM_BLOCK_ROWS estimated rows. Each block is
-            # ONE probe+dedup task (one seen-set call, one politeness lease
-            # + report) and then ONE fetch task: batch_size=None keeps the
-            # fetch stage from coalescing blocks, so per-task fixed cost
-            # scales with rows, not with days or CPUs. The write runs
-            # without Ray Data's resource reservation (_util), so every
-            # fetch slot runs a task at once; fetch and the 0.5-CPU probe
-            # stage are both capped at fetch_concurrency tasks, so neither
-            # starts more tasks and worker processes than there are
-            # slots. Fusing probe into fetch (probe at 1 CPU) measured
-            # 3-9% faster per call at 2 CPUs (2.18 -> 1.98 s and 2.29 ->
-            # 2.22 s on two seeds), but crawlbench reports a fused chain
-            # under its first operator, so its fetch layer would read
-            # zero; the probe stays its own operator until the benchmark
-            # can report the two apart.
-            step = stream_block_plan(len(part_days), len(self.rules), cfg.fetch_concurrency)
-            ds = sliced_dataset(pa.table({"date": pa.array(part_days, pa.date32())}), step)
-            ds = ds.map_batches(
-                self._make_probe_expand(p), batch_format="pyarrow", num_cpus=0.5,
-                concurrency=cfg.fetch_concurrency,
+            return days[lo:len(days) if p == n_parts - 1 else lo + chunk]
+
+        def plan(p: int) -> Partition:
+            # one block per STREAM_BLOCK_ROWS estimated rows; each block is
+            # ONE task: one seen-set call, one politeness lease + report,
+            # one fetch, one file. Per-task fixed cost scales with rows,
+            # not with days or CPUs, and the files per partition are what
+            # one fetch task per block wrote when fetch was its own stage.
+            dates = part_days(p)
+            step = stream_block_plan(len(dates), len(self.rules), cfg.fetch_concurrency)
+            return Partition(
+                os.path.join(pages_root, f"part={p}"),
+                slices(pa.table({"date": pa.array(dates, pa.date32())}), step),
+                self._make_probe_expand(p),
+                {"dates": [dates[-1].isoformat(), dates[0].isoformat()]},
             )
-            part_dir = os.path.join(pages_root, f"part={p}")
-            part_rows = fetch_extract_write(
-                ds, self._fetch_kwargs, part_dir, batch_size=None,
-                concurrency=cfg.fetch_concurrency,
-            )
+
+        def mark_done(p: int, lineage: dict) -> None:
             self.metrics.append(
                 {
                     "wave": p,
-                    "dates_probed": len(part_days),
+                    "dates_probed": len(part_days(p)),
                     "confirmed_new": self._streamed_confirmed_days(probe_dir, wave=p),
-                    "urls_new": part_rows,
-                    "pages": part_rows,
+                    "urls_new": lineage["pages"],
+                    "pages": lineage["pages"],
                 }
             )
-            return {
-                "dates": [part_days[-1].isoformat(), part_days[0].isoformat()],
-                "pages": int(part_rows),
-                "path": part_dir,
-            }
+            self._streamed_mark_done(p, lineage)
+
+        def partition_keys(p: int) -> list[str]:
+            # the seen keys partition p added: its probe urls (every block
+            # of a done partition wrote its probe log) and its pages
+            probes = pads.dataset(glob.glob(os.path.join(probe_dir, "streamed_*.parquet")))
+            urls = probes.to_table(columns=["url"], filter=pc.field("wave") == p)["url"]
+            pages = read_columns(os.path.join(pages_root, f"part={p}"), ["rulename", "url"])
+            return [SESSION_DAY_RULE.name + "\x00" + u for u in urls.to_pylist()] + [
+                rn + "\x00" + u
+                for rn, u in zip(pages["rulename"].to_pylist(), pages["url"].to_pylist())
+            ]
 
         # robots.txt of every document host is loaded once, here: two
         # fetch tasks that start side by side would both find the host
@@ -592,9 +600,10 @@ class CrawlDriver:
         for host in sorted({host_of(r.url(cfg.horizon)) for r in self.rules}):
             self._probe_fetcher.load_robots(host)
         committed, n_skipped = run_partitions(
-            self._streamed_manifest, n_parts, write, self._streamed_mark_done,
-            self.seen, os.path.join(cfg.output_dir, "seen"),
+            self._streamed_manifest, n_parts, plan, mark_done,
+            self.seen, os.path.join(cfg.output_dir, "seen"), self._fetch_kwargs, partition_keys,
             checkpoint_every=cfg.checkpoint_every, max_partitions=max_partitions,
+            concurrency=cfg.fetch_concurrency,
         )
         self._write_manifest()
         n_pages = sum(c["pages"] for c in committed)

@@ -31,7 +31,9 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
+from ..functions.audiocodec import WavError, wav_decode, wav_encode
 from ..functions.imagecodec import bmp_decode, bmp_encode, png_decode, png_encode
+from ..functions.videocodec import AviError, avi_decode, avi_encode
 
 MAGIC = b"FIMG"  # legacy synthetic format (kept for old outputs)
 
@@ -183,8 +185,6 @@ def make_fake_audio(key: str, seed: int = 42) -> bytes:
     """Deterministic REAL WAV file for a key: integer-sawtooth PCM
     frames (8- or 16-bit, mono or stereo); every third file gains a
     LIST/INFO chunk so decode exercises the chunk walker."""
-    from ..functions.audiocodec import wav_encode
-
     p = fake_audio_params(key, seed)
     n = p["n_frames"] * p["channels"]
     k = np.arange(n, dtype=np.int64)
@@ -219,8 +219,6 @@ def fake_video_params(key: str, seed: int = 42) -> dict:
 def make_fake_video(key: str, seed: int = 42) -> bytes:
     """Deterministic REAL AVI file for a key (from-scratch RIFF/DIB
     container, ``functions/videocodec.py``)."""
-    from ..functions.videocodec import avi_encode
-
     p = fake_video_params(key, seed)
     frames = []
     for k in range(p["n_frames"]):
@@ -246,8 +244,6 @@ class DecodeVideoMeta:
     yield nulls."""
 
     def __init__(self, binary_col: str = "video", sample_stride: int = 2):
-        from ..functions.videocodec import AviError, avi_decode
-
         self.binary_col = binary_col
         self.sample_stride = sample_stride
         self._decode_fn = avi_decode
@@ -296,8 +292,6 @@ class DecodeAudioMeta:
     through both codec directions. Undecodable blobs yield nulls."""
 
     def __init__(self, binary_col: str = "audio"):
-        from ..functions.audiocodec import WavError, wav_decode
-
         self.binary_col = binary_col
         self._decode_fn = wav_decode
         self._err = WavError

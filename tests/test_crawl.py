@@ -3,6 +3,7 @@ loop: per-wave probe membership, per-wave (rulename, url) membership, and
 the final seen set (north-rule ordering + seen-set contract), plus
 kill-and-resume."""
 
+import json
 import shutil
 from datetime import date
 
@@ -269,6 +270,72 @@ def test_streamed_kill_and_resume_redoes_only_missing_partitions(crawl_run, tmp_
     assert got == want
 
 
+def test_streamed_failure_mid_segment_commits_only_reported_partitions(
+    ray_session, tmp_path, monkeypatch
+):
+    """Partitions 1-3 run as one segment (checkpoint_every >= partitions)
+    and a block task of partition 2 raises once partition 1 is durable:
+    the run raises, the manifest lists only partitions whose blocks all
+    reported, partition 2 has no output, and the seen checkpoint is still
+    the one taken before the segment. A resume re-adds partition 1's keys
+    and ends with the oracle's page set, confirmed days and seen set."""
+    import os
+    import time
+
+    from europarl_crawler_ray.pipelines import partitions
+    from europarl_crawler_ray.stages.fetch import Fetcher
+
+    cfg = _cfg(tmp_path, stream_partitions=4, checkpoint_every=4)
+    pages_root = f"{cfg.output_dir}/pages"
+    seen_dir = f"{cfg.output_dir}/seen"
+    drv = CrawlDriver(cfg, resume=False)
+    assert drv.run_streamed(max_partitions=1)["partitions_done"] == 1
+    drv.shutdown()
+
+    def snapshot():
+        return {f: os.stat(os.path.join(seen_dir, f)).st_mtime_ns for f in os.listdir(seen_dir)}
+
+    checkpoint = snapshot()
+    part1 = f"{pages_root}/part=1"
+
+    class FailOnPartition2(Fetcher):
+        def __call__(self, batch):
+            if batch.column("wave")[0].as_py() == 2:
+                deadline = time.monotonic() + 60
+                while not os.path.isdir(part1) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                raise RuntimeError("injected block failure")
+            return super().__call__(batch)
+
+    monkeypatch.setattr(partitions, "Fetcher", FailOnPartition2)
+    drv = CrawlDriver(cfg, resume=True)
+    with pytest.raises(Exception, match="injected block failure"):
+        drv.run_streamed()
+    drv.shutdown()
+    monkeypatch.undo()
+
+    with open(f"{cfg.output_dir}/streamed_manifest.json") as f:
+        doc = json.load(f)
+    done = set(doc["done_partitions"])
+    assert {0, 1} <= done and 2 not in done
+    for p in range(4):
+        assert os.path.isdir(f"{pages_root}/part={p}") == (p in done), p
+    assert set(doc["checkpointed"]) == {0}
+    assert snapshot() == checkpoint
+
+    drv = CrawlDriver(cfg, resume=True)
+    s = drv.run_streamed()
+    drv.shutdown()
+    assert s["partitions_skipped_on_resume"] == len(done)
+    o = _oracle()
+    pages = pads.dataset(pages_root).to_table(columns=["url", "rulename"])
+    got = list(zip(pages.column("rulename").to_pylist(), pages.column("url").to_pylist()))
+    assert len(got) == len(set(got))
+    assert set(got) == {(rn, u) for rn, u in o["urls_seen"] if rn != "session_day"}
+    assert s["confirmed_days"] == len(o["confirmed"])
+    assert s["seen_size"] == len(o["urls_seen"])
+
+
 def test_stream_block_plan_sizes_blocks_by_estimated_rows():
     def blocks(n_days, n_rules=22, conc=2):
         # the slices run_streamed cuts from the partition's dates
@@ -285,9 +352,9 @@ def test_stream_block_plan_sizes_blocks_by_estimated_rows():
     # the cap
     assert blocks(200_000, conc=17) == STREAM_MAX_BLOCKS
     # bench.py HEADLINE: one partition of 9,862 days at 32 CPUs
-    # (fetch_concurrency 17) keeps its ~200 blocks of ~50 days
-    step = stream_block_plan(9_862, 22, 17)
-    assert 45 <= step <= 55 and 190 <= blocks(9_862, conc=17) <= 210
+    # (fetch_concurrency 30) keeps its ~200 blocks of ~50 days
+    step = stream_block_plan(9_862, 22, 30)
+    assert 45 <= step <= 55 and 190 <= blocks(9_862, conc=30) <= 210
 
 
 def test_streamed_probe_uses_configured_transport(ray_session, tmp_path, monkeypatch):

@@ -116,3 +116,50 @@ def test_robots_gate_and_mock_web_run_where_the_package_is_not_importable(tmp_pa
     assert json.loads(expected)[:5] == [True, False, True, 200, "%PDF-"]
     loaded = _run(_LOAD_STATE, str(tmp_path), env, blob)
     assert loaded == expected
+
+
+# an actor-pool UDF whose decoder lives in functions/audiocodec.py, built
+# and run over a WAV file from the same module's encoder
+_DRIVE_UDF = """
+import json
+
+import pyarrow as pa
+
+
+def drive(udf_cls, make_audio):
+    out = udf_cls()(pa.table({"key": ["a", "b"], "audio": [make_audio("a"), make_audio("b")]}))
+    print(json.dumps(out.to_pylist()), end="")
+"""
+
+_DUMP_UDF = _DRIVE_UDF + """
+import sys
+
+from ray import cloudpickle
+from europarl_crawler_ray.stages.multimodal import DecodeAudioMeta, make_fake_audio
+
+with open(sys.argv[1], "wb") as f:
+    f.write(cloudpickle.dumps((DecodeAudioMeta, make_fake_audio)))
+drive(DecodeAudioMeta, make_fake_audio)
+"""
+
+_LOAD_UDF = _DRIVE_UDF + """
+import importlib.util
+import pickle
+import sys
+assert importlib.util.find_spec("europarl_crawler_ray") is None, sys.path
+with open(sys.argv[1], "rb") as f:
+    udf_cls, make_audio = pickle.load(f)
+drive(udf_cls, make_audio)
+"""
+
+
+def test_multimodal_udf_builds_where_the_package_is_not_importable(tmp_path):
+    """A decode UDF's ``__init__`` runs in the worker, so the codec it
+    binds must come from a module-level import."""
+    blob = str(tmp_path / "udf.pkl")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    expected = _run(_DUMP_UDF, REPO, dict(env, PYTHONPATH=REPO), blob)
+    rows = json.loads(expected)
+    assert [r["key"] for r in rows] == ["a", "b"] and all(r["n_frames"] for r in rows)
+    loaded = _run(_LOAD_UDF, str(tmp_path), env, blob)
+    assert loaded == expected

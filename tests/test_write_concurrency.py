@@ -1,4 +1,5 @@
-"""The partition write runs its 1-CPU stage one task per CPU.
+"""``_util.atomic_write_parquet`` (postprocess, replay) runs its 1-CPU
+stage one task per CPU.
 
 Ray Data's per-operator resource reservation (on by default, ratio 0.5)
 gives a 1-CPU stage behind a 0.5-CPU stage a 1.25-CPU budget on a 2-CPU
