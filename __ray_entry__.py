@@ -50,28 +50,13 @@ _TABLES = [
     ("vectoraudit_ops", "VECTORAUDIT_SQL_QUERIES"),
     ("robustness_ops", "ROBUSTNESS_SQL_QUERIES"),
     ("iraudit_ops", "IRAUDIT_SQL_QUERIES"),
-    ("graphcut_ops", "GRAPHCUT_SQL_QUERIES"),
-    ("schedaudit_ops", "SCHEDAUDIT_SQL_QUERIES"),
-    ("distfit_ops", "DISTFIT_SQL_QUERIES"),
-    ("storageir_ops", "STORAGEIR_SQL_QUERIES"),
-    ("streamstat_ops", "STREAMSTAT_SQL_QUERIES"),
-    ("colcodec_ops", "COLCODEC_SQL_QUERIES"),
-    ("graphgeom_ops", "GRAPHGEOM_SQL_QUERIES"),
     ("bpetrain_ops", "BPETRAIN_SQL_QUERIES"),
     ("setsim_ops", "SETSIM_SQL_QUERIES"),
     ("indexaudit_ops", "INDEXAUDIT_SQL_QUERIES"),
-    ("distjoin_ops", "DISTJOIN_SQL_QUERIES"),
     ("lexstat_ops", "LEXSTAT_SQL_QUERIES"),
     ("postings_ops", "POSTINGS_SQL_QUERIES"),
     ("assignment_ops", "ASSIGNMENT_SQL_QUERIES"),
-    ("structgraph_ops", "STRUCTGRAPH_SQL_QUERIES"),
-    ("linsketch_ops", "LINSKETCH_SQL_QUERIES"),
-    ("queryproc_ops", "QUERYPROC_SQL_QUERIES"),
-    ("synopsis_ops", "SYNOPSIS_SQL_QUERIES"),
-    ("valuation_ops", "VALUATION_SQL_QUERIES"),
     ("coreset_ops", "CORESET_SQL_QUERIES"),
-    ("seqaudit_ops", "SEQAUDIT_SQL_QUERIES"),
-    ("richness_ops", "RICHNESS_SQL_QUERIES"),
     ("dedupsketch_ops", "DEDUPSKETCH_SQL_QUERIES"),
     ("focusedcrawl_ops", "FOCUSEDCRAWL_SQL_QUERIES"),
     ("keyword_ops", "KEYWORD_SQL_QUERIES"),

@@ -5,9 +5,24 @@ from __future__ import annotations
 import os
 import shutil
 
+import ray.data
+
 
 def repo_root() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def read_table(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
+    """The ``{table}.parquet`` file of a scale-factor directory as a
+    Dataset; every op table reads its inputs through this."""
+    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+
+
+def table_rows(sf_dir: str, table: str) -> int:
+    """Row count of ``{table}.parquet`` from its footer, without a read."""
+    import pyarrow.parquet as _pq
+
+    return _pq.ParquetFile(f"{sf_dir}/{table}.parquet").metadata.num_rows
 
 
 def atomic_write_parquet(ds, final_dir: str) -> int:

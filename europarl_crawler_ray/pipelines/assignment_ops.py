@@ -30,22 +30,13 @@ import ray
 import ray.data
 from ray.data.aggregate import Max, Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from ..stages.multimodal import _md5_64
 from .grouping import with_coarse_group as _with_coarse_group
 from .ml_queries import _md5u
 
 MERC_HOSTS = 256  # host id = o_custkey % MERC_HOSTS
 MERC_B = 16  # back queues
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_rows(sf_dir: str, table: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/{table}.parquet").metadata.num_rows
 
 
 # ====================================================== mercator_queues

@@ -22,14 +22,10 @@ import re
 
 import numpy as np
 import pandas as pd
-import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read
 from .grouping import with_coarse_group as _with_coarse_group
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 # ========================================================= snm_blocking

@@ -36,16 +36,12 @@ import re
 
 import numpy as np
 import pandas as pd
-import ray.data
 
+from .._util import read_table as _read
 from .grouping import global_prune, with_coarse_group as _with_coarse_group
 
 BPE_MERGES = 8
 _BPE_TOKEN_RE = r"[^ \t\n\r\f]+"
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def _apply_merge(s: str, pa_: str, pb_: str) -> str:

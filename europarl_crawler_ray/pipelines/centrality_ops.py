@@ -22,17 +22,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .ml_queries import _md5u
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
 _LNK_MD5U = _md5u("'lnkk:42:' || CAST(doc_id AS VARCHAR)")
@@ -64,7 +55,7 @@ KATZ_ROUNDS = 6
 def q_katz_centrality(sf_dir: str, n_buckets: int = 64):
     assert n_buckets & (n_buckets - 1) == 0
     mask = n_buckets - 1
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     empty = pa.table(
         {"doc_id": pa.array([], pa.int64()), "katz": pa.array([], pa.int64())}
     )
@@ -217,7 +208,7 @@ OPIC_ROUNDS = 5
 def q_opic_scores(sf_dir: str, n_buckets: int = 64):
     assert n_buckets & (n_buckets - 1) == 0
     mask = n_buckets - 1
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     empty = pa.table(
         {
             "doc_id": pa.array([], pa.int64()),
@@ -378,7 +369,7 @@ _BC_NB = 64
 def q_bipartite_check(sf_dir: str, n_buckets: int = _BC_NB):
     assert n_buckets & (n_buckets - 1) == 0
     mask = n_buckets - 1
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     out_cols = ("n_reached", "n_edges_reached", "n_conflicts", "bipartite")
     if n_docs == 0:
         return pd.DataFrame(

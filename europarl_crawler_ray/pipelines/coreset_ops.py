@@ -31,25 +31,15 @@ import hashlib
 
 import numpy as np
 import pandas as pd
-import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .grouping import global_prune
 from .ml_queries import _md5u
 
 CAND_N = 64
 FL_K = 8
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_rows(sf_dir: str, table: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/{table}.parquet").metadata.num_rows
 
 
 def _qmat(embs) -> np.ndarray:

@@ -53,7 +53,7 @@ import ray
 
 from ..functions.canonical import hash_urls, host_of
 from ..functions.rules import DOCUMENT_RULES, SESSION_DAY_RULE, RULES_BY_NAME
-from ..stages.fetch import Fetcher, make_http_client
+from ..stages.fetch import ROBOTS_BLOCKED, Fetcher
 from ..state.politeness import PolitenessCoordinator
 from ..state.seen import SeenSet
 from .partitions import (
@@ -409,11 +409,11 @@ class CrawlDriver:
 
     def _make_probe_expand(self, wave: int):
         """The streamed probe+dedup stage for stream partition ``wave``:
-        probe each date (inline retry until {200,404}), unfold the
-        active-rule frontier rows of the 200 dates and drop those the seen
-        set already holds. Each block's probe rows are side-written to
-        ``probes/``. The returned callable closes over plain values and
-        actor handles only, never ``self``."""
+        probe each date robots.txt allows (inline retry until {200,404}),
+        unfold the active-rule frontier rows of the 200 dates and drop
+        those the seen set already holds. Each block's probe rows are
+        side-written to ``probes/``. The returned callable closes over
+        plain values and actor handles only, never ``self``."""
         cfg = self.cfg
         coords, seed, simulated = self.coords, cfg.seed, cfg.simulated_politeness
         scale, transport = cfg.page_scale, cfg.transport
@@ -426,12 +426,15 @@ class CrawlDriver:
 
             import pyarrow.parquet as pq
 
-            http = make_http_client(transport, seed=seed, page_scale=scale)
+            gate = Fetcher(
+                coords, seed=seed, simulated=simulated, page_scale=scale, transport=transport
+            )
+            http = gate.http
             p_dates, p_urls, p_attempts, p_status, p_redir = [], [], [], [], []
             d_dates, d_rules, d_urls = [], [], []
             days_ = batch.column("date").to_pylist()
             host = "europarl.europa.eu"
-            coord = coords[_z.crc32(host.encode()) % len(coords)] if coords else None
+            coord = gate._coord(host)
             n_fetches = 0
 
             def _token() -> None:
@@ -444,10 +447,13 @@ class CrawlDriver:
                     w = ray.get(coord.wait_time.remote(host, 1))
                     _time.sleep(min(w, 30.0))
 
-            for day in days_:
-                url = SESSION_DAY_RULE.url(day)
-                attempt = 0
-                while True:
+            # robots.txt gates the probes as Fetcher gates wave mode's: a
+            # disallowed day is logged once as ROBOTS_BLOCKED, never fetched
+            urls = [SESSION_DAY_RULE.url(day) for day in days_]
+            allowed = gate._robots_mask(host, urls)
+            for day, url, ok in zip(days_, urls, allowed):
+                attempt, status, redir = 0, ROBOTS_BLOCKED, url
+                while ok:  # until {200, 404} or the retry cap
                     _token()
                     n_fetches += 1
                     status, _body, redir = http.fetch(url, attempt, SESSION_DAY_RULE.name)
@@ -466,8 +472,9 @@ class CrawlDriver:
                         d_urls.append(r.url(day))
             if coord is not None and simulated and n_fetches:
                 ray.get(coord.lease.remote(host, n_fetches))
-            if coord is not None and p_status:
-                ray.get(coord.report.remote(host, p_status))
+            fetched = [s for s, ok in zip(p_status, allowed) if ok]
+            if coord is not None and fetched:
+                ray.get(coord.report.remote(host, fetched))
 
             # ONE seen-set call per block: probe keys first, then the
             # document keys, each under its (rulename, url) pair like the

@@ -17,21 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import ray.data
 from ray.data.aggregate import Min, Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .grouping import with_coarse_group as _with_coarse_group
 from .ml_queries import _md5u
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
 # ================================================= host_discovery_curve
@@ -51,7 +41,7 @@ HDC_STEPS = 8
 
 
 def q_host_discovery_curve(sf_dir: str):
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     empty = pd.DataFrame(
         {
             "step": pd.Series(dtype=np.int64),
@@ -124,7 +114,7 @@ GROUP BY g.step, g.n_prefix
 def q_effective_corpus_size(sf_dir: str):
     from .sitegraph_ops import _dust_family
 
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     empty = pd.DataFrame(
         {
             "source": pd.Series(dtype=str),
@@ -211,7 +201,7 @@ _D3_NB = 64
 def q_directed_3cycles(sf_dir: str, n_buckets: int = _D3_NB):
     from .queries import internal_edges_np
 
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     if n_docs == 0:
         return pd.DataFrame({"n_wedges": [0], "n_3cycles": [0]}).astype(
             np.int64

@@ -20,13 +20,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from .._util import read_table as _read
 from ..functions.dedup import md5_hash64
 from .grouping import partitioned_anti_join
 from .grouping import with_coarse_group as _with_coarse_group
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 # ========================================================= SCD2 history

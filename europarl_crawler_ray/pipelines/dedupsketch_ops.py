@@ -28,10 +28,9 @@ import hashlib
 
 import numpy as np
 import pandas as pd
-import ray
-import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from ..stages.multimodal import _md5_64
 from .grouping import global_prune, with_coarse_group as _with_coarse_group
 from .ml_queries import _md5u, _perms_values, _shingle_sets
@@ -41,16 +40,6 @@ QG_PROBES = 32  # q-gram probe docs (16 pairs)
 CDC_D = 16
 CDC_SALT = "cdc:42:"
 TOK_RE = r"[^ \t\n\r\f]+"
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
 # =================================================== supershingle_pairs
@@ -70,7 +59,7 @@ def q_supershingle_pairs(sf_dir: str):
             "n_shared": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     from ..functions.dedup import N_PERM, minhash_sigs_from_hashes
 
@@ -230,7 +219,7 @@ def q_qgram_distance(sf_dir: str):
             "mass_b": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     d = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -347,7 +336,7 @@ def q_cdc_dedup_ratio(sf_dir: str):
             "dup_x1e6": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     d = _read(sf_dir, "documents", columns=["text"])
     tok_re = re.compile(TOK_RE)

@@ -19,20 +19,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .ml_queries import _md5u
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
 # =================================================== utf8_class_census
@@ -154,7 +144,7 @@ _PDC_BASE = _PDC_SCALE * 15 // 100
 def q_pagerank_delta_curve(sf_dir: str, n_buckets: int = 64):
     assert n_buckets & (n_buckets - 1) == 0
     mask = n_buckets - 1
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     empty = pd.DataFrame(
         {
             "iter": pd.Series(dtype=np.int64),

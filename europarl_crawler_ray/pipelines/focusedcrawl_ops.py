@@ -13,8 +13,8 @@ over SHARK_ROUNDS rounds; Fish is a SHARK_ROUNDS-hop forward BFS
 from the relevant seeds (depth, or −1 when unreached). All integer,
 both engines.
 
-Scale idioms: the propagation rounds ride the WL-style
-union-co-location exchanges over the resident directed edge list
+Scale idioms: the propagation rounds ride union-co-location
+exchanges over the resident directed edge list
 (attach parent value at src, re-key dst, max/min-combine in-group) —
 one value row per node per round, messages bounded by the edge
 count; the harvest curve is an 8-wave bounded reduce plus a driver
@@ -32,13 +32,12 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .grouping import compact_small, with_coarse_group as _with_coarse_group
 from .ml_queries import _md5u
-from .structgraph_ops import _dir_edges, _n_docs
 
 REL_TERM = "join"
 REL_T = 2
@@ -48,8 +47,19 @@ HARVEST_WAVES = 8
 TOK_RE = r"[^ \t\n\r\f]+"
 
 
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+def _dir_edges(sf_dir: str, n_docs: int) -> ray.data.Dataset:
+    """Deduped directed (src, dst) edges, self-loops dropped."""
+    from .queries import internal_edges_np
+
+    d = _read(sf_dir, "documents", columns=["doc_id"])
+
+    def expand(t: pa.Table) -> pa.Table:
+        ids = t.column("doc_id").to_numpy().astype(np.int64)
+        src, dst = internal_edges_np(ids, n_docs, drop_self=True)
+        e = pd.DataFrame({"src": src, "dst": dst}).drop_duplicates()
+        return pa.Table.from_pandas(e, preserve_index=False)
+
+    return d.map_batches(expand, batch_format="pyarrow")
 
 
 def _relevance(sf_dir: str) -> ray.data.Dataset:
@@ -95,7 +105,7 @@ def _propagate(
     by dst, and combines in-group via `step(parent_values, own)`.
     Returns the final per-node frame (node, r, val). `step` must be a
     per-node reduction over the received parent (r + val) rows."""
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     edges = compact_small(_dir_edges(sf_dir, n_docs).materialize())
     vals = _relevance(sf_dir).materialize()  # (node, r)
 
@@ -227,7 +237,7 @@ def q_shark_search(sf_dir: str):
             "inherited": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
 
     def step(inbox, r, v):
@@ -302,7 +312,7 @@ def q_fish_search(sf_dir: str):
             "potential_depth": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     # depth encoded as val = depth + 1 (0 = unreached): seeds pin
     # themselves at 1; a child's candidate is min parent-enc + 1
@@ -375,7 +385,7 @@ def q_harvest_rate(sf_dir: str):
             "cum_harvest_x1e6": pd.Series(dtype=np.int64),
         }
     )
-    n = _n_docs(sf_dir)
+    n = _n_rows(sf_dir, "documents")
     if n == 0:
         return empty
     width = n // HARVEST_WAVES + 1

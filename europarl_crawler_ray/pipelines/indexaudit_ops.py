@@ -25,22 +25,11 @@ import re
 
 import numpy as np
 import pandas as pd
-import ray
-import ray.data
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .grouping import global_prune, with_coarse_group as _with_coarse_group
 
 TOK_RE = r"[^ \t\n\r\f]+"
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
 # ================================================== distinctive_tokens
@@ -73,7 +62,7 @@ def q_distinctive_tokens(sf_dir: str):
             "score_x1e9": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     d = _read(sf_dir, "documents", columns=["lang", "text"])
     tok_re = re.compile(TOK_RE)
@@ -250,7 +239,7 @@ def q_elias_fano_bits(sf_dir: str):
             "ratio_x100": pd.Series(dtype=np.int64),
         }
     )
-    u = _n_docs(sf_dir)
+    u = _n_rows(sf_dir, "documents")
     if u == 0:
         return empty
     d = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -341,7 +330,7 @@ def q_wand_bounds(sf_dir: str):
             "arg_doc": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     d = _read(sf_dir, "documents", columns=["doc_id", "text"])
     tok_re = re.compile(TOK_RE)

@@ -38,16 +38,14 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
+from .._util import read_table as _read
+
 logger = logging.getLogger(__name__)
 
 BLOOM_BITS_LOG2 = 20  # 1 Mi bits = 128 KiB
 BLOOM_K = 4
 N_CHUNKS = 16
 _N_WORDS = (1 << BLOOM_BITS_LOG2) // 64
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

@@ -31,10 +31,9 @@ import re
 
 import numpy as np
 import pandas as pd
-import ray
-import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .grouping import global_prune, with_coarse_group as _with_coarse_group
 
 TOK_RE = r"[^ \t\n\r\f]+"
@@ -43,16 +42,6 @@ RAKE_TOPK = 16
 TR_ROUNDS = 2
 TR_TOPK = 20
 LEAD_K = 16
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
 _STOP_SET = set(STOPWORDS)
@@ -90,7 +79,7 @@ def q_rake_keywords(sf_dir: str):
             "score_x100": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     d = _read(sf_dir, "documents", columns=["text"])
     tok_re = re.compile(TOK_RE)
@@ -244,7 +233,7 @@ def q_textrank_keywords(sf_dir: str):
             "score": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     d = _read(sf_dir, "documents", columns=["text"])
     tok_re = re.compile(TOK_RE)
@@ -361,7 +350,7 @@ def q_lead_coverage(sf_dir: str):
             "coverage_x100": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     d = _read(sf_dir, "documents", columns=["doc_id", "text"])
     tok_re = re.compile(TOK_RE)

@@ -27,23 +27,13 @@ import re
 
 import numpy as np
 import pandas as pd
-import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .grouping import global_prune, with_coarse_group as _with_coarse_group
 
 TOK_RE = r"[^ \t\n\r\f]+"
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
 def _lang_token_counts(sf_dir: str, by: str = "lang") -> ray.data.Dataset:
@@ -111,7 +101,7 @@ def q_yule_k(sf_dir: str):
             "k_x100": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     counts = _lang_token_counts(sf_dir)
 
@@ -196,7 +186,7 @@ def q_gries_dp(sf_dir: str):
             "dp_x1e6": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     counts = _lang_token_counts(sf_dir, by="source").materialize()
 
@@ -321,7 +311,7 @@ def q_mcnemar_filters(sf_dir: str):
             "mcnemar_x1e6": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     d = _read(sf_dir, "documents", columns=["lang", "text", "n_chars"])
     tok_re = re.compile(TOK_RE)

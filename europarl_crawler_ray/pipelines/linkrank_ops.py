@@ -23,6 +23,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .._util import read_table as _read, table_rows as _n_rows
 from ..stages.multimodal import _md5_64
 
 _MD5U_SQL = (
@@ -32,16 +33,6 @@ _MD5U_SQL = (
 HITS_ITERS = 2  # full (authority, hub) refinement passes
 WALK_LEN = 4  # steps per walker (5 trail rows incl. step 0)
 WALK_SEED_MOD = 97  # doc_id % MOD == 0 starts a walker
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
 def _empty(schema: dict) -> ray.data.Dataset:
@@ -74,7 +65,7 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 64, n_iters: int = HITS_ITERS):
     assert n_buckets & (n_buckets - 1) == 0
     mask = n_buckets - 1
     out_schema = {"doc_id": pa.int64(), "hub": pa.int64(), "auth": pa.int64()}
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     if n_docs == 0:
         return _empty(out_schema)
     from .queries import internal_edges_np
@@ -233,7 +224,7 @@ def q_random_walks(sf_dir: str, n_buckets: int = 64, walk_len: int = WALK_LEN):
     assert n_buckets & (n_buckets - 1) == 0
     mask = n_buckets - 1
     out_schema = {"seed": pa.int64(), "step": pa.int64(), "node": pa.int64()}
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     if n_docs == 0:
         return _empty(out_schema)
     d = _read(sf_dir, "documents", columns=["doc_id"])
@@ -379,7 +370,7 @@ def q_scc_pivot(sf_dir: str, n_buckets: int = 64, max_rounds: int = 64):
     assert n_buckets & (n_buckets - 1) == 0
     mask = n_buckets - 1
     out_schema = {"doc_id": pa.int64(), "in_scc": pa.int64()}
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     if n_docs == 0:
         return _empty(out_schema)
     pivot = 0  # doc ids are the dense range 0..n_docs-1 (TESTDATA.md)
@@ -548,7 +539,7 @@ def q_mis_luby(sf_dir: str, n_buckets: int = 64, max_t: int = MIS_MAX_T):
     assert n_buckets & (n_buckets - 1) == 0
     mask = n_buckets - 1
     out_schema = {"doc_id": pa.int64(), "in_mis": pa.int64()}
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     if n_docs == 0:
         return _empty(out_schema)
     from .queries import internal_edges_np
@@ -768,7 +759,7 @@ def q_label_prop(sf_dir: str, n_buckets: int = 64, n_rounds: int = LPA_ROUNDS):
     assert n_buckets & (n_buckets - 1) == 0
     mask = n_buckets - 1
     out_schema = {"doc_id": pa.int64(), "label": pa.int64()}
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     if n_docs == 0:
         return _empty(out_schema)
     from .queries import internal_edges_np

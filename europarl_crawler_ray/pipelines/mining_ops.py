@@ -21,6 +21,7 @@ import ray.data
 
 import pyarrow.compute as pc
 
+from .._util import read_table as _read
 from .grouping import compact_small as _compact_small
 from .grouping import with_coarse_group as _with_coarse_group
 from .ml_queries import _md5u
@@ -36,10 +37,6 @@ def _pending_count(state: ray.data.Dataset) -> int:
 
     res = state.map_batches(part, batch_format="pyarrow").sum("n")
     return int(res or 0)
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def _md5_u64(prefix: str, ids: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read
 from ..functions.dedup import (
     N_BANDS,
     N_PERM,
@@ -39,10 +40,6 @@ from ..functions.dedup import (
 )
 from ..functions.textstats import _STOPWORDS, predict_lang
 from .grouping import with_coarse_group as _with_coarse_group
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 # ------------------------------------------------------------ minhash-LSH
@@ -807,7 +804,6 @@ lab AS (
 {sweep}
 """
     )
-
 
 
 # -------------------------- n-gram Jaccard with min-anchor blocking

@@ -26,10 +26,10 @@ import re
 
 import numpy as np
 import pandas as pd
-import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .grouping import with_coarse_group as _with_coarse_group
 
 TOK_RE = r"[^ \t\n\r\f]+"
@@ -37,16 +37,6 @@ TOK_RE = r"[^ \t\n\r\f]+"
 ROAR_CHUNK = 1024  # roaring-1024 variant: container = doc_id // 1024
 ROAR_BITMAP_BYTES = ROAR_CHUNK // 8
 CHAMP_C = 4
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
 def _doc_token_tf(sf_dir: str) -> ray.data.Dataset:
@@ -105,7 +95,7 @@ def q_roaring_size(sf_dir: str):
             "ratio_x100": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     dt = _doc_token_tf(sf_dir)
 
@@ -220,7 +210,7 @@ def q_champion_lists(sf_dir: str):
             "coverage_x100": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     dt = _doc_token_tf(sf_dir)
 
@@ -306,7 +296,7 @@ def q_kn_discounts(sf_dir: str):
             "d_x1e6": pd.Series(dtype=np.int64),
         }
     )
-    if _n_docs(sf_dir) == 0:
+    if _n_rows(sf_dir, "documents") == 0:
         return empty
     d = _read(sf_dir, "documents", columns=["lang", "text"])
     tok_re = re.compile(TOK_RE)

@@ -24,14 +24,11 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
+from .._util import read_table as _read
 from ..functions import rules as R
 from ..functions.textstats import fingerprints, quality_stats, token_counts
 
 # --------------------------------------------------------------- helpers
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 # shared coarse-group shuffle infrastructure — see pipelines/grouping.py

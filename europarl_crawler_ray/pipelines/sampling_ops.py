@@ -31,12 +31,9 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .._util import read_table as _read
 from .grouping import global_prune
 from .ml_queries import _md5u
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 # ===================================== weighted sampling (E-S top-k keys)

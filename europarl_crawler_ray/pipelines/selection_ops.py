@@ -25,9 +25,8 @@ import re
 
 import numpy as np
 import pandas as pd
-import ray
-import ray.data
 
+from .._util import read_table as _read
 from .grouping import global_prune, with_coarse_group
 
 # ===================================================== coreset_kcenter
@@ -52,10 +51,6 @@ def _sq_l2_expansion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aa = np.einsum("ij,ij->i", a, a)
     bb = np.einsum("ij,ij->i", b, b)
     return aa[:, None] - 2.0 * (a @ b.T) + bb[None, :]
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def q_coreset_kcenter(sf_dir: str, k: int = KCENTER_K):

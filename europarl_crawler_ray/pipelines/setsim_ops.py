@@ -27,18 +27,14 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
+from .._util import read_table as _read
 from ..stages.multimodal import _md5_64
 from .grouping import global_prune, with_coarse_group as _with_coarse_group
 from .ml_queries import _md5u
 
 TOK_RE = r"[^ \t\n\r\f]+"
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def _doc_tokens(sf_dir: str) -> ray.data.Dataset:

@@ -16,21 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .grouping import with_coarse_group as _with_coarse_group
 from .ml_queries import _md5u
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
 # ========================================================== dust_detect
@@ -68,7 +58,7 @@ def _dust_family(ids: np.ndarray, n_docs: int) -> np.ndarray:
 
 
 def q_dust_detect(sf_dir: str):
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     empty = pd.DataFrame(
         {
             "dust_class": pd.Series(list(DUST_CLASSES), dtype=str),
@@ -236,7 +226,7 @@ FROM pr_out GROUP BY 1
 def q_hostgraph_contract(sf_dir: str):
     from .queries import internal_edges_np
 
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     empty = pd.DataFrame(
         {
             "src_site": pd.Series(dtype=np.int64),
@@ -310,7 +300,7 @@ FROM e GROUP BY 1, 2
 
 
 def q_alias_canonical_share(sf_dir: str):
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     empty = pd.DataFrame(
         {
             "source": pd.Series(dtype=str),

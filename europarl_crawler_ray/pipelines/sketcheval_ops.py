@@ -17,13 +17,10 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .._util import read_table as _read
 from .grouping import partitioned_anti_join  # noqa: F401 (family modules share the helper set)
 from .grouping import with_coarse_group as _with_coarse_group  # noqa: F401
 from .ml_queries import _md5u  # noqa: F401 — the shared md5-uint64 SQL hash family
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 # ===================================================== quantile mapping
@@ -1534,8 +1531,6 @@ SELECT column_name, n_values, n_int_like, n_float_like, n_date_like,
        ELSE 'string' END AS inferred_type
 FROM c
 """
-
-
 
 
 # ======================================= matryoshka truncation recall

@@ -24,18 +24,9 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .grouping import with_coarse_group as _with_coarse_group
 from .ml_queries import _md5u
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
 _TOKEN_RE = r"[^ \t\n\r\f]+"
@@ -64,7 +55,7 @@ def q_link_rot_filter(sf_dir: str, n_buckets: int = _LRF_NB):
     from .queries import internal_edges_np
     from .sitegraph_ops import N_SITES
 
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     empty = pd.DataFrame(
         {
             "src_site": pd.Series(dtype=np.int64),

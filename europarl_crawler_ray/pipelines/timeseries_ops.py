@@ -21,12 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import ray.data
 from ray.data.aggregate import Sum
 
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+from .._util import read_table as _read
 
 
 def _daily_counts(sf_dir: str) -> pd.DataFrame:

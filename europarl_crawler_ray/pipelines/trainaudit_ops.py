@@ -19,14 +19,10 @@ import hashlib
 
 import numpy as np
 import pandas as pd
-import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read
 from .webtext_ops import EPOCH_SEED
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 # ================================================== shuffle_mixing_audit

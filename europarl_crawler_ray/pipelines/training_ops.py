@@ -42,12 +42,9 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read
 from ..functions.dedup import md5_hash64
 from .grouping import with_coarse_group as _with_coarse_group
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 _TOKEN_PATTERN = r"[^ \t\n\r\f]+"

@@ -23,12 +23,9 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from .._util import read_table as _read
 from ..functions.dedup import md5_hash64
 from .grouping import global_prune, with_coarse_group as _with_coarse_group
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def _cents(values: np.ndarray) -> np.ndarray:

@@ -22,9 +22,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+from .._util import read_table as _read
 
 
 HUB_K = 5

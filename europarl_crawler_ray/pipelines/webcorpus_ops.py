@@ -25,13 +25,11 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .._util import read_table as _read
 from .grouping import partitioned_anti_join
 from .grouping import with_coarse_group as _with_coarse_group
 from .ml_queries import _md5u  # the shared md5-uint64 SQL hash family
 
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 # Families split out in round 4 (VERDICT r3 #9) — explicit re-exports
 # keep every historical import path working (tests, entry, bench).
@@ -182,7 +180,6 @@ from .weblinkage_ops import (  # noqa: F401
     q_bm25_rank,
     _bm25_sql,
 )
-
 
 
 # ========================================================== SURT keys

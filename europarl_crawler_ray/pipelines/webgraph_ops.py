@@ -18,14 +18,11 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read
 from .grouping import global_prune  # noqa: F401 (family modules share the helper set)
 from .grouping import partitioned_anti_join  # noqa: F401
 from .grouping import with_coarse_group as _with_coarse_group  # noqa: F401
 from .ml_queries import _md5u  # noqa: F401 — the shared md5-uint64 SQL hash family
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 # ==================================================== graph reciprocity
@@ -555,8 +552,6 @@ FROM e a JOIN e b ON a.src = b.src AND a.dst < b.dst
 GROUP BY 1, 2
 HAVING COUNT(*) >= {COCITE_MIN_SUPPORT}
 """
-
-
 
 
 # ======================== HyperBall 2-hop neighborhood sketches

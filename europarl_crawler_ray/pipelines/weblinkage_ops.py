@@ -15,13 +15,10 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .._util import read_table as _read
 from .grouping import partitioned_anti_join  # noqa: F401 (family modules share the helper set)
 from .grouping import with_coarse_group as _with_coarse_group  # noqa: F401
 from .ml_queries import _md5u  # noqa: F401 — the shared md5-uint64 SQL hash family
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 # ====================================================== bitext alignment

@@ -24,21 +24,10 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read, table_rows as _n_rows
 from .grouping import with_coarse_group as _with_coarse_group
-from .webcorpus_ops import N_SURT_SHARDS, _surt_url, surt_key
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
 from .ml_queries import _md5u  # the shared md5-uint64 SQL hash family
-
-
-def _n_docs(sf_dir: str) -> int:
-    import pyarrow.parquet as _pq
-
-    return _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+from .webcorpus_ops import N_SURT_SHARDS, _surt_url, surt_key
 
 
 # ======================================================== front_coding
@@ -235,7 +224,7 @@ def _bit_length_np(x: np.ndarray) -> np.ndarray:
 def q_graph_compress(sf_dir: str):
     from .queries import internal_edges_np
 
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     d = _read(sf_dir, "documents", columns=["doc_id"])
     empty = pd.DataFrame(
         {
@@ -371,7 +360,7 @@ BOWTIE_MAX_ROUNDS = 64
 def q_bowtie_structure(sf_dir: str, n_buckets: int = 64):
     assert n_buckets & (n_buckets - 1) == 0
     mask = n_buckets - 1
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     if n_docs == 0:
         return pd.DataFrame(
             {
@@ -575,7 +564,7 @@ def q_degree_joint_census(sf_dir: str):
     from ..stages.multimodal import _md5_64
     from .queries import internal_edges_np
 
-    n_docs = _n_docs(sf_dir)
+    n_docs = _n_rows(sf_dir, "documents")
     empty = pd.DataFrame(
         {
             "outdeg": pd.Series(dtype=np.int64),

@@ -26,12 +26,9 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
+from .._util import read_table as _read
 from ..functions.boilerplate import extract_main_blocks, render_boilerplate_page
 from .grouping import with_coarse_group as _with_coarse_group
-
-
-def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 # ============================================================ PII scrub

@@ -168,7 +168,6 @@ class Fetcher:
         self.http = make_http_client(
             transport, seed=seed, page_scale=page_scale, client_config=client_config
         )
-        self.client = client_config or HttpClientConfig(seed=seed)
         # `coordinator` is one PolitenessCoordinator handle or a LIST of
         # them — sharded by hash(host) so no single politeness actor
         # bottlenecks a large cluster (each coordinator owns a disjoint
@@ -248,11 +247,6 @@ class Fetcher:
                 if not ok:
                     statuses[t] = ROBOTS_BLOCKED
                     continue
-                # a real transport would draw the per-request envelope here:
-                #   headers = self.client.build_headers()  (fresh UA)
-                #   timeout = self.client.timeout, allow_redirects=...
-                # MockHttp has no transport to consume them, so the build
-                # is not paid per request in the hot loop
                 st, body, red = self.http.fetch(urls[t], attempts[t], rulenames[t])
                 statuses[t] = st
                 bodies[t] = body

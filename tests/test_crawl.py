@@ -202,8 +202,9 @@ def test_http_client_config_mirrors_reference_envelope():
     assert [cfg2.build_headers()["User-Agent"], cfg2.build_headers()["User-Agent"]] == [
         h1["User-Agent"], h2["User-Agent"]
     ]
-    f = Fetcher(seed=3)
-    assert f.client.timeout > 0
+    # the real transport carries the envelope: RequestTimeoutFactor 2.0 ×
+    # StopWaitSecs 10.0
+    assert Fetcher(seed=3, transport="real").http.client.timeout == 20.0
 
 
 def test_streamed_empty_window_commits_empty_pages(ray_session, tmp_path):
@@ -388,6 +389,44 @@ def test_streamed_probe_uses_configured_transport(ray_session, tmp_path, monkeyp
     probes = pads.dataset(f"{cfg.output_dir}/probes").to_table(columns=["status_code"])
     assert probes.column("status_code").to_pylist() == [460, 460]
     assert CrawlDriver._streamed_confirmed_days(f"{cfg.output_dir}/probes") == 0
+
+
+def test_streamed_probe_honours_robots(ray_session, tmp_path, monkeypatch):
+    """robots.txt gates the streamed probe as it gates wave mode's: a day
+    whose session-day url is disallowed is logged once as ROBOTS_BLOCKED
+    (999) and never fetched, so no document row leaves the stage. The
+    stage is called in-process so the transport's calls can be counted."""
+    import pyarrow as pa
+    import ray
+
+    from europarl_crawler_ray.stages.fetch import ROBOTS_BLOCKED, MockHttp
+
+    cfg = _cfg(tmp_path)
+    days = sorted(_oracle()["confirmed"])[:2]
+    fetched = []
+    real_fetch = MockHttp.fetch
+
+    def counting_fetch(self, url, *args, **kwargs):
+        fetched.append(url)
+        return real_fetch(self, url, *args, **kwargs)
+
+    monkeypatch.setattr(MockHttp, "fetch", counting_fetch)
+    drv = CrawlDriver(cfg, resume=False)
+    try:
+        ray.get(
+            drv.coords[0].load_robots.remote(
+                "europarl.europa.eu", "User-agent: *\nDisallow: /doceo/document/PV-\n"
+            )
+        )
+        out = drv._make_probe_expand(0)(pa.table({"date": pa.array(days, pa.date32())}))
+        wave = drv._probe(days)
+    finally:
+        drv.shutdown()
+    assert out.num_rows == 0
+    probes = pads.dataset(f"{cfg.output_dir}/probes").to_table(columns=["status_code"])
+    assert probes.column("status_code").to_pylist() == [ROBOTS_BLOCKED] * 2
+    assert wave.column("status_code").to_pylist() == [ROBOTS_BLOCKED] * 2
+    assert fetched == []
 
 
 def test_streamed_resume_rejects_mismatched_window(ray_session, tmp_path):

@@ -1,34 +1,79 @@
 """Sketch semantics on planted fixtures: exact bit-length kernel (the
 float64-rounding trap), HLL register parity with a brute-force single
 pass, CMS conservation + upper-bound guarantee. Oracle parity is
-covered by the gate."""
+covered by the gate; the equi-depth, threshold-algorithm and
+count-sketch tests also check it on their planted fixtures."""
 
+import hashlib
+import re
+from collections import Counter
+
+import duckdb
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from europarl_crawler_ray.functions.dedup import _WORD_RE, md5_hash64
 from europarl_crawler_ray.pipelines.sketch_ops import (
+    CELL_W,
     CMS_DEPTH,
     CMS_WIDTH,
+    COUNT_SKETCH_SQL,
+    CS_D,
+    CS_TOPK,
+    CS_W,
+    TA_K,
+    TOPK_THRESHOLD_SQL,
     _bitlen_u58,
+    _equidepth_sql,
     hll_partial,
     q_cms_sketch,
+    q_count_sketch,
+    q_equidepth_hist,
     q_hll_distinct,
+    q_topk_threshold,
 )
 
+TOK = re.compile(r"[^ \t\n\r\f]+")
 
-def _write_docs(path, rows):
+
+def _write_docs(path, rows, n_chars=None):
     t = pa.table(
         {
             "doc_id": pa.array(range(len(rows)), pa.int64()),
             "text": pa.array([r[1] for r in rows]),
             "lang": pa.array([r[0] for r in rows]),
             "source": pa.array(["s"] * len(rows)),
-            "n_chars": pa.array([len(r[1]) for r in rows], pa.int64()),
+            "n_chars": pa.array(
+                [len(r[1]) for r in rows] if n_chars is None else n_chars, pa.int64()
+            ),
         }
     )
     pq.write_table(t, path / "documents.parquet")
+
+
+def _assert_oracle_parity(got, path, sql):
+    """``got`` equals the DuckDB oracle ``sql`` over ``path``'s
+    documents, order-insensitively."""
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{path}/documents.parquet')"
+    )
+    want = con.execute(sql).fetchdf()
+
+    def canon(df):
+        df = df[sorted(df.columns)].copy()
+        for c in df.columns:
+            if df[c].dtype == object:
+                df[c] = df[c].astype(str)
+        return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(canon(got), canon(want), check_dtype=False)
+
+
+def _md5_64(s: str) -> int:
+    return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
 
 
 def test_bitlen_exact_incl_float_rounding_trap():
@@ -99,6 +144,88 @@ def test_cms_conservation_and_upper_bound(ray_session, tmp_path):
             for j in range(CMS_DEPTH)
         )
         assert est >= n
+
+
+
+# ------------------------------------------------- equi-depth histogram
+
+
+def test_equidepth_counts_and_parity(ray_session, tmp_path):
+    # three count clusters across the cell domain + a heavy spike
+    chars = (
+        [(i % 4) * CELL_W for i in range(150)]  # cells 0..3
+        + [(20 + i % 3) * CELL_W for i in range(150, 250)]  # cells 20..22
+        + [55 * CELL_W] * 50  # spike at cell 55
+    )
+    _write_docs(tmp_path, [("en", "x")] * len(chars), n_chars=chars)
+    eq = q_equidepth_hist(str(tmp_path))
+    assert int(eq["count_sum"].sum()) == len(chars)
+    _assert_oracle_parity(eq, tmp_path, _equidepth_sql())
+
+
+# ------------------------------------------------ threshold-algorithm top-k
+
+
+def test_ta_stop_round_brute_force_and_parity(ray_session, tmp_path):
+    # x = n_chars, y = distinct tokens; doc 3 ties doc 1 exactly
+    texts = [
+        " ".join(f"t{j}" for j in range(50)),
+        " ".join(f"u{j}" for j in range(80)),
+        " ".join(f"v{j}" for j in range(60)),
+        " ".join(f"u{j}" for j in range(80)),
+    ] + [" ".join(f"w{j}" for j in range(5 + i % 20)) for i in range(56)]
+    n_chars = [10_000, 50, 9_000, 50] + [100 + 10 * (i % 20) for i in range(56)]
+    _write_docs(tmp_path, [("en", t) for t in texts], n_chars=n_chars)
+    got = q_topk_threshold(str(tmp_path))
+    pts = [(x, len(set(TOK.findall(t.lower())))) for t, x in zip(texts, n_chars)]
+    scores = sorted(
+        ((x + y, i) for i, (x, y) in enumerate(pts)),
+        key=lambda t: (-t[0], t[1]),
+    )
+    kth = scores[min(TA_K, len(scores)) - 1][0]
+    xs = sorted((x for x, _ in pts), reverse=True)
+    ys = sorted((y for _, y in pts), reverse=True)
+    stop = next(
+        (r + 1 for r in range(len(pts)) if kth >= xs[r] + ys[r]),
+        len(pts),
+    )
+    assert int(got["stop_round"].iloc[0]) == stop
+    assert stop < len(pts) // 2  # TA stops genuinely early here
+    assert [int(s) for s in got["score"]] == [s for s, _ in scores[:TA_K]]
+    _assert_oracle_parity(got, tmp_path, TOPK_THRESHOLD_SQL)
+
+
+# ---------------------------------------------------------- count-sketch
+
+
+def test_count_sketch_median_rule_and_parity(ray_session, tmp_path):
+    texts = [
+        " ".join(["the", "and"] * (1 + i % 3) + [f"w{i % 15}"] * (i % 4) + [f"rare{i}"])
+        for i in range(70)
+    ]
+    _write_docs(tmp_path, [("en", t) for t in texts])
+    got = q_count_sketch(str(tmp_path))
+    assert len(got) == CS_TOPK
+
+    def sign(j, tok):
+        return 1 if _md5_64(f"css:{j}:{tok}") % 2 == 0 else -1
+
+    cnt = Counter(tok for t in texts for tok in TOK.findall(t.lower()))
+    table: dict[tuple, int] = {}
+    for tok, c in cnt.items():
+        for j in range(CS_D):
+            h = _md5_64(f"csh:{j}:{tok}") % CS_W
+            table[(j, h)] = table.get((j, h), 0) + sign(j, tok) * c
+    for _, r in got.iterrows():
+        tok = r["token"]
+        ests = sorted(
+            sign(j, tok) * table.get((j, _md5_64(f"csh:{j}:{tok}") % CS_W), 0)
+            for j in range(CS_D)
+        )
+        assert int(r["estimate"]) == ests[CS_D // 2]
+        assert int(r["exact"]) == cnt[tok]
+        assert int(r["abs_err"]) == abs(ests[CS_D // 2] - cnt[tok])
+    _assert_oracle_parity(got, tmp_path, COUNT_SKETCH_SQL)
 
 
 # ------------------------------------------------ theta-sketch intersection
