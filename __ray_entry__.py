@@ -26,40 +26,29 @@ _TABLES = [
     ("ml_queries", "ML_SQL_QUERIES"),
     ("corpus_ops", "CORPUS_SQL_QUERIES"),
     ("training_ops", "TRAINING_SQL_QUERIES"),
-    ("join_ops", "JOIN_SQL_QUERIES"),
     ("frontier_tools", "FRONTIER_SQL_QUERIES"),
     ("sketch_ops", "SKETCH_SQL_QUERIES"),
     ("webtext_ops", "WEBTEXT_SQL_QUERIES"),
     ("curation_ops", "CURATION_SQL_QUERIES"),
     ("webcorpus_ops", "WEBCORPUS_SQL_QUERIES"),
-    ("sampling_ops", "SAMPLING_SQL_QUERIES"),
     ("mining_ops", "MINING_SQL_QUERIES"),
     ("validation_ops", "VALIDATION_SQL_QUERIES"),
     ("linkrank_ops", "LINKRANK_SQL_QUERIES"),
     ("selection_ops", "SELECTION_SQL_QUERIES"),
-    ("timeseries_ops", "TIMESERIES_SQL_QUERIES"),
-    ("corpusstat_ops", "CORPUSSTAT_SQL_QUERIES"),
     ("webstructure_ops", "WEBSTRUCTURE_SQL_QUERIES"),
     ("centrality_ops", "CENTRALITY_SQL_QUERIES"),
     ("sitegraph_ops", "SITEGRAPH_SQL_QUERIES"),
     ("diagnostics_ops", "DIAGNOSTICS_SQL_QUERIES"),
     ("crawlyield_ops", "CRAWLYIELD_SQL_QUERIES"),
     ("sourceaudit_ops", "SOURCEAUDIT_SQL_QUERIES"),
-    ("trainaudit_ops", "TRAINAUDIT_SQL_QUERIES"),
-    ("blocking_ops", "BLOCKING_SQL_QUERIES"),
     ("vectoraudit_ops", "VECTORAUDIT_SQL_QUERIES"),
-    ("robustness_ops", "ROBUSTNESS_SQL_QUERIES"),
-    ("iraudit_ops", "IRAUDIT_SQL_QUERIES"),
     ("bpetrain_ops", "BPETRAIN_SQL_QUERIES"),
     ("setsim_ops", "SETSIM_SQL_QUERIES"),
-    ("indexaudit_ops", "INDEXAUDIT_SQL_QUERIES"),
     ("lexstat_ops", "LEXSTAT_SQL_QUERIES"),
-    ("postings_ops", "POSTINGS_SQL_QUERIES"),
     ("assignment_ops", "ASSIGNMENT_SQL_QUERIES"),
     ("coreset_ops", "CORESET_SQL_QUERIES"),
     ("dedupsketch_ops", "DEDUPSKETCH_SQL_QUERIES"),
     ("focusedcrawl_ops", "FOCUSEDCRAWL_SQL_QUERIES"),
-    ("keyword_ops", "KEYWORD_SQL_QUERIES"),
 ]
 
 

@@ -1,20 +1,16 @@
-"""Assignment / burstiness audit operators (round-5 batch 39): the
+"""Assignment audit operators (round-5 batch 39): the
 Mercator back-queue politeness assignment audit (Heydon & Najork
-1999 — the host→queue mapping every polite crawler runs), the
-variance-to-mean dispersion index over daily event streams (the
-index-of-dispersion burstiness test, Cox & Lewis 1966), and HNSW
+1999 — the host→queue mapping every polite crawler runs) and HNSW
 layer assignment (Malkov & Yashunin 2016 — the geometric level draw
 that shapes the graph-index hierarchy), determinized md5-style.
 
-Scale idioms: all three are bounded-domain reduces. Mercator requests
+Scale idioms: both are bounded-domain reduces. Mercator requests
 flow as per-batch (queue, host) count partials → ONE coarse host
 exchange → B-row output (per-queue host counts, request counts, and
-the largest-host share — the head-of-line-blocking number);
-dispersion reduces each event type to (Σc, Σc², days-present) over
-the day domain with the zero-day mass folded in closed form (the day
-grid never materializes); HNSW levels are a pure per-batch map into a
-≤9-row histogram (level = trailing base-4 zeros of the node hash —
-the geometric p=1/4 draw made deterministic).
+the largest-host share — the head-of-line-blocking number); HNSW
+levels are a pure per-batch map into a ≤9-row histogram (level =
+trailing base-4 zeros of the node hash — the geometric p=1/4 draw
+made deterministic).
 
 Reference parity: the reference's politeness is per-host token
 buckets (europarl/workers/tokenbucket.py, mirrored in
@@ -26,8 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import ray
-import ray.data
 from ray.data.aggregate import Max, Sum
 
 from .._util import read_table as _read, table_rows as _n_rows
@@ -145,128 +139,6 @@ FROM agg
 """
 
 
-# ===================================================== dispersion_index
-#
-# Index of dispersion (variance-to-mean ratio) of DAILY event counts
-# per event type over the corpus's full [min_day, max_day] span —
-# VMR 1 = Poisson, > 1 = bursty, < 1 = regular. Zero-count days are
-# part of the sample and fold in closed form (they add days to n and
-# nothing to Σc, Σc²). Exact integer moments; vmr_x1e6 =
-# ⌊10^6 · (n·Σc² − (Σc)²) / ((n−1)·Σc)⌋, 0 when degenerate.
-#
-# Scale shape: per-batch (type, day) count partials → ONE coarse
-# day-key exchange for exact daily counts → per-group moment partials
-# → #types-row reduce; the global day span is a 2-scalar reduce.
-
-
-def q_dispersion_index(sf_dir: str):
-    empty = pd.DataFrame(
-        {
-            "event_type": pd.Series(dtype=object),
-            "n_days": pd.Series(dtype=np.int64),
-            "n_events": pd.Series(dtype=np.int64),
-            "vmr_x1e6": pd.Series(dtype=np.int64),
-        }
-    )
-    if _n_rows(sf_dir, "events") == 0:
-        return empty
-    ev = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        day = (
-            df["ts"].to_numpy("datetime64[us]").astype("datetime64[D]")
-        ).astype(np.int64)
-        g = pd.DataFrame(
-            {"event_type": df["event_type"].to_numpy(object), "day": day}
-        )
-        s = g.groupby(["event_type", "day"]).size().reset_index(name="c")
-        s["c"] = s["c"].astype(np.int64)
-        return s
-
-    counts = (
-        _with_coarse_group(
-            ev.map_batches(partial, batch_format="pandas"), "day"
-        )
-        .groupby("_g")
-        .map_groups(
-            lambda g: g.drop(columns=["_g"])
-            .groupby(["event_type", "day"], as_index=False)["c"]
-            .sum(),
-            batch_format="pandas",
-        )
-        .materialize()  # (type, day) exact counts; feeds span + moments
-    )
-
-    span = counts.aggregate(
-        ray.data.aggregate.Min("day"), ray.data.aggregate.Max("day")
-    )
-    d0, d1 = int(span["min(day)"]), int(span["max(day)"])
-    n_days = d1 - d0 + 1
-
-    def moments(df: pd.DataFrame) -> pd.DataFrame:
-        c = df["c"].to_numpy(np.int64)
-        g = pd.DataFrame(
-            {
-                "event_type": df["event_type"].to_numpy(object),
-                "s1": c,
-                "s2": c * c,
-            }
-        )
-        return g.groupby("event_type", as_index=False)[["s1", "s2"]].sum()
-
-    agg = (
-        counts.map_batches(moments, batch_format="pandas")
-        .groupby("event_type")
-        .aggregate(Sum("s1", alias_name="s1"), Sum("s2", alias_name="s2"))
-        .to_pandas()  # <= #types rows
-    )
-    if not len(agg):
-        return empty
-    rows = []
-    for _, r in agg.iterrows():
-        s1, s2 = int(r["s1"]), int(r["s2"])
-        n = n_days
-        vmr = (
-            10**6 * (n * s2 - s1 * s1) // ((n - 1) * s1)
-            if n > 1 and s1 > 0
-            else 0
-        )
-        rows.append((r["event_type"], n, s1, vmr))
-    out = pd.DataFrame(
-        rows, columns=["event_type", "n_days", "n_events", "vmr_x1e6"]
-    )
-    for c in ("n_days", "n_events", "vmr_x1e6"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-DISPERSION_INDEX_SQL = """
-WITH d AS (
-  SELECT event_type,
-         date_diff('day', DATE '1970-01-01', CAST(ts AS DATE)) AS day
-  FROM events),
-c AS (
-  SELECT event_type, day, CAST(COUNT(*) AS BIGINT) AS c
-  FROM d GROUP BY 1, 2),
-span AS (
-  SELECT CAST(MAX(day) - MIN(day) + 1 AS BIGINT) AS n FROM c),
-m AS (
-  SELECT event_type,
-         CAST(SUM(c) AS BIGINT) AS s1,
-         CAST(SUM(CAST(c AS HUGEINT) * c) AS HUGEINT) AS s2
-  FROM c GROUP BY 1)
-SELECT event_type,
-       span.n AS n_days,
-       s1 AS n_events,
-       CAST(CASE WHEN span.n > 1 AND s1 > 0
-                 THEN CAST(1000000 AS HUGEINT)
-                      * (span.n * s2 - CAST(s1 AS HUGEINT) * s1)
-                      // ((span.n - 1) * CAST(s1 AS HUGEINT))
-                 ELSE 0 END AS BIGINT) AS vmr_x1e6
-FROM m, span
-"""
-
-
 # ========================================================= hnsw_levels
 #
 # HNSW layer assignment, determinized: a node's level is the number
@@ -346,6 +218,5 @@ FROM l GROUP BY 1
 
 ASSIGNMENT_SQL_QUERIES: dict[str, tuple] = {
     "mercator_queues": (q_mercator_queues, MERCATOR_QUEUES_SQL),
-    "dispersion_index": (q_dispersion_index, DISPERSION_INDEX_SQL),
     "hnsw_levels": (q_hnsw_levels, _hnsw_sql()),
 }

@@ -1,8 +1,8 @@
 """Corpus-analytics operators (round-3 additions): inverted index,
 cross-document duplicate-n-gram coverage, benchmark-contamination check,
-text normalization, and an event funnel.
+and text normalization.
 
-All five are SQL-oracled (driver gate) and follow the repo's scale
+All four are SQL-oracled (driver gate) and follow the repo's scale
 idioms: per-batch combiners, coarse-hash exchanges for data-scaled keys
 (see pipelines/grouping.py for the measured per-group Ray cost), and
 bounded driver reductions only for provably-small sets (the B=8
@@ -30,95 +30,6 @@ from .grouping import with_coarse_group as _with_coarse_group
 
 _TOKEN_RE = re.compile(r"[^ \t\n\r\f]+")
 _WS_RUN_RE = re.compile(r"[ \t\n\r\f]+")
-
-
-# ================================================== event funnel analysis
-
-FUNNEL_STAGES = ["signup", "view", "click", "purchase"]
-
-
-def q_funnel_counts(sf_dir: str):
-    """Classic funnel: how many users did signup, then (strictly later)
-    view, then click, then purchase — the greedy earliest-chain
-    definition (stage k's timestamp is the MIN event time strictly after
-    the stage-(k-1) time), which is order-deterministic and exactly
-    expressible in SQL as a chain of min-join CTEs.
-
-    Scale shape: ONE exchange on a coarse hash of user_id (every user's
-    events co-locate), the 4-stage chain computed vectorized over all
-    users of a task at once (merge + filter + groupby-min per stage, no
-    per-user Python loop), then a 4-row global sum. Emits
-    (stage, event_type, n_users)."""
-    ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-
-    def chain(g: pd.DataFrame) -> pd.DataFrame:
-        cur = (
-            g[g["event_type"] == FUNNEL_STAGES[0]].groupby("user_id")["ts"].min()
-        )
-        counts = [len(cur)]
-        for st in FUNNEL_STAGES[1:]:
-            nxt = g.loc[g["event_type"] == st, ["user_id", "ts"]].merge(
-                cur.rename("prev"), left_on="user_id", right_index=True
-            ).reset_index(drop=True)  # merge names the index 'user_id' -> ambiguity
-            cur = nxt[nxt["ts"] > nxt["prev"]].groupby("user_id")["ts"].min()
-            counts.append(len(cur))
-        return pd.DataFrame(
-            {
-                "stage": np.arange(1, len(FUNNEL_STAGES) + 1, dtype=np.int64),
-                "n_users_part": np.asarray(counts, dtype=np.int64),
-            }
-        )
-
-    agg = (
-        _with_coarse_group(ev, "user_id")
-        .groupby("_g")
-        .map_groups(lambda g: chain(g.drop(columns=["_g"])), batch_format="pandas")
-        .groupby("stage")
-        .aggregate(Sum("n_users_part", alias_name="n_users"))
-    )
-
-    def attach_name(t: pa.Table) -> pa.Table:
-        stages = t.column("stage").to_numpy(zero_copy_only=False).astype(np.int64)
-        n_users = t.column("n_users").to_numpy(zero_copy_only=False).astype(np.int64)
-        # stages nobody reached are dropped on BOTH sides (the oracle's
-        # WHERE n_users > 0) so an empty events table yields zero rows
-        keep = n_users > 0
-        stages, n_users = stages[keep], n_users[keep]
-        names = [FUNNEL_STAGES[s - 1] for s in stages]
-        return pa.table(
-            {
-                "stage": pa.array(stages, pa.int64()),
-                "event_type": pa.array(names, pa.string()),
-                "n_users": pa.array(n_users, pa.int64()),
-            }
-        )
-
-    return agg.map_batches(attach_name, batch_format="pyarrow")
-
-
-FUNNEL_COUNTS_SQL = """
-WITH t1 AS (
-  SELECT user_id, MIN(ts) AS t FROM events WHERE event_type = 'signup' GROUP BY 1),
-t2 AS (
-  SELECT e.user_id, MIN(e.ts) AS t FROM events e JOIN t1 ON e.user_id = t1.user_id
-  WHERE e.event_type = 'view' AND e.ts > t1.t GROUP BY 1),
-t3 AS (
-  SELECT e.user_id, MIN(e.ts) AS t FROM events e JOIN t2 ON e.user_id = t2.user_id
-  WHERE e.event_type = 'click' AND e.ts > t2.t GROUP BY 1),
-t4 AS (
-  SELECT e.user_id, MIN(e.ts) AS t FROM events e JOIN t3 ON e.user_id = t3.user_id
-  WHERE e.event_type = 'purchase' AND e.ts > t3.t GROUP BY 1)
-SELECT * FROM (
-  SELECT CAST(1 AS BIGINT) AS stage, 'signup' AS event_type,
-         CAST(COUNT(*) AS BIGINT) AS n_users FROM t1
-  UNION ALL
-  SELECT 2, 'view', CAST(COUNT(*) AS BIGINT) FROM t2
-  UNION ALL
-  SELECT 3, 'click', CAST(COUNT(*) AS BIGINT) FROM t3
-  UNION ALL
-  SELECT 4, 'purchase', CAST(COUNT(*) AS BIGINT) FROM t4
-) WHERE n_users > 0
-"""
 
 
 # ======================================================== inverted index
@@ -681,48 +592,6 @@ FROM documents WHERE lang = 'en' GROUP BY source
 """
 
 
-# ================================== per-user running totals (ROWS window)
-
-def q_running_totals(sf_dir: str):
-    """Cumulative per-entity aggregate — the ROWS-mode window twin of
-    q_window_counts' RANGE mode: each event carries the running sum of
-    its user's value so far (scaled to integer cents via
-    floor(value*100+0.5), identical IEEE754 arithmetic in numpy and
-    DuckDB, so the oracle is exact). ONE coarse exchange on user_id;
-    the cumsum runs vectorized over every user of a task at once
-    (sort + groupby-transform cumsum)."""
-    ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-
-    def running(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_g"]).sort_values(
-            ["user_id", "ts", "event_id"], kind="mergesort"
-        )
-        cents = np.floor(g["value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-        run = g.assign(_c=cents).groupby("user_id")["_c"].cumsum().to_numpy()
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy().astype(np.int64),
-                "user_id": g["user_id"].to_numpy().astype(np.int64),
-                "running_cents": run.astype(np.int64),
-            }
-        )
-
-    return (
-        _with_coarse_group(ev, "user_id")
-        .groupby("_g")
-        .map_groups(running, batch_format="pandas")
-    )
-
-
-RUNNING_TOTALS_SQL = """
-SELECT event_id, user_id,
-       CAST(SUM(CAST(floor(value * 100 + 0.5) AS BIGINT))
-            OVER (PARTITION BY user_id ORDER BY ts, event_id
-                  ROWS UNBOUNDED PRECEDING) AS BIGINT) AS running_cents
-FROM events
-"""
-
-
 # =========================== stratified mixture sampling (data curation)
 
 # per-stratum keep rule: lang 'en' keeps h % 2 == 0 (50%), every other
@@ -813,484 +682,6 @@ WITH rk AS (
 q AS (SELECT unnest([{", ".join(str(p) for p in GROUP_QUANTILE_PCTS)}]) AS pct)
 SELECT rk.lang, CAST(q.pct AS BIGINT) AS pct, CAST(rk.n_chars AS BIGINT) AS value
 FROM rk JOIN q ON rk.rn = CAST(floor((rk.n - 1) * q.pct / 100.0) AS BIGINT)
-"""
-
-
-# ==================== exponentially time-decayed engagement (integer-exact)
-
-DECAY_HORIZON_DAYS = 30
-
-
-def q_decayed_counts(sf_dir: str):
-    """Per-user exponentially time-decayed engagement score — the
-    freshness-weighted aggregate ranking/feature pipelines maintain
-    (half-life = 1 day). Kept integer-exact on both sides: value scaled
-    to cents (floor(v*100+0.5)), the decay factor 2^-(age) applied as a
-    LEFT SHIFT of the newest-day weight — ``cents << (H-1-age)`` for
-    ``age < H`` else 0 — so the score is plain int64 arithmetic, no
-    float rounding to diverge on. Emits (user_id, decayed_cents,
-    n_recent).
-
-    Scale shape: the anchor date is a global max (scalar reduce), then
-    per-batch per-user partial sums (map-side combiner) and ONE
-    coarse-hash exchange on user_id. int64 headroom: cents ≤ ~2^16,
-    shift ≤ 2^29, so ~2^18 in-horizon events per user fit before
-    overflow — raise the granularity or split the horizon if a real
-    workload exceeds that."""
-    ev = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
-    anchor = ev.max("ts")
-    if anchor is None:  # empty events table
-        return pa.table(
-            {
-                "user_id": pa.array([], pa.int64()),
-                "decayed_cents": pa.array([], pa.int64()),
-                "n_recent": pa.array([], pa.int64()),
-            }
-        )
-    anchor_day = np.datetime64(anchor, "D")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        days = df["ts"].to_numpy().astype("datetime64[D]")
-        age = (anchor_day - days).astype(np.int64)
-        cents = np.floor(df["value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-        in_h = age < DECAY_HORIZON_DAYS
-        shift = np.where(in_h, DECAY_HORIZON_DAYS - 1 - age, 0).astype(np.int64)
-        weighted = np.where(in_h, cents << shift, 0)
-        g = pd.DataFrame(
-            {
-                "user_id": df["user_id"].to_numpy().astype(np.int64),
-                "w": weighted,
-                "r": in_h.astype(np.int64),
-            }
-        ).groupby("user_id", as_index=False).sum()
-        return g.astype({"w": np.int64, "r": np.int64})
-
-    def reduce_user(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("user_id", as_index=False)[["w", "r"]].sum()
-        return pd.DataFrame(
-            {
-                "user_id": out["user_id"].to_numpy().astype(np.int64),
-                "decayed_cents": out["w"].to_numpy().astype(np.int64),
-                "n_recent": out["r"].to_numpy().astype(np.int64),
-            }
-        )
-
-    return (
-        _with_coarse_group(ev.map_batches(partial, batch_format="pandas"), "user_id")
-        .groupby("_g")
-        .map_groups(lambda g: reduce_user(g.drop(columns=["_g"])), batch_format="pandas")
-    )
-
-
-DECAYED_COUNTS_SQL = f"""
-WITH a AS (SELECT MAX(CAST(ts AS DATE)) AS anchor FROM events),
-e AS (
-  SELECT user_id,
-         date_diff('day', CAST(ts AS DATE), (SELECT anchor FROM a)) AS age,
-         CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents
-  FROM events)
-SELECT user_id,
-       CAST(SUM(CASE WHEN age < {DECAY_HORIZON_DAYS}
-                     THEN cents * (CAST(1 AS BIGINT) << ({DECAY_HORIZON_DAYS} - 1 - age))
-                     ELSE 0 END) AS BIGINT) AS decayed_cents,
-       CAST(SUM(CASE WHEN age < {DECAY_HORIZON_DAYS} THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_recent
-FROM e GROUP BY user_id
-"""
-
-
-# ===================== weekly cohort retention (analytics over events)
-
-
-def q_retention_cohorts(sf_dir: str):
-    """The retention matrix every product-analytics stack computes: users
-    are cohorted by the epoch-week of their FIRST event; each cell
-    (cohort_week, age_weeks) counts the cohort's users active again
-    ``age_weeks`` later. Emits (cohort_week, age_weeks, n_users);
-    age 0 is the cohort size.
-
-    Scale shape: per-batch distinct-(user, week) combiner (collapses a
-    user's many events per week before anything moves) → ONE coarse-hash
-    exchange on user_id (each user's weeks co-locate; per-user min is
-    the cohort) → per-task cell counts → a bounded groupby over
-    (cohort, age) cells (weeks², not data-scaled)."""
-    ev = _read(sf_dir, "events", columns=["user_id", "ts"])
-    epoch = pd.Timestamp("1970-01-01")
-
-    def proj(df: pd.DataFrame) -> pd.DataFrame:
-        week = ((df["ts"].dt.normalize() - epoch).dt.days // 7).astype(np.int64)
-        return pd.DataFrame(
-            {"user_id": df["user_id"].to_numpy().astype(np.int64), "week": week}
-        ).drop_duplicates()
-
-    def cells(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates()  # cross-batch duplicates of (user, week)
-        cohort = g.groupby("user_id")["week"].transform("min")
-        out = (
-            pd.DataFrame(
-                {
-                    "cohort_week": cohort.to_numpy(),
-                    "age_weeks": (g["week"] - cohort).to_numpy(),
-                }
-            )
-            .groupby(["cohort_week", "age_weeks"], as_index=False)
-            .size()
-            .rename(columns={"size": "n_users_part"})
-        )
-        return out.astype(np.int64)
-
-    def merge_cohort(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["cohort_week", "age_weeks"], as_index=False)[
-            "n_users_part"
-        ].sum()
-        out.columns = ["cohort_week", "age_weeks", "n_users"]
-        return out.astype(np.int64)
-
-    # final reduce keyed on cohort_week ONLY (|weeks| Ray groups; the
-    # (cohort, age) key costs |weeks|x more groups for the same cells)
-    return (
-        _with_coarse_group(ev.map_batches(proj, batch_format="pandas"), "user_id")
-        .groupby("_g")
-        .map_groups(lambda g: cells(g.drop(columns=["_g"])), batch_format="pandas")
-        .groupby("cohort_week")
-        .map_groups(merge_cohort, batch_format="pandas")
-    )
-
-
-RETENTION_COHORTS_SQL = """
-WITH uw AS (
-  SELECT DISTINCT user_id,
-         date_diff('day', DATE '1970-01-01', CAST(ts AS DATE)) // 7 AS week
-  FROM events),
-c AS (SELECT user_id, week, MIN(week) OVER (PARTITION BY user_id) AS cohort FROM uw)
-SELECT CAST(cohort AS BIGINT) AS cohort_week,
-       CAST(week - cohort AS BIGINT) AS age_weeks,
-       CAST(COUNT(*) AS BIGINT) AS n_users
-FROM c GROUP BY cohort, week - cohort
-"""
-
-
-# ============== exact integer Gini of a per-key count distribution
-
-
-def q_count_gini(sf_dir: str):
-    """How skewed is the workload? The Gini coefficient of the
-    per-customer order-count distribution — the same measurement a
-    crawler runs on urls-per-host to decide whether hot-host salting is
-    needed (``salt_hot_hosts``). Emitted as an EXACT integer rational:
-    Gini = gini_num / gini_den with num = ΣᵢΣⱼ|xᵢ-xⱼ| and
-    den = 2·n·Σx (the mean-absolute-difference form — no per-item
-    ranks, so no global sort). One row: (n_keys, total_cnt, gini_num,
-    gini_den).
-
-    Scale shape: per-batch key-count combiner → ONE coarse-hash
-    exchange co-locates each key → per-task count-of-counts histogram →
-    a bounded ``groupby(cnt)`` merge. The pair sum collapses onto the
-    HISTOGRAM (Σ m_v·m_w·|v-w|), whose size is the number of DISTINCT
-    count values — bounded by max activity, not by key cardinality —
-    the only thing the driver ever holds. Salt-bucket the histogram if
-    count values were ever unbounded."""
-    orders = _read(sf_dir, "orders", columns=["o_custkey"])
-    empty = pa.table(
-        {
-            "n_keys": pa.array([], pa.int64()),
-            "total_cnt": pa.array([], pa.int64()),
-            "gini_num": pa.array([], pa.int64()),
-            "gini_den": pa.array([], pa.int64()),
-        }
-    )
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        vc = df["o_custkey"].value_counts()
-        return pd.DataFrame(
-            {
-                "o_custkey": vc.index.to_numpy().astype(np.int64),
-                "part_n": vc.to_numpy().astype(np.int64),
-            }
-        )
-
-    def hist(g: pd.DataFrame) -> pd.DataFrame:
-        cnt = g.groupby("o_custkey")["part_n"].sum()
-        h = cnt.value_counts()
-        return pd.DataFrame(
-            {
-                "cnt": h.index.to_numpy().astype(np.int64),
-                "m_part": h.to_numpy().astype(np.int64),
-            }
-        )
-
-    h = (
-        _with_coarse_group(orders.map_batches(partial, batch_format="pandas"), "o_custkey")
-        .groupby("_g")
-        .map_groups(lambda g: hist(g.drop(columns=["_g"])), batch_format="pandas")
-        .groupby("cnt")
-        .sum("m_part")
-        .to_pandas()  # bounded: one row per DISTINCT count value
-    )
-    if h.empty:
-        return empty
-    v = h["cnt"].to_numpy().astype(np.int64)
-    m = h["sum(m_part)"].to_numpy().astype(np.int64)
-    n, tot = int(m.sum()), int((m * v).sum())
-    num = int((m[:, None] * m[None, :] * np.abs(v[:, None] - v[None, :])).sum())
-    return pa.table(
-        {
-            "n_keys": pa.array([n], pa.int64()),
-            "total_cnt": pa.array([tot], pa.int64()),
-            "gini_num": pa.array([num], pa.int64()),
-            "gini_den": pa.array([2 * n * tot], pa.int64()),
-        }
-    )
-
-
-COUNT_GINI_SQL = """
-WITH c AS (SELECT o_custkey, COUNT(*) AS cnt FROM orders GROUP BY 1),
-h AS (SELECT cnt, COUNT(*) AS m FROM c GROUP BY cnt),
-s AS (SELECT SUM(m) AS n, SUM(m * cnt) AS tot FROM h),
-mad AS (SELECT SUM(a.m * b.m * abs(a.cnt - b.cnt)) AS num FROM h a, h b)
-SELECT CAST(n AS BIGINT) AS n_keys,
-       CAST(tot AS BIGINT) AS total_cnt,
-       CAST(num AS BIGINT) AS gini_num,
-       CAST(2 * n * tot AS BIGINT) AS gini_den
-FROM s, mad
-WHERE n IS NOT NULL
-"""
-
-
-# =========================== column profiling (data-quality report)
-#
-# The "profile your 100-TB table before you train on it" report: per
-# column — row/null counts, EXACT distinct count, min/max, and the top
-# value. Numeric columns are profiled in integer cents; every stat is
-# emitted as VARCHAR so one tidy (column, stat...) row shape covers
-# mixed types.
-
-PROFILE_COLS = ["l_quantity_cents", "l_returnflag", "l_linestatus"]
-
-
-def q_profile_columns(sf_dir: str):
-    """(column_name, n_rows, n_nulls, n_distinct, min_v, max_v,
-    top_value, top_n) for three lineitem columns.
-
-    Scale shape: stage 1 is a per-batch value_counts combiner per
-    column (the exchange moves one row per distinct (col, value) per
-    block); stage 2 exchanges on a coarse hash of the VALUE so each
-    value's global count lands in one task, which contributes
-    bucket-local partials (distinct-part, top-candidate); stage 3 is a
-    3-group reduce. Distinct counting never assumes low cardinality —
-    only the per-column FINAL report (3 rows) is small."""
-    li = _read(
-        sf_dir, "lineitem", columns=["l_quantity", "l_returnflag", "l_linestatus"]
-    )
-
-    def value_partials(df: pd.DataFrame) -> pd.DataFrame:
-        frames = []
-        # cents as ZERO-PADDED strings so string min/max/tie-break equals
-        # numeric order in both engines (lpad twin in the SQL)
-        raw = np.floor(df["l_quantity"].to_numpy(dtype=float) * 100 + 0.5)
-        ok = np.isfinite(raw)
-        cents = pd.Series([None] * len(raw), dtype=object)
-        cents[ok] = [str(c).zfill(12) for c in raw[ok].astype(np.int64)]
-        for col, vals in (
-            ("l_quantity_cents", cents),
-            ("l_returnflag", df["l_returnflag"]),
-            ("l_linestatus", df["l_linestatus"]),
-        ):
-            n_null = int(vals.isna().sum())
-            vc = vals.dropna().value_counts()
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "column_name": col,
-                        "value": vc.index.astype(str),
-                        "n": vc.to_numpy().astype(np.int64),
-                        "n_nulls": np.int64(0),
-                    }
-                )
-            )
-            # one null-carrier row per column per batch
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "column_name": [col],
-                        "value": [""],
-                        "n": [np.int64(0)],
-                        "n_nulls": [np.int64(n_null)],
-                    }
-                )
-            )
-        return pd.concat(frames, ignore_index=True)
-
-    def bucket_partials(g: pd.DataFrame) -> pd.DataFrame:
-        # all rows of one (col, value) land here → exact per-value totals
-        real = g[g["n"] > 0]
-        agg = real.groupby(["column_name", "value"], as_index=False)["n"].sum()
-        out = []
-        for col, cg in agg.groupby("column_name"):
-            top = cg.sort_values(["n", "value"], ascending=[False, True]).iloc[0]
-            out.append(
-                {
-                    "column_name": col,
-                    "part_rows": int(cg["n"].sum()),
-                    "part_distinct": len(cg),
-                    "part_min": cg["value"].min(),
-                    "part_max": cg["value"].max(),
-                    "top_value": top["value"],
-                    "top_n": int(top["n"]),
-                }
-            )
-        nulls = g.groupby("column_name", as_index=False)["n_nulls"].sum()
-        for _, r in nulls.iterrows():
-            out.append(
-                {
-                    "column_name": r["column_name"],
-                    "part_rows": 0,
-                    "part_distinct": 0,
-                    "part_min": None,
-                    "part_max": None,
-                    "top_value": None,
-                    "top_n": -1,
-                    "part_nulls": int(r["n_nulls"]),
-                }
-            )
-        df = pd.DataFrame(out)
-        if "part_nulls" not in df.columns:
-            df["part_nulls"] = 0
-        df["part_nulls"] = df["part_nulls"].fillna(0).astype(np.int64)
-        return df
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        real = g[g["top_n"] >= 0]
-        top = real.sort_values(
-            ["top_n", "top_value"], ascending=[False, True]
-        ).iloc[0]
-        return pd.DataFrame(
-            {
-                "column_name": [g["column_name"].iloc[0]],
-                "n_rows": pd.Series([real["part_rows"].sum()], dtype=np.int64),
-                "n_nulls": pd.Series([g["part_nulls"].sum()], dtype=np.int64),
-                "n_distinct": pd.Series(
-                    [real["part_distinct"].sum()], dtype=np.int64
-                ),
-                "min_v": [real["part_min"].min()],
-                "max_v": [real["part_max"].max()],
-                "top_value": [top["top_value"]],
-                "top_n": pd.Series([top["top_n"]], dtype=np.int64),
-            }
-        )
-
-    return (
-        _with_coarse_group(
-            li.map_batches(value_partials, batch_format="pandas"), "value"
-        )
-        .groupby("_g")
-        .map_groups(
-            lambda g: bucket_partials(g.drop(columns=["_g"])), batch_format="pandas"
-        )
-        .groupby("column_name")
-        .map_groups(final, batch_format="pandas")
-    )
-
-
-def _profile_one_sql(col_expr: str, name: str) -> str:
-    return f"""
-SELECT '{name}' AS column_name,
-       CAST(count({col_expr}) AS BIGINT) AS n_rows,
-       CAST(count(*) - count({col_expr}) AS BIGINT) AS n_nulls,
-       CAST(count(DISTINCT {col_expr}) AS BIGINT) AS n_distinct,
-       CAST(min({col_expr}) AS VARCHAR) AS min_v,
-       CAST(max({col_expr}) AS VARCHAR) AS max_v,
-       (SELECT v FROM (
-          SELECT CAST({col_expr} AS VARCHAR) AS v, count(*) AS c FROM lineitem
-          WHERE {col_expr} IS NOT NULL GROUP BY 1
-          ORDER BY c DESC, v ASC LIMIT 1)) AS top_value,
-       (SELECT c FROM (
-          SELECT CAST({col_expr} AS VARCHAR) AS v, count(*) AS c FROM lineitem
-          WHERE {col_expr} IS NOT NULL GROUP BY 1
-          ORDER BY c DESC, v ASC LIMIT 1)) AS top_n
-FROM lineitem"""
-
-
-PROFILE_COLUMNS_SQL = "\nUNION ALL\n".join(
-    [
-        _profile_one_sql(
-            "lpad(CAST(CAST(floor(l_quantity*100+0.5) AS BIGINT) AS VARCHAR), 12, '0')",
-            "l_quantity_cents",
-        ),
-        _profile_one_sql("l_returnflag", "l_returnflag"),
-        _profile_one_sql("l_linestatus", "l_linestatus"),
-    ]
-)
-
-
-# ================== event-type transition matrix (behavior model)
-#
-# The Markov building block of user-behavior models: counts of
-# consecutive (prev → next) event-type transitions within each user's
-# (ts, event_id)-ordered stream, with the conditional probability in
-# integer basis points.
-
-
-def q_event_transitions(sf_dir: str):
-    """(prev_type, next_type, n, p_bp): p_bp = n·10000 // Σ_next n.
-
-    Scale shape: ONE exchange on a coarse hash of user_id; transitions
-    are computed vectorized per task (sort + shift masked at user
-    boundaries — the sessionize/scd2 shape) and pre-counted per task,
-    so the final Ray aggregate sees ≤ |event_types|² rows per task —
-    the transition MATRIX is schema-bounded even though the event
-    stream is not."""
-    ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-
-    def partial(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        same_user = g["user_id"].eq(g["user_id"].shift())
-        pairs = pd.DataFrame(
-            {
-                "prev_type": g["event_type"].shift().where(same_user),
-                "next_type": g["event_type"],
-            }
-        ).dropna()
-        out = pairs.groupby(["prev_type", "next_type"], as_index=False).size()
-        out.columns = ["prev_type", "next_type", "n_part"]
-        return out.astype({"n_part": np.int64})
-
-    agg = (
-        _with_coarse_group(ev, "user_id")
-        .groupby("_g")
-        .map_groups(lambda g: partial(g.drop(columns=["_g"])), batch_format="pandas")
-        .groupby(["prev_type", "next_type"])
-        .aggregate(Sum("n_part", alias_name="n"))
-        .to_pandas()  # |event_types|^2 rows — schema-bounded
-    )
-    if agg.empty:
-        return pd.DataFrame(
-            {
-                "prev_type": pd.Series([], dtype=object),
-                "next_type": pd.Series([], dtype=object),
-                "n": pd.Series([], dtype=np.int64),
-                "p_bp": pd.Series([], dtype=np.int64),
-            }
-        )
-    agg["n"] = agg["n"].astype(np.int64)
-    agg["p_bp"] = (
-        agg["n"] * 10000 // agg.groupby("prev_type")["n"].transform("sum")
-    ).astype(np.int64)
-    return agg[["prev_type", "next_type", "n", "p_bp"]]
-
-
-EVENT_TRANSITIONS_SQL = """
-WITH o AS (
-  SELECT user_id, event_type,
-         LAG(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id)
-           AS prev_type
-  FROM events),
-c AS (
-  SELECT prev_type, event_type AS next_type, CAST(count(*) AS BIGINT) AS n
-  FROM o WHERE prev_type IS NOT NULL GROUP BY 1, 2)
-SELECT prev_type, next_type, n,
-       CAST(n * 10000 // SUM(n) OVER (PARTITION BY prev_type) AS BIGINT) AS p_bp
-FROM c
 """
 
 
@@ -1412,8 +803,8 @@ FROM documents d LEFT JOIN per USING (doc_id)
 # or repetitive sources). Parity device: ranks and counts are exact
 # integers on both engines; ln is quantized to floor(1e6·ln(x)) using
 # the SAME libm double (math.log here, DuckDB ln in-process — both
-# glibc), then the slope is the linreg_fit integer-moment closed form:
-# exact integer sums and ONE final float division.
+# glibc), then the slope is the integer-moment least-squares closed
+# form: exact integer sums and ONE final float division.
 #
 # Scale shape: per-batch (lang, token) combiner → ONE coarse exchange
 # on token (all rows of a token co-locate, counts become exact there),
@@ -1868,128 +1259,11 @@ FROM top, d
 """
 
 
-# ======================================================= ab_test_stats
-#
-# Deterministic-assignment A/B readout over the event stream: variant =
-# md5('ab:42:'+user_id) % 2 (the hash-bucket assignment every online
-# experimentation stack uses, so assignment is reproducible without a
-# lookup table), conversion = user emitted ≥1 'purchase' event. Emits
-# the 2×2 table plus per-variant rates and the chi-square independence
-# statistic in ppm — chi² = N(ad−bc)²/((a+b)(c+d)(a+c)(b+d)) is a ratio
-# of exact integers, so both engines compute it bit-identically (the
-# numerator needs 128-bit intermediates: Python ints on the Ray side,
-# HUGEINT in DuckDB).
-#
-# Scale shape: per-batch (user, variant, conv) combiner → ONE coarse
-# exchange on user_id (each user's rows co-locate; per-task per-user OR
-# then a (variant → users/convs) partial) → global_prune sum → a single
-# driver row. Conversion state never leaves the task as more than two
-# rows per variant.
-
-def q_ab_test_stats(sf_dir: str):
-    from ..stages.multimodal import _md5_64
-
-    ev = _read(sf_dir, "events", columns=["user_id", "event_type"])
-    cols = [
-        "users_a", "conv_a", "rate_a_bp",
-        "users_b", "conv_b", "rate_b_bp", "chi2_ppm",
-    ]
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {c: pd.Series(dtype=np.int64) for c in ("user_id", "conv")}
-            )
-        out = pd.DataFrame(
-            {
-                "user_id": df["user_id"].to_numpy(np.int64),
-                "conv": (df["event_type"] == "purchase").to_numpy().astype(np.int64),
-            }
-        )
-        return out.groupby("user_id", as_index=False)["conv"].max()
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        u = g.groupby("user_id", as_index=False)["conv"].max()
-        ids = u["user_id"].to_numpy(np.int64)
-        var = np.fromiter(
-            (_md5_64(f"ab:42:{int(i)}") % 2 for i in ids), np.int64, len(ids)
-        )
-        u["variant"] = var
-        agg = u.groupby("variant", as_index=False).agg(
-            users=("conv", "size"), convs=("conv", "sum")
-        )
-        return agg.astype(np.int64)
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df) or "variant" not in df.columns:
-            return df
-        return df.groupby("variant", as_index=False)[["users", "convs"]].sum()
-
-    t = global_prune(
-        _with_coarse_group(ev.map_batches(partial, batch_format="pandas"), "user_id")
-        .groupby("_g")
-        .map_groups(lambda g: per_bucket(g.drop(columns=["_g"])), batch_format="pandas"),
-        combine,
-    )
-    ua = ca = ub = cb = 0
-    if len(t) and "variant" in t.columns:
-        for _, r in t.iterrows():
-            if int(r["variant"]) == 0:
-                ua, ca = int(r["users"]), int(r["convs"])
-            else:
-                ub, cb = int(r["users"]), int(r["convs"])
-    a, b, c, d = ca, ua - ca, cb, ub - cb
-    n = ua + ub
-    den = (a + b) * (c + d) * (a + c) * (b + d)
-    chi2_ppm = (1_000_000 * n * (a * d - b * c) ** 2) // den if den else 0
-    return pd.DataFrame(
-        {
-            "users_a": [ua],
-            "conv_a": [ca],
-            "rate_a_bp": [10000 * ca // ua if ua else 0],
-            "users_b": [ub],
-            "conv_b": [cb],
-            "rate_b_bp": [10000 * cb // ub if ub else 0],
-            "chi2_ppm": [chi2_ppm],
-        }
-    ).astype({c: np.int64 for c in cols})
-
-
-AB_TEST_STATS_SQL = """
-WITH u AS (
-  SELECT user_id,
-         CAST(CAST(concat('0x', substr(md5('ab:42:' || CAST(user_id AS VARCHAR)), 1, 16)) AS UBIGINT) % 2 AS BIGINT) AS variant,
-         MAX(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) AS conv
-  FROM events GROUP BY 1),
-t AS (
-  SELECT
-    COALESCE(SUM(CASE WHEN variant = 0 THEN 1 ELSE 0 END), 0) AS ua,
-    COALESCE(SUM(CASE WHEN variant = 0 THEN conv ELSE 0 END), 0) AS ca,
-    COALESCE(SUM(CASE WHEN variant = 1 THEN 1 ELSE 0 END), 0) AS ub,
-    COALESCE(SUM(CASE WHEN variant = 1 THEN conv ELSE 0 END), 0) AS cb
-  FROM u),
-x AS (
-  SELECT ua, ca, ub, cb,
-         CAST(ca AS HUGEINT) AS a, CAST(ua - ca AS HUGEINT) AS b,
-         CAST(cb AS HUGEINT) AS c, CAST(ub - cb AS HUGEINT) AS d
-  FROM t)
-SELECT CAST(ua AS BIGINT) AS users_a, CAST(ca AS BIGINT) AS conv_a,
-       CAST(CASE WHEN ua > 0 THEN 10000 * ca // ua ELSE 0 END AS BIGINT) AS rate_a_bp,
-       CAST(ub AS BIGINT) AS users_b, CAST(cb AS BIGINT) AS conv_b,
-       CAST(CASE WHEN ub > 0 THEN 10000 * cb // ub ELSE 0 END AS BIGINT) AS rate_b_bp,
-       CAST(CASE WHEN (a + b) * (c + d) * (a + c) * (b + d) > 0
-            THEN (1000000 * (a + b + c + d) * (a * d - b * c) * (a * d - b * c))
-                 // ((a + b) * (c + d) * (a + c) * (b + d))
-            ELSE 0 END AS BIGINT) AS chi2_ppm
-FROM x
-"""
-
-
 # =================================================== markov_stationary
 #
 # Stationary distribution of the user-journey Markov chain: take the
-# event-type transition matrix (same LAG-per-user convention as
-# event_transitions), row-normalize to ppm, and run R = 12 power-
+# event-type transition matrix (consecutive event types per user in
+# (ts, event_id) order), row-normalize to ppm, and run R = 12 power-
 # iteration rounds from the uniform vector — the steady-state "where do
 # sessions end up spending time" readout product analytics derives from
 # the same matrix PageRank uses. States are the types observed as a
@@ -1998,11 +1272,11 @@ FROM x
 # integer ppm with per-term floor (vᵢ·P_ppm[i][j] // 1e6), so the
 # DuckDB unrolled-CTE iteration is bit-identical.
 #
-# Scale shape: the transition count pass is event_transitions' shape —
-# ONE coarse user exchange, per-task vectorized shift-mask, ≤|types|²
-# partial rows; the matrix is SCHEMA-bounded (|event types|²), so the
-# R-round iteration runs on the driver over ≤25 integer cells — no
-# per-round distributed work, unlike the data-scaled graph Pregel ops.
+# Scale shape: the transition count pass is ONE coarse user exchange,
+# per-task vectorized shift-mask, ≤|types|² partial rows; the matrix
+# is SCHEMA-bounded (|event types|²), so the R-round iteration runs on
+# the driver over ≤25 integer cells — no per-round distributed work,
+# unlike the data-scaled graph Pregel ops.
 
 MARKOV_ROUNDS = 12
 
@@ -2088,175 +1362,12 @@ FROM st LEFT JOIN {prev} ON {prev}.s = st.s
 """
 
 
-# ========================================================== cusum_drift
-#
-# CUSUM change-point statistic over the daily event-count series: with
-# x_t the count on day t (epoch days, ascending), n the number of
-# active days and T the total, the integer-rescaled deviation is
-# a_t = n*x_t - T (so the reference level is the exact mean without a
-# division), P_t its prefix sum, and the one-sided CUSUM
-# S_t = P_t - min_{{i<=t}} P_i — the classic "has the arrival rate
-# shifted upward, and when" monitor a crawl operator watches; argmax(S)
-# is the change point. Pure integer arithmetic end to end (the
-# max(0, S+x-k) recursion is exactly the prefix-minus-running-min
-# identity), so both engines agree bit for bit.
-#
-# Scale shape: per-batch day-count combiner -> ONE distributed groupby
-# on day -> a driver table bounded by the DATE DOMAIN (schema-bounded,
-# like markov_stationary's |types|^2 matrix), where the two O(n_days)
-# scans run in numpy. The event stream itself never leaves the tasks.
-
-
-def q_cusum_drift(sf_dir: str):
-    ev = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {"day": df["ts"].astype("int64").to_numpy() // 86_400_000_000}
-        ).groupby("day", as_index=False).size()
-        out.columns = ["day", "n_part"]
-        return out.astype(np.int64)
-
-    c = (
-        ev.map_batches(partial, batch_format="pandas")
-        .groupby("day")
-        .aggregate(Sum("n_part", alias_name="n_events"))
-        .to_pandas()  # <= date-domain rows, schema-bounded
-    )
-    if not len(c):
-        return pd.DataFrame(
-            {"day": pd.Series(dtype=np.int64),
-             "n_events": pd.Series(dtype=np.int64),
-             "cusum": pd.Series(dtype=np.int64)}
-        )
-    c = c.sort_values("day", kind="mergesort").reset_index(drop=True)
-    x = c["n_events"].to_numpy(np.int64)
-    n, t = np.int64(len(x)), x.sum()
-    pf = np.cumsum(n * x - t)
-    cusum = pf - np.minimum.accumulate(pf)
-    return pd.DataFrame(
-        {"day": c["day"].to_numpy(np.int64), "n_events": x, "cusum": cusum}
-    ).astype(np.int64)
-
-
-CUSUM_DRIFT_SQL = """
-WITH dcnt AS (
-  SELECT CAST(FLOOR(epoch(ts) / 86400) AS BIGINT) AS day,
-         CAST(COUNT(*) AS BIGINT) AS n_events
-  FROM events GROUP BY 1),
-tot AS (
-  SELECT CAST(COUNT(*) AS BIGINT) AS n_days,
-         CAST(SUM(n_events) AS BIGINT) AS t
-  FROM dcnt),
-p AS (
-  SELECT day, n_events,
-         SUM(n_days * n_events - t) OVER (ORDER BY day) AS pf
-  FROM dcnt, tot)
-SELECT day, n_events,
-       CAST(pf - MIN(pf) OVER (ORDER BY day ROWS UNBOUNDED PRECEDING)
-            AS BIGINT) AS cusum
-FROM p
-"""
-
-
-# =================================================== transition_entropy
-#
-# Per-state predictability of the user-journey chain: the Shannon
-# entropy (integer micro-nats, token_entropy's quantized-ln device) of
-# each event type's NEXT-type distribution — 0 means the next step is
-# fully determined, ln(|types|) means anything can follow. The local
-# readout beside markov_stationary's global steady state: product
-# analytics uses it to find the funnel stages where behavior forks.
-#
-# Scale shape: event_transitions' count pass — ONE coarse user
-# exchange, per-task vectorized shift-mask — into a schema-bounded
-# <= |types|^2 matrix; the entropy is driver math over those cells.
-
-
-def q_transition_entropy(sf_dir: str):
-    import math
-
-    ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-
-    def partial(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        same_user = g["user_id"].eq(g["user_id"].shift())
-        pairs = pd.DataFrame(
-            {
-                "prev_type": g["event_type"].shift().where(same_user),
-                "next_type": g["event_type"],
-            }
-        ).dropna()
-        out = pairs.groupby(["prev_type", "next_type"], as_index=False).size()
-        out.columns = ["prev_type", "next_type", "n_part"]
-        return out.astype({"n_part": np.int64})
-
-    c = (
-        _with_coarse_group(ev, "user_id")
-        .groupby("_g")
-        .map_groups(lambda g: partial(g.drop(columns=["_g"])), batch_format="pandas")
-        .groupby(["prev_type", "next_type"])
-        .aggregate(Sum("n_part", alias_name="n"))
-        .to_pandas()  # |event_types|^2 rows — schema-bounded
-    )
-    cols = ["prev_type", "n_transitions", "n_next_types", "entropy_unats"]
-    if not len(c):
-        return pd.DataFrame(
-            {"prev_type": pd.Series(dtype=object),
-             "n_transitions": pd.Series(dtype=np.int64),
-             "n_next_types": pd.Series(dtype=np.int64),
-             "entropy_unats": pd.Series(dtype=np.int64)}
-        )
-    rows = []
-    for prev, g in c.groupby("prev_type", sort=True, dropna=False):
-        cnts = [int(v) for v in g["n"]]
-        n = sum(cnts)
-        ln = math.floor(1e6 * math.log(n))
-        sc = sum(v * math.floor(1e6 * math.log(v)) for v in cnts)
-        rows.append((prev, n, len(cnts), (n * ln - sc) // n))
-    return pd.DataFrame(rows, columns=cols).astype(
-        {"n_transitions": np.int64, "n_next_types": np.int64,
-         "entropy_unats": np.int64}
-    )
-
-
-TRANSITION_ENTROPY_SQL = """
-WITH o AS (
-  SELECT user_id, event_type,
-         LAG(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id)
-           AS prev_type
-  FROM events),
-c AS (
-  SELECT prev_type, event_type AS next_type, CAST(count(*) AS BIGINT) AS n
-  FROM o WHERE prev_type IS NOT NULL GROUP BY 1, 2),
-s AS (
-  SELECT prev_type, CAST(SUM(n) AS BIGINT) AS n_transitions,
-         CAST(COUNT(*) AS BIGINT) AS n_next_types,
-         CAST(SUM(n * CAST(FLOOR(1e6 * ln(n)) AS BIGINT)) AS BIGINT) AS sc
-  FROM c GROUP BY 1)
-SELECT prev_type, n_transitions, n_next_types,
-       CAST((n_transitions * CAST(FLOOR(1e6 * ln(n_transitions)) AS BIGINT)
-             - sc) // n_transitions AS BIGINT) AS entropy_unats
-FROM s
-"""
-
-
 CORPUS_SQL_QUERIES: dict[str, tuple] = {
-    "transition_entropy": (q_transition_entropy, TRANSITION_ENTROPY_SQL),
-    "cusum_drift": (q_cusum_drift, CUSUM_DRIFT_SQL),
-    "event_transitions": (q_event_transitions, EVENT_TRANSITIONS_SQL),
-    "profile_columns": (q_profile_columns, PROFILE_COLUMNS_SQL),
-    "retention_cohorts": (q_retention_cohorts, RETENTION_COHORTS_SQL),
-    "count_gini": (q_count_gini, COUNT_GINI_SQL),
-    "decayed_counts": (q_decayed_counts, DECAYED_COUNTS_SQL),
     "stratified_sample": (q_stratified_sample, STRATIFIED_SAMPLE_SQL),
     "group_quantiles": (q_group_quantiles, GROUP_QUANTILES_SQL),
     "snapshot_diff": (q_snapshot_diff, SNAPSHOT_DIFF_SQL),
     "jsonl_roundtrip": (q_jsonl_roundtrip, JSONL_ROUNDTRIP_SQL),
     "hive_partition_scan": (q_hive_partition_scan, HIVE_PARTITION_SCAN_SQL),
-    "running_totals": (q_running_totals, RUNNING_TOTALS_SQL),
-    "funnel_counts": (q_funnel_counts, FUNNEL_COUNTS_SQL),
-    "ab_test_stats": (q_ab_test_stats, AB_TEST_STATS_SQL),
     "markov_stationary": (q_markov_stationary, _markov_sql()),
     "inverted_index": (q_inverted_index, INVERTED_INDEX_SQL),
     "dup_ngram_coverage": (q_dup_ngram_coverage, DUP_NGRAM_COVERAGE_SQL),

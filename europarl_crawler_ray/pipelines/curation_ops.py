@@ -1,8 +1,8 @@
-"""Corpus-lifecycle / curation operators (round-3 batch 5): SCD2 history
-compaction, tokenizer-vocabulary OOV coverage, leakage-safe train/val/
-test splitting, and schema-evolution (union-by-name) snapshot ingest.
+"""Corpus-lifecycle / curation operators (round-3 batch 5): tokenizer-
+vocabulary OOV coverage, leakage-safe train/val/test splitting, and
+schema-evolution (union-by-name) snapshot ingest.
 
-All four SQL-oracled; scale idioms per pipelines/grouping.py. The split
+All three SQL-oracled; scale idioms per pipelines/grouping.py. The split
 query composes the existing distributed connected-components operator
 (ml_queries.q_dedup_clusters) — near-duplicates must never straddle a
 train/test boundary, the canonical training-data-hygiene rule.
@@ -24,65 +24,6 @@ from .._util import read_table as _read
 from ..functions.dedup import md5_hash64
 from .grouping import partitioned_anti_join
 from .grouping import with_coarse_group as _with_coarse_group
-
-
-# ========================================================= SCD2 history
-#
-# Slowly-changing-dimension compaction of an update stream: per user,
-# collapse consecutive runs of the same event_type into versioned
-# validity intervals — the shape every incremental-crawl status table
-# (page → last-seen content class) is maintained in.
-
-SCD2_OPEN_END = pd.Timestamp("2100-01-01")  # open-interval sentinel
-
-
-def q_scd2_history(sf_dir: str):
-    """(user_id, version_no, event_type, valid_from, valid_to): one row
-    per change of event_type in each user's (ts, event_id)-ordered
-    stream; the current version carries the open-end sentinel (a NULL
-    would be truthful but sentinel comparison is engine-stable).
-
-    Scale shape: ONE exchange on a coarse hash of user_id (the
-    sessionize shape); run-collapse + LEAD are computed vectorized over
-    all users of a task at once (sort + shift masked at user
-    boundaries)."""
-    ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-
-    def compact(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        new_user = g["user_id"].ne(g["user_id"].shift())
-        change = new_user | g["event_type"].ne(g["event_type"].shift())
-        ch = g.loc[change, ["user_id", "ts", "event_type"]].copy()
-        ch["version_no"] = ch.groupby("user_id").cumcount().astype(np.int64)
-        nxt = ch["ts"].shift(-1)
-        last_of_user = ch["user_id"].ne(ch["user_id"].shift(-1))
-        ch["valid_to"] = nxt.where(~last_of_user, SCD2_OPEN_END)
-        ch = ch.rename(columns={"ts": "valid_from"})
-        ch["user_id"] = ch["user_id"].astype(np.int64)
-        return ch[["user_id", "version_no", "event_type", "valid_from", "valid_to"]]
-
-    return (
-        _with_coarse_group(ev, "user_id")
-        .groupby("_g")
-        .map_groups(lambda g: compact(g.drop(columns=["_g"])), batch_format="pandas")
-    )
-
-
-SCD2_HISTORY_SQL = """
-WITH o AS (
-  SELECT user_id, ts, event_id, event_type,
-         LAG(event_type) OVER w AS prev
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)),
-ch AS (SELECT * FROM o WHERE prev IS NULL OR event_type <> prev)
-SELECT user_id,
-       CAST(ROW_NUMBER() OVER w2 - 1 AS BIGINT) AS version_no,
-       event_type,
-       ts AS valid_from,
-       coalesce(LEAD(ts) OVER w2, TIMESTAMP '2100-01-01') AS valid_to
-FROM ch
-WINDOW w2 AS (PARTITION BY user_id ORDER BY ts, event_id)
-"""
 
 
 # ====================================================== OOV coverage
@@ -521,7 +462,6 @@ FROM h
 CURATION_SQL_QUERIES: dict[str, tuple] = {
     "quarantine_extract": (q_quarantine_extract, QUARANTINE_EXTRACT_SQL),
     "mix_interleave": (q_mix_interleave, MIX_INTERLEAVE_SQL),
-    "scd2_history": (q_scd2_history, SCD2_HISTORY_SQL),
     "oov_rate": (q_oov_rate, OOV_RATE_SQL),
     "leakage_safe_split": (q_leakage_safe_split, _leakage_safe_split_sql()),
     "schema_evolution": (q_schema_evolution, SCHEMA_EVOLUTION_SQL),

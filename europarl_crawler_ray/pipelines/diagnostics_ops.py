@@ -34,9 +34,8 @@ from .ml_queries import _md5u
 # count suggests). bytes_total cross-checks as ascii + 2·b2 + 3·b3 +
 # 4·b4, which the test pins.
 #
-# Scale shape: pure per-batch vectorized census (the utf-32 codepoint
-# trick char_cond_entropy uses) → ≤ |langs|-row groupby. Text never
-# leaves the scan.
+# Scale shape: pure per-batch vectorized census (a utf-32 codepoint
+# view) → ≤ |langs|-row groupby. Text never leaves the scan.
 
 
 def q_utf8_class_census(sf_dir: str):

@@ -748,11 +748,11 @@ def q_crawl_budget_waterfill(sf_dir: str):
 
     Scale shape: one coarse exchange builds exact per-host counts
     (hosts are data-scaled); the water level is solved on a BOUNDED
-    count-of-counts histogram (the count_gini trick — the value domain
-    of per-host counts, not the host count, reaches the driver); the R
-    bonus slots use the epoch_shuffle rank machinery (fixed 256-int
-    offset reduce) over only the above-level hosts. No host set ever
-    materializes on the driver."""
+    count-of-counts histogram (the value domain of per-host counts,
+    not the host count, reaches the driver); the R bonus slots use the
+    epoch_shuffle rank machinery (fixed 256-int offset reduce) over
+    only the above-level hosts. No host set ever materializes on the
+    driver."""
     from ray.data.aggregate import Sum as _Sum
 
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
@@ -802,7 +802,7 @@ def q_crawl_budget_waterfill(sf_dir: str):
         .groupby("val")
         .aggregate(_Sum("cnt", alias_name="cnt"))
         .to_pandas()
-    )  # bounded by the value DOMAIN of per-host counts (count_gini trick)
+    )  # bounded by the value DOMAIN of per-host counts
     empty = pa.table(
         {
             "host": pa.array([], pa.int64()),

@@ -678,188 +678,6 @@ FROM cells ce
 """
 
 
-# ============================================ skew-salted join + top-k
-#
-# The explicit hot-key showcase (SCALE.md "salt hot keys"): a fact
-# stream whose join key follows a Zipf(~2) law (the head host carries
-# ~half the rows) joined row-preserving against a per-host dimension,
-# then per-host top-k. A naive hash join / groupby would send the head
-# host's entire row set to ONE task; here the fact side is exchanged on
-# (host, salt), the dimension is replicated once per salt, and the
-# top-k is taken per salt shard first, so no task ever sees more than
-# 1/N_SALTS of the hottest key.
-
-SKEW_M = 256  # host id space; host j carries ~1/(j(j+1)) of the stream
-SKEW_SALTS = 8
-SKEW_TOPK = 5
-
-
-def _skew_hosts(event_ids: np.ndarray) -> np.ndarray:
-    h = _md5_u64("sj:", event_ids) % np.uint64(SKEW_M)
-    return (np.uint64(SKEW_M) // (h + np.uint64(1))).astype(np.int64)
-
-
-def q_skew_join(sf_dir: str):
-    """(host, rank, event_id, value_cents, host_weight): per host, the
-    top-{SKEW_TOPK} events by (cents DESC, event_id ASC) with the host's
-    dimension attribute attached.
-
-    Scale shape: the fact side never exchanges on the bare skewed key —
-    stage 1 exchanges on (host, salt) where salt = md5(event_id) %
-    {SKEW_SALTS}, with the whole dimension broadcast (it is O(SKEW_M),
-    provably small; were it data-scaled it would be REPLICATED x salts
-    through the same exchange instead) and the per-shard top-k taken
-    inside the salted task; stage 2 merges <= salts x k rows per host —
-    the head host costs 8 bounded tasks, not one giant one."""
-    ev = _read(sf_dir, "events", columns=["event_id", "value"])
-    part = _read(sf_dir, "part", columns=["p_partkey", "p_size"])
-
-    # dimension: per host, the min-partkey part's size is the host weight
-    def dim_partial(df: pd.DataFrame) -> pd.DataFrame:
-        host = (df["p_partkey"].to_numpy(np.int64) % SKEW_M) + 1
-        g = pd.DataFrame(
-            {
-                "host": host,
-                "p_partkey": df["p_partkey"].to_numpy(np.int64),
-                "host_weight": df["p_size"].to_numpy(np.int64),
-            }
-        )
-        return g.sort_values(["host", "p_partkey"]).groupby("host", as_index=False).first()
-
-    # bounded combine: per-block first-per-host rows -> one task re-first
-    dim_rows = (
-        part.map_batches(dim_partial, batch_format="pandas")
-        .repartition(1)
-        .map_batches(
-            lambda df: (
-                df.sort_values(["host", "p_partkey"])
-                .groupby("host", as_index=False)
-                .first()
-                if len(df) and "host" in df.columns
-                else pd.DataFrame(
-                    {
-                        "host": pd.Series(dtype=np.int64),
-                        "p_partkey": pd.Series(dtype=np.int64),
-                        "host_weight": pd.Series(dtype=np.int64),
-                    }
-                )
-            ),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
-    if "host" not in dim_rows.columns:
-        dim_rows = pd.DataFrame(
-            {
-                "host": pd.Series(dtype=np.int64),
-                "p_partkey": pd.Series(dtype=np.int64),
-                "host_weight": pd.Series(dtype=np.int64),
-            }
-        )
-    dim_ref = ray.put(
-        dim_rows.set_index("host")["host_weight"].to_dict()
-    )
-
-    def salted(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["event_id"].to_numpy().astype(np.int64)
-        host = _skew_hosts(ids)
-        salt = (_md5_u64("sjs:", ids) % np.uint64(SKEW_SALTS)).astype(np.int64)
-        cents = np.floor(df["value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-        return pd.DataFrame(
-            {
-                "host": host,
-                "salt": salt,
-                "event_id": ids,
-                "value_cents": cents,
-            }
-        )
-
-    def shard_topk(g: pd.DataFrame) -> pd.DataFrame:
-        lookup = ray.get(dim_ref)
-        g = g.sort_values(
-            ["host", "value_cents", "event_id"], ascending=[True, False, True],
-            kind="mergesort",
-        )
-        out = g.groupby("host").head(SKEW_TOPK).copy()
-        out["host_weight"] = out["host"].map(lookup)
-        out = out.dropna(subset=["host_weight"])  # inner-join semantics
-        out["host_weight"] = out["host_weight"].astype(np.int64)
-        return out[["host", "event_id", "value_cents", "host_weight"]]
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["host", "value_cents", "event_id"], ascending=[True, False, True],
-            kind="mergesort",
-        )
-        out = g.groupby("host").head(SKEW_TOPK).copy()
-        out["rank"] = out.groupby("host").cumcount().to_numpy() + 1
-        return out[["host", "rank", "event_id", "value_cents", "host_weight"]].astype(
-            {"rank": np.int64}
-        )
-
-    salted_ds = ev.map_batches(salted, batch_format="pandas")
-    # stage 1: exchange on the SALTED key; per-shard top-k bounds what
-    # stage 2 ever sees of the hottest host to salts x k rows
-    shard = (
-        _with_coarse_group(
-            salted_ds.map_batches(
-                lambda t: t.append_column(
-                    "_hs",
-                    pa.array(
-                        t.column("host").to_numpy(zero_copy_only=False)
-                        * SKEW_SALTS
-                        + t.column("salt").to_numpy(zero_copy_only=False)
-                    ),
-                ),
-                batch_format="pyarrow",
-            ),
-            "_hs",
-            n=64,
-        )
-        .groupby("_g")
-        .map_groups(
-            lambda g: shard_topk(g.drop(columns=["_g", "_hs", "salt"])),
-            batch_format="pandas",
-        )
-    )
-    # stage 2: per-host merge of the bounded shard winners
-    return (
-        _with_coarse_group(shard, "host", n=64)
-        .groupby("_g")
-        .map_groups(
-            lambda g: final_topk(g.drop(columns=["_g"])), batch_format="pandas"
-        )
-    )
-
-
-SKEW_JOIN_SQL = f"""
-WITH fact AS (
-  SELECT event_id,
-    CAST(CAST({SKEW_M} AS UBIGINT)
-      // (CAST(1 AS UBIGINT) + {_md5u("'sj:' || CAST(event_id AS VARCHAR)")} % {SKEW_M})
-    AS BIGINT) AS host,
-    CAST(floor(value * 100 + 0.5) AS BIGINT) AS value_cents
-  FROM events
-),
-dim AS (
-  SELECT host, host_weight FROM (
-    SELECT (p_partkey % {SKEW_M}) + 1 AS host,
-           CAST(p_size AS BIGINT) AS host_weight,
-           ROW_NUMBER() OVER (PARTITION BY (p_partkey % {SKEW_M}) + 1
-                              ORDER BY p_partkey ASC) AS rn
-    FROM part) WHERE rn = 1
-),
-ranked AS (
-  SELECT f.host, f.event_id, f.value_cents, d.host_weight,
-         ROW_NUMBER() OVER (PARTITION BY f.host
-                            ORDER BY f.value_cents DESC, f.event_id ASC) AS rank
-  FROM fact f JOIN dim d ON d.host = f.host
-)
-SELECT host, CAST(rank AS BIGINT) AS rank, event_id, value_cents, host_weight
-FROM ranked WHERE rank <= {SKEW_TOPK}
-"""
-
-
 # ============================================ MMR diversity re-ranking
 #
 # Maximal Marginal Relevance (Carbonell & Goldstein 1998) as the
@@ -1020,153 +838,6 @@ s{i} AS (SELECT vec_id FROM s{i - 1} UNION ALL SELECT vec_id FROM sel{i})"""
         for i in range(1, k + 1)
     )
     return ",\n".join(parts) + "\n" + union
-
-
-# ======================================================== rrf_fuse
-#
-# Reciprocal-rank fusion (Cormack, Clarke & Buettcher SIGIR 2009) of
-# two per-nation customer rankings — total spend and order count —
-# the standard zero-tuning way to merge heterogeneous retrieval /
-# scoring signals (here: "who are a nation's top accounts by either
-# lens"). Scores are the integer-floored RRF sum
-#   floor(10^9/(60+r_spend)) + floor(10^9/(60+r_count)),
-# so both engines agree bit-for-bit; every tie (rank ties and fused-
-# score ties) breaks by ascending custkey on BOTH sides.
-
-RRF_K = 60  # the canonical RRF damping constant
-RRF_TOP_K = 3  # fused winners reported per nation
-_RRF_SCALE = 1_000_000_000
-
-
-def q_rrf_fuse(sf_dir: str):
-    """(nationkey, custkey, rrf_score, rank): top-3 customers per
-    nation by fused reciprocal rank of spend-rank and order-count-rank.
-
-    Scale shape: per-batch (custkey, spend, n) combiner → ONE coarse
-    exchange keyed on custkey (exact per-customer totals + broadcast
-    custkey→nationkey attach from the bounded dimension, the
-    q_nation_order_stats precedent) → ONE per-nation exchange where
-    ranking is a local argsort and only top-3 rows leave each group.
-    Ranks are intrinsically global per nation; a nation's customer
-    roster (≤1/25 of the dimension) is the documented per-group bound."""
-    import pyarrow.parquet as _pq
-
-    empty = pd.DataFrame(
-        {
-            "nationkey": pd.Series([], dtype=np.int64),
-            "custkey": pd.Series([], dtype=np.int64),
-            "rrf_score": pd.Series([], dtype=np.int64),
-            "rank": pd.Series([], dtype=np.int64),
-        }
-    )
-    n_orders = _pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
-    customer = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]).to_pandas()
-    if n_orders == 0 or customer.empty:
-        return empty
-    ck_dim = customer["c_custkey"].to_numpy(np.int64)
-    order_ = np.argsort(ck_dim)
-    cust_ref = ray.put(
-        (ck_dim[order_], customer["c_nationkey"].to_numpy(np.int64)[order_])
-    )
-
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        cents = np.floor(df["o_totalprice"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-        g = (
-            pd.DataFrame(
-                {"custkey": df["o_custkey"].to_numpy(np.int64), "spend_p": cents}
-            )
-            .groupby("custkey", as_index=False)
-            .agg(spend_p=("spend_p", "sum"), n_p=("spend_p", "size"))
-        )
-        return g.astype(np.int64)
-
-    def merge_cust(g: pd.DataFrame) -> pd.DataFrame:
-        x = g.groupby("custkey", as_index=False)[["spend_p", "n_p"]].sum()
-        sk, sn = ray.get(cust_ref)
-        keys = x["custkey"].to_numpy(np.int64)
-        pos = np.clip(np.searchsorted(sk, keys), 0, len(sk) - 1)
-        member = sk[pos] == keys  # inner-join semantics vs the dimension
-        x = x.loc[member]
-        return pd.DataFrame(
-            {
-                "nationkey": sn[pos[member]],
-                "custkey": x["custkey"].to_numpy(np.int64),
-                "spend": x["spend_p"].to_numpy(np.int64),
-                "n": x["n_p"].to_numpy(np.int64),
-            }
-        )
-
-    def fuse(g: pd.DataFrame) -> pd.DataFrame:
-        ck = g["custkey"].to_numpy(np.int64)
-        sp = g["spend"].to_numpy(np.int64)
-        n = g["n"].to_numpy(np.int64)
-        r1 = np.empty(len(ck), np.int64)
-        r1[np.lexsort((ck, -sp))] = np.arange(1, len(ck) + 1)
-        r2 = np.empty(len(ck), np.int64)
-        r2[np.lexsort((ck, -n))] = np.arange(1, len(ck) + 1)
-        score = _RRF_SCALE // (RRF_K + r1) + _RRF_SCALE // (RRF_K + r2)
-        top = np.lexsort((ck, -score))[:RRF_TOP_K]
-        return pd.DataFrame(
-            {
-                "nationkey": np.full(len(top), g["nationkey"].iloc[0], np.int64),
-                "custkey": ck[top],
-                "rrf_score": score[top],
-                "rank": np.arange(1, len(top) + 1, dtype=np.int64),
-            }
-        )
-
-    out = (
-        _with_coarse_group(
-            orders.map_batches(partial, batch_format="pandas"), "custkey"
-        )
-        .groupby("_g")
-        .map_groups(lambda g: merge_cust(g.drop(columns=["_g"])), batch_format="pandas")
-        .groupby("nationkey")
-        .map_groups(fuse, batch_format="pandas")
-        .to_pandas()  # ≤ 25 nations × 3 rows — bounded
-    )
-    if out.empty:
-        return empty
-    return out.astype(np.int64)
-
-
-RRF_FUSE_SQL = f"""
-WITH s AS (
-  SELECT o_custkey AS custkey,
-         CAST(SUM(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT)) AS BIGINT)
-           AS spend,
-         CAST(COUNT(*) AS BIGINT) AS n
-  FROM orders GROUP BY 1
-),
-j AS (
-  SELECT c_nationkey AS nationkey, custkey, spend, n
-  FROM s JOIN customer ON c_custkey = custkey
-),
-r AS (
-  SELECT nationkey, custkey,
-         ROW_NUMBER() OVER (PARTITION BY nationkey ORDER BY spend DESC, custkey) AS r1,
-         ROW_NUMBER() OVER (PARTITION BY nationkey ORDER BY n DESC, custkey) AS r2
-  FROM j
-),
-f AS (
-  SELECT nationkey, custkey,
-         {_RRF_SCALE} // ({RRF_K} + r1) + {_RRF_SCALE} // ({RRF_K} + r2)
-           AS rrf_score
-  FROM r
-)
-SELECT CAST(nationkey AS BIGINT) AS nationkey,
-       CAST(custkey AS BIGINT) AS custkey,
-       CAST(rrf_score AS BIGINT) AS rrf_score,
-       CAST(rnk AS BIGINT) AS rank
-FROM (
-  SELECT *, ROW_NUMBER() OVER (
-    PARTITION BY nationkey ORDER BY rrf_score DESC, custkey) AS rnk
-  FROM f
-)
-WHERE rnk <= {RRF_TOP_K}
-"""
 
 
 # ==================================================== dedup_cascade
@@ -1853,9 +1524,7 @@ MINING_SQL_QUERIES: dict[str, tuple] = {
     "dsir_score": (q_dsir_score, DSIR_SCORE_SQL),
     "heavy_hitters": (q_heavy_hitters, HEAVY_HITTERS_SQL),
     "semdedup": (q_semdedup, SEMDEDUP_SQL),
-    "skew_join": (q_skew_join, SKEW_JOIN_SQL),
     "mmr_rerank": (q_mmr_rerank, _mmr_rerank_sql()),
-    "rrf_fuse": (q_rrf_fuse, RRF_FUSE_SQL),
     "dedup_cascade": (q_dedup_cascade, _dedup_cascade_sql()),
     "hard_negatives": (q_hard_negatives, HARD_NEGATIVES_SQL),
 }

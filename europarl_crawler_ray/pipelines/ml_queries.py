@@ -2165,8 +2165,8 @@ def q_vector_quantize(sf_dir: str):
     100 TB (IVF-SQ8 style). Codes are ``floor((x-mn)/(mx-mn)*255+0.5)``
     computed in float64 with the SAME operation order on both sides
     (float32 inputs widen exactly; min/max are selections, not
-    arithmetic — so the oracle is bit-deterministic, the
-    running_totals/IEEE754 argument). Emits per-vector integer code
+    arithmetic — so the oracle is bit-deterministic under
+    IEEE 754). Emits per-vector integer code
     stats (vec_id, code_sum, code_min, code_max) proving every code.
 
     Scale shape: pass 1 = per-batch per-dimension min/max partials (one

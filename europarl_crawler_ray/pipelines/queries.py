@@ -1729,318 +1729,6 @@ SELECT query_id, vec_id, rank FROM scored WHERE rank <= 10
 """
 
 
-# ================================== as-of join (operator Ray Data lacks)
-
-
-def q_asof_join(sf_dir: str):
-    """As-of join: each non-purchase event matched to the SAME user's most
-    recent strictly-earlier 'purchase' event (DuckDB ships this as ASOF
-    JOIN; the oracle below uses an explicit window so the tie-break —
-    latest ts, then highest event_id — is pinned). Ray shape: ONE
-    exchange on a coarse hash of user_id (all of one user's events land
-    in one task), then a single C-level ``pd.merge_asof(by=user_id)``
-    pass over the whole coarse group. Partitioning assumption:
-    ~1/N_COARSE_GROUPS of the events table fits one task's memory."""
-    ev = _read(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
-
-    def asof_group(g: pd.DataFrame) -> pd.DataFrame:
-        # pd.merge_asof handles EVERY user in the coarse group in one
-        # C-level pass (by=user_id); right sorted by (ts, event_id) so an
-        # equal-ts duplicate resolves to the highest event_id — the
-        # oracle's DESC/DESC pick. allow_exact_matches=False = strict <.
-        p = g[g["event_type"] == "purchase"].sort_values(["ts", "event_id"])
-        e = g[g["event_type"] != "purchase"].sort_values(["ts", "event_id"])
-        empty = pd.DataFrame(
-            {"event_id": [], "user_id": [], "purchase_event_id": []}
-        ).astype(np.int64)
-        if p.empty or e.empty:
-            return empty
-        j = pd.merge_asof(
-            e[["event_id", "user_id", "ts"]],
-            p[["event_id", "user_id", "ts"]].rename(columns={"event_id": "purchase_event_id"}),
-            on="ts",
-            by="user_id",
-            direction="backward",
-            allow_exact_matches=False,
-        )
-        j = j.dropna(subset=["purchase_event_id"])
-        if j.empty:
-            return empty
-        return pd.DataFrame(
-            {
-                "event_id": j["event_id"].to_numpy(),
-                "user_id": j["user_id"].to_numpy(),
-                "purchase_event_id": j["purchase_event_id"].to_numpy().astype(np.int64),
-            }
-        ).astype(np.int64)
-
-    return (
-        _with_coarse_group(ev, "user_id")
-        .groupby("_g")
-        .map_groups(lambda g: asof_group(g.drop(columns=["_g"])), batch_format="pandas")
-    )
-
-
-ASOF_JOIN_SQL = """
-WITH p AS (SELECT user_id, ts, event_id FROM events WHERE event_type = 'purchase'),
-e AS (SELECT event_id, user_id, ts FROM events WHERE event_type <> 'purchase'),
-j AS (
-  SELECT e.event_id, e.user_id, p.event_id AS purchase_event_id,
-         ROW_NUMBER() OVER (PARTITION BY e.event_id
-                            ORDER BY p.ts DESC, p.event_id DESC) AS rk
-  FROM e JOIN p ON p.user_id = e.user_id AND p.ts < e.ts)
-SELECT event_id, user_id, purchase_event_id FROM j WHERE rk = 1
-"""
-
-
-# ===================== sliding-window aggregate (RANGE-mode time window)
-
-
-def q_window_counts(sf_dir: str):
-    """Per event: how many of the same user's events fall in the trailing
-    1-hour window. Mirrors SQL RANGE-mode window semantics exactly
-    (peers at the same ts are included even 'after' the current row):
-    count = #ts in [t-1h, t], two vectorized searchsorted passes per user
-    inside a coarse-hash group — no per-row loop, no per-user Ray group.
-    Partitioning assumption: ~1/N_COARSE_GROUPS of events per task."""
-    ev = _read(sf_dir, "events", columns=["event_id", "ts", "user_id"])
-
-    def window_group(g: pd.DataFrame) -> pd.DataFrame:
-        # per-user searchsorted inside the coarse group: the loop is over
-        # users-in-task (n_users / N_COARSE_GROUPS), the arithmetic per
-        # user is two vectorized binary-search passes
-        g = g.sort_values(["user_id", "ts", "event_id"])
-        out_ev, out_u, out_n = [], [], []
-        for uid, gu in g.groupby("user_id", sort=False):
-            ts = gu["ts"].to_numpy()
-            lo = np.searchsorted(ts, ts - np.timedelta64(1, "h"), side="left")
-            hi = np.searchsorted(ts, ts, side="right")  # equal-ts peers in
-            out_ev.append(gu["event_id"].to_numpy())
-            out_u.append(np.full(len(gu), uid, dtype=np.int64))
-            out_n.append((hi - lo).astype(np.int64))
-        return pd.DataFrame(
-            {
-                "event_id": np.concatenate(out_ev),
-                "user_id": np.concatenate(out_u),
-                "n_prev_hour": np.concatenate(out_n),
-            }
-        )
-
-    return (
-        _with_coarse_group(ev, "user_id")
-        .groupby("_g")
-        .map_groups(lambda g: window_group(g.drop(columns=["_g"])), batch_format="pandas")
-    )
-
-
-WINDOW_COUNTS_SQL = """
-SELECT event_id, user_id,
-       CAST(COUNT(*) OVER (PARTITION BY user_id ORDER BY ts
-            RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW) AS BIGINT)
-       AS n_prev_hour
-FROM events
-"""
-
-
-# =================== pure range join (interval containment, no equi key)
-
-RANGE_JOIN_US = 3_600_000_000  # window width: 1 hour in microseconds
-
-
-def q_range_join(sf_dir: str):
-    """Pure range join — NO equi key (the non-equi twin of
-    ``q_asof_join``): every 'purchase' event anchors a ``[ts, ts+1h)``
-    window, and the query counts ALL events (any user) inside each
-    window and sums their integer cent values.
-
-    Distributed shape — time-bucket replication: the time axis is cut
-    into buckets exactly the window's width, so a window overlaps at
-    most TWO buckets. Probe events land in exactly ONE bucket
-    (``floor(ts/W)``); anchors are REPLICATED to the ≤2 buckets their
-    window touches; one coarse exchange on the bucket co-locates them,
-    and matching inside the task is a prefix-sum + ``searchsorted``
-    (vectorized over all anchors of a bucket — no per-row loop). Each
-    anchor copy is matched only against ITS bucket's probes, so two
-    copies co-located in one coarse group never double-count. A second,
-    anchor-keyed coarse exchange sums the ≤2 partials per anchor.
-    Partitioning assumptions: ~1/N_COARSE_GROUPS of the probe stream
-    per task; salt a hot time bucket by splitting its probes and
-    duplicating that bucket's anchor copies per salt."""
-    ev = _read(sf_dir, "events", columns=["event_id", "ts", "event_type", "value"])
-
-    def exchange_rows(t: pa.Table) -> pa.Table:
-        ts = t.column("ts").cast(pa.int64()).to_numpy()
-        ids = t.column("event_id").to_numpy()
-        cents = np.floor(
-            t.column("value").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        pb = ts // RANGE_JOIN_US
-        is_anchor = pc.equal(t.column("event_type"), "purchase").to_numpy(
-            zero_copy_only=False
-        )
-        a_ts, a_ids, a_b = ts[is_anchor], ids[is_anchor], pb[is_anchor]
-        # probes (kind 0, one copy) + anchors (kind 1, copies at b and b+1)
-        return pa.table(
-            {
-                "bucket": pa.array(np.concatenate([pb, a_b, a_b + 1])),
-                "kind": pa.array(
-                    np.repeat(
-                        np.array([0, 1, 1], np.int8), [len(ts), len(a_ts), len(a_ts)]
-                    )
-                ),
-                "ts_us": pa.array(np.concatenate([ts, a_ts, a_ts])),
-                "event_id": pa.array(np.concatenate([ids, a_ids, a_ids])),
-                "cents": pa.array(np.concatenate([cents, a_ids * 0, a_ids * 0])),
-            }
-        )
-
-    def bucket_match(g: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for _, gb in g.groupby("bucket", sort=False):
-            p = gb[gb["kind"] == 0].sort_values("ts_us")
-            a = gb[gb["kind"] == 1]
-            if p.empty or a.empty:
-                continue
-            pts = p["ts_us"].to_numpy()
-            cum = np.concatenate([[0], np.cumsum(p["cents"].to_numpy())])
-            a_ts = a["ts_us"].to_numpy()
-            lo = np.searchsorted(pts, a_ts, side="left")
-            hi = np.searchsorted(pts, a_ts + RANGE_JOIN_US, side="left")
-            out.append(
-                pd.DataFrame(
-                    {
-                        "event_id": a["event_id"].to_numpy(),
-                        "n": (hi - lo).astype(np.int64),
-                        "c": cum[hi] - cum[lo],
-                    }
-                )
-            )
-        if not out:
-            return pd.DataFrame({"event_id": [], "n": [], "c": []}).astype(np.int64)
-        return pd.concat(out, ignore_index=True)
-
-    def sum_partials(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("event_id", as_index=False).agg(
-            n_in_window=("n", "sum"), sum_cents=("c", "sum")
-        )
-        # every anchor self-matches in its own bucket, so n ≥ 1 always;
-        # the filter only drops anchors whose probes were all elsewhere
-        # (impossible here, kept for inner-join parity with the oracle)
-        return agg[agg["n_in_window"] > 0].astype(np.int64)
-
-    partials = (
-        _with_coarse_group(ev.map_batches(exchange_rows, batch_format="pyarrow"), "bucket")
-        .groupby("_g")
-        .map_groups(lambda g: bucket_match(g.drop(columns=["_g"])), batch_format="pandas")
-    )
-    return (
-        _with_coarse_group(partials, "event_id")
-        .groupby("_g")
-        .map_groups(lambda g: sum_partials(g.drop(columns=["_g"])), batch_format="pandas")
-    )
-
-
-RANGE_JOIN_SQL = """
-WITH b AS (SELECT ts, CAST(floor(value * 100) AS BIGINT) AS cents FROM events)
-SELECT a.event_id,
-       CAST(COUNT(*) AS BIGINT) AS n_in_window,
-       CAST(SUM(b.cents) AS BIGINT) AS sum_cents
-FROM events a
-JOIN b ON b.ts >= a.ts AND b.ts < a.ts + INTERVAL 1 HOUR
-WHERE a.event_type = 'purchase'
-GROUP BY 1
-"""
-
-
-# ========================= sessionization (gap-based streaming windows)
-
-SESSION_GAP_MIN = 30
-
-
-def q_sessionize(sf_dir: str):
-    """Split each user's event stream into sessions at >30-minute gaps —
-    the windowed/streaming aggregate shape. ONE exchange on a coarse hash
-    of user_id; the gap logic runs vectorized over ALL users of a coarse
-    group at once (sort + cumsum + groupby transform). Partitioning
-    assumption: ~1/N_COARSE_GROUPS of events fits one task's memory."""
-    ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        # whole-coarse-group vectorization: one sort + cumsum handles ALL
-        # users in the task; session ids restart per user via a groupby
-        # transform (no per-user Python loop)
-        g = g.sort_values(["user_id", "ts", "event_id"])
-        new_user = g["user_id"].ne(g["user_id"].shift())
-        gap = (g["ts"].diff() > pd.Timedelta(minutes=SESSION_GAP_MIN)) | new_user
-        sid_global = gap.cumsum()
-        g = g.assign(_sid=sid_global - sid_global.groupby(g["user_id"]).transform("min"))
-        out = g.groupby(["user_id", "_sid"], as_index=False).agg(
-            n_events=("event_id", "size"),
-            session_start=("ts", "min"),
-            session_end=("ts", "max"),
-        )
-        out = out.rename(columns={"_sid": "session_id"})
-        out["session_id"] = out["session_id"].astype(np.int64)
-        out["n_events"] = out["n_events"].astype(np.int64)
-        return out[["user_id", "session_id", "n_events", "session_start", "session_end"]]
-
-    return (
-        _with_coarse_group(ev, "user_id")
-        .groupby("_g")
-        .map_groups(lambda g: sessions(g.drop(columns=["_g"])), batch_format="pandas")
-    )
-
-
-SESSIONIZE_SQL = f"""
-WITH g AS (
-  SELECT user_id, event_id, ts,
-         CASE WHEN ts - LAG(ts) OVER w > INTERVAL {SESSION_GAP_MIN} MINUTE
-              THEN 1 ELSE 0 END AS is_new
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-),
-s AS (
-  SELECT user_id, event_id, ts,
-         CAST(SUM(is_new) OVER (PARTITION BY user_id
-                                ORDER BY ts, event_id
-                                ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_id
-  FROM g
-)
-SELECT user_id, session_id, COUNT(*) AS n_events,
-       MIN(ts) AS session_start, MAX(ts) AS session_end
-FROM s GROUP BY 1, 2
-"""
-
-
-# ================================================ windowed user aggregates
-
-
-def q_user_activity(sf_dir: str):
-    ev = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    # the user dimension grows with the data → coarse-grouped pandas
-    # aggregate (Ray-native aggregate costs ~0.1 ms per group; see
-    # _with_coarse_group)
-    def agg(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("user_id", as_index=False, dropna=False).agg(
-            n_events=("ts", "size"), first_ts=("ts", "min"), last_ts=("ts", "max")
-        )
-        out["n_events"] = out["n_events"].astype(np.int64)
-        return out
-
-    return (
-        _with_coarse_group(ev, "user_id")
-        .groupby("_g")
-        .map_groups(lambda g: agg(g.drop(columns=["_g"])), batch_format="pandas")
-    )
-
-
-USER_ACTIVITY_SQL = """
-SELECT user_id, COUNT(*) AS n_events, MIN(ts) AS first_ts, MAX(ts) AS last_ts
-FROM events GROUP BY user_id
-"""
-
-
 # ============================================ M10: recrawl schedule unfold
 
 SPACED_ANCHOR = date(2024, 1, 30)
@@ -2913,11 +2601,6 @@ SQL_QUERIES: dict[str, tuple] = {
     "triangle_count": (q_triangle_count, _triangle_count_sql()),
     "fingerprint_docs": (q_fingerprint_docs, FINGERPRINT_DOCS_SQL),
     "ann_topk": (q_ann_topk, ANN_TOPK_SQL),
-    "user_activity": (q_user_activity, USER_ACTIVITY_SQL),
-    "sessionize": (q_sessionize, SESSIONIZE_SQL),
-    "asof_join": (q_asof_join, ASOF_JOIN_SQL),
-    "range_join": (q_range_join, RANGE_JOIN_SQL),
-    "window_counts": (q_window_counts, WINDOW_COUNTS_SQL),
     "spaced_out_dates": (q_spaced_out_dates, SPACED_OUT_DATES_SQL),
     "lang_summary": (q_lang_summary, LANG_SUMMARY_SQL),
 }

@@ -386,8 +386,8 @@ FROM documents d LEFT JOIN cov c USING (doc_id)
 # sizing). Components are quantized to integers FIRST (floor(x * 1e6)
 # after a float64 cast — FLOOR matches numpy/DuckDB bit-for-bit, unlike
 # round-half-even vs half-away ROUND), so the partial sums are exact
-# integer arithmetic and order-independent on both engines — the
-# linreg_fit integer-moment device applied to a d×d reduce.
+# integer arithmetic and order-independent on both engines — an
+# integer-moment reduce over a d×d matrix.
 
 GRAM_SCALE = 1_000_000
 

@@ -1,10 +1,9 @@
 """Sketches, quantization and data-profiling evaluation, split out of
-webcorpus_ops (VERDICT r3 #9): radix-histogram quantiles + funnel
-latency, sketch-vs-exact evaluators (minhash_error, kmv_error,
-join_size_estimate, pq_recall), product quantization, content-defined
-chunking, LRU stack-distance hit rate, distribution/quantile mapping,
-JSON props profiling, burst detection, late-data audit, type inference,
-compression ratio. SQL-oracled except compression_ratio (zlib).
+webcorpus_ops (VERDICT r3 #9): radix-histogram quantiles,
+sketch-vs-exact evaluators (minhash_error, kmv_error, pq_recall),
+product quantization, content-defined chunking, distribution/quantile
+mapping, type inference, compression ratio. SQL-oracled except
+compression_ratio (zlib).
 """
 
 from __future__ import annotations
@@ -130,153 +129,6 @@ JOIN map m ON m.source = d.source AND m.v = d.n_chars
 """
 
 
-# ==================================================== JSON props stats
-#
-# Semi-structured payload extraction: the events table's `props` column
-# is a JSON string (the universal telemetry escape hatch); parse it with
-# a REAL json decode on the Ray side (the oracle uses DuckDB's
-# json_extract) and aggregate the extracted field per event type. The
-# value domain is bounded, so the whole aggregate is a per-batch
-# (type, k) histogram combiner -> one schema-bounded groupby -> stats
-# derived from the histogram (distinct/min/max/sum without a second
-# pass).
-
-
-def q_props_stats(sf_dir: str):
-    """(event_type, n_events, sum_k, min_k, max_k, n_distinct_k).
-
-    Perf note: the per-batch combiner keys the Ray groupby on
-    event_type ONLY (|types| groups) and sums the k-histogram inside
-    the group task — a groupby keyed on (type, k) costs ~100x more Ray
-    groups for the same result (measured 5.8 s -> 1.4 s at sf0.1)."""
-    import json as _json
-
-    ev = _read(sf_dir, "events", columns=["event_type", "props"])
-
-    def hist(df: pd.DataFrame) -> pd.DataFrame:
-        ks = [int(_json.loads(p)["k"]) for p in df["props"].tolist()]
-        out = (
-            pd.DataFrame({"event_type": df["event_type"].to_numpy(), "k": ks})
-            .groupby(["event_type", "k"], as_index=False)
-            .size()
-        )
-        out.columns = ["event_type", "k", "n"]
-        return out.astype({"k": np.int64, "n": np.int64})
-
-    def merge_type(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["event_type", "k"], as_index=False)["n"].sum()
-        return out.astype({"k": np.int64, "n": np.int64})
-
-    h = (
-        ev.map_batches(hist, batch_format="pandas")
-        .groupby("event_type")
-        .map_groups(merge_type, batch_format="pandas")
-        .to_pandas()
-    )  # bounded: |types| x |k domain|
-    if h.empty:
-        return pd.DataFrame(
-            {
-                "event_type": pd.Series([], dtype=object),
-                "n_events": pd.Series([], dtype=np.int64),
-                "sum_k": pd.Series([], dtype=np.int64),
-                "min_k": pd.Series([], dtype=np.int64),
-                "max_k": pd.Series([], dtype=np.int64),
-                "n_distinct_k": pd.Series([], dtype=np.int64),
-            }
-        )
-    g = h.groupby("event_type")
-    out = pd.DataFrame(
-        {
-            "event_type": list(g.groups.keys()),
-            "n_events": g["n"].sum().to_numpy(np.int64),
-            "sum_k": g.apply(
-                lambda x: int((x["k"] * x["n"]).sum()), include_groups=False
-            ).to_numpy(np.int64),
-            "min_k": g["k"].min().to_numpy(np.int64),
-            "max_k": g["k"].max().to_numpy(np.int64),
-            "n_distinct_k": g["k"].nunique().to_numpy(np.int64),
-        }
-    )
-    return out.reset_index(drop=True)
-
-
-PROPS_STATS_SQL = """
-WITH e AS (
-  SELECT event_type,
-         CAST(json_extract_string(props, '$.k') AS BIGINT) AS k
-  FROM events
-)
-SELECT event_type,
-  CAST(COUNT(*) AS BIGINT) AS n_events,
-  CAST(SUM(k) AS BIGINT) AS sum_k,
-  CAST(MIN(k) AS BIGINT) AS min_k,
-  CAST(MAX(k) AS BIGINT) AS max_k,
-  CAST(COUNT(DISTINCT k) AS BIGINT) AS n_distinct_k
-FROM e GROUP BY event_type
-"""
-
-
-# ========================================================== burst days
-#
-# Per-entity burst detection: a (user, day) is a burst when its event
-# count exceeds 3x the user's own mean over their ACTIVE days — the
-# integer cross-multiplied rule n * n_active_days > 3 * total_events
-# (no float rate ever computed). The crawl-telemetry anomaly shape
-# (which hosts hammered us, which days).
-
-
-def q_burst_days(sf_dir: str):
-    """(user_id, day, n, burst).
-
-    Scale shape: per-batch (user, day) count combiner -> ONE coarse
-    exchange on user_id -> in-task user totals + vectorized flag."""
-    ev = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "user_id": df["user_id"].to_numpy(np.int64),
-                "day": df["ts"].astype("int64").to_numpy() // 86_400_000_000,
-            }
-        ).groupby(["user_id", "day"], as_index=False).size()
-        out.columns = ["user_id", "day", "n"]
-        return out.astype(np.int64)
-
-    kd = _with_coarse_group(
-        ev.map_batches(partial, batch_format="pandas"), "user_id"
-    )
-
-    def flag(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.groupby(["user_id", "day"], as_index=False)["n"].sum()
-        tot = s.groupby("user_id")["n"].transform("sum").to_numpy(np.int64)
-        nd = s.groupby("user_id")["day"].transform("size").to_numpy(np.int64)
-        n = s["n"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "user_id": s["user_id"].to_numpy(np.int64),
-                "day": s["day"].to_numpy(np.int64),
-                "n": n,
-                "burst": (n * nd > 3 * tot).astype(np.int64),
-            }
-        )
-
-    return kd.groupby("_g").map_groups(flag, batch_format="pandas")
-
-
-BURST_DAYS_SQL = """
-WITH ud AS (
-  SELECT user_id, CAST(FLOOR(epoch(ts) / 86400) AS BIGINT) AS day,
-         CAST(COUNT(*) AS BIGINT) AS n
-  FROM events GROUP BY 1, 2
-)
-SELECT user_id, day, n,
-  CAST(CASE WHEN n * COUNT(*) OVER (PARTITION BY user_id)
-            > 3 * SUM(n) OVER (PARTITION BY user_id)
-       THEN 1 ELSE 0 END AS BIGINT) AS burst
-FROM ud
-"""
-
-
 # ====================================================== radix quantiles
 #
 # Mergeable quantile sketch for UNBOUNDED domains: a log2-bucket (radix)
@@ -363,7 +215,7 @@ def q_radix_quantiles(sf_dir: str):
 
 def _radix_sql(cents_cte: str, est_col: str) -> str:
     """Full radix-quantile SQL given a CTE chain ending in c(cents) —
-    shared by radix_quantiles and funnel_latency."""
+    parameterised by the cents CTE and the estimate column."""
     qlist = ", ".join(str(q) for q in RADIX_QS_BP)
     return f"""
 WITH {cents_cte}, h AS (
@@ -392,74 +244,6 @@ _RADIX_CENTS_CTE = """c AS (
   SELECT GREATEST(CAST(FLOOR(value * 100 + 0.5) AS BIGINT), 1) AS cents
   FROM events
 )"""
-
-
-# ====================================================== funnel latency
-#
-# Time-to-convert distribution: for every user completing the full
-# greedy earliest-chain funnel (corpus_ops.q_funnel_counts semantics),
-# the latency from stage-1 to final-stage timestamp, summarized through
-# the SAME radix quantile sketch as radix_quantiles — the composition a
-# product-analytics pipeline runs ("how long does conversion take at
-# p50/p99") with unbounded latencies and bounded sketch state.
-
-
-def q_funnel_latency(sf_dir: str):
-    """(q_bp, bucket, est_us): radix-quantile estimates of the
-    signup->purchase latency in microseconds over converting users.
-
-    Scale shape: the funnel chain runs inside ONE coarse user exchange
-    (vectorized min-join per stage); each task emits its <= 64-bucket
-    latency histogram; bounded merge + driver interpolation."""
-    from .corpus_ops import FUNNEL_STAGES
-
-    ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    kd = _with_coarse_group(ev, "user_id")
-
-    def lat_hist(g: pd.DataFrame) -> pd.DataFrame:
-        first = (
-            g[g["event_type"] == FUNNEL_STAGES[0]].groupby("user_id")["ts"].min()
-        )
-        cur = first
-        for st in FUNNEL_STAGES[1:]:
-            nxt = (
-                g.loc[g["event_type"] == st, ["user_id", "ts"]]
-                .merge(cur.rename("prev"), left_on="user_id", right_index=True)
-                .reset_index(drop=True)
-            )
-            cur = nxt[nxt["ts"] > nxt["prev"]].groupby("user_id")["ts"].min()
-        if cur.empty:
-            return pd.DataFrame(
-                {"b": pd.Series([], dtype=np.int64), "n": pd.Series([], dtype=np.int64)}
-            )
-        lat = (
-            cur.astype("int64") - first.loc[cur.index].astype("int64")
-        ).to_numpy(np.int64)
-        return radix_hist(lat)
-
-    h = _merge_radix_hist(
-        kd.groupby("_g").map_groups(lat_hist, batch_format="pandas")
-    )
-    return radix_interp(h, "est_us")
-
-
-def _funnel_latency_sql() -> str:
-    chain = """t1 AS (
-  SELECT user_id, MIN(ts) AS t FROM events WHERE event_type = 'signup' GROUP BY 1),
-t2 AS (
-  SELECT e.user_id, MIN(e.ts) AS t FROM events e JOIN t1 ON e.user_id = t1.user_id
-  WHERE e.event_type = 'view' AND e.ts > t1.t GROUP BY 1),
-t3 AS (
-  SELECT e.user_id, MIN(e.ts) AS t FROM events e JOIN t2 ON e.user_id = t2.user_id
-  WHERE e.event_type = 'click' AND e.ts > t2.t GROUP BY 1),
-t4 AS (
-  SELECT e.user_id, MIN(e.ts) AS t FROM events e JOIN t3 ON e.user_id = t3.user_id
-  WHERE e.event_type = 'purchase' AND e.ts > t3.t GROUP BY 1),
-c AS (
-  SELECT GREATEST(epoch_us(t4.t) - epoch_us(t1.t), 1) AS cents
-  FROM t4 JOIN t1 USING (user_id)
-)"""
-    return _radix_sql(chain, "est_us")
 
 
 # ====================================================== minhash error
@@ -548,102 +332,6 @@ SELECT doc_a, doc_b, est_bp, exact_bp,
 FROM f
 """
     )
-
-
-# ================================================= join-size estimation
-#
-# Sampling-based cardinality estimation (the query-planner primitive):
-# |orders ⋈ lineitem| = Σ_k a_k·b_k; hashing the join key into a 1/16
-# deterministic sample and scaling by 16 gives the estimate a planner
-# would use to choose broadcast vs shuffle — emitted NEXT TO the exact
-# size so the error is measurable (the minhash_error philosophy applied
-# to join planning).
-
-JS_MOD = 16
-
-
-def q_join_size_estimate(sf_dir: str):
-    """One row: (est_rows, exact_rows, err_bp) for orders ⋈ lineitem on
-    orderkey; err_bp = 10000*|est-exact|//exact.
-
-    Scale shape: per-batch per-key count combiners on BOTH sides -> ONE
-    coarse exchange on the key -> in-task Σ a_k·b_k partials (sampled
-    and full) -> bounded 2-scalar reduce. The payload never moves — only
-    (key, count) pairs do."""
-    o = _read(sf_dir, "orders", columns=["o_orderkey"])
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey"])
-
-    def side_counts(col: str, side: int):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.groupby(col, as_index=False).size()
-            out.columns = ["key", "n"]
-            out["side"] = np.int8(side)
-            return out.astype({"key": np.int64, "n": np.int64})
-
-        return fn
-
-    both = o.map_batches(side_counts("o_orderkey", 0), batch_format="pandas").union(
-        li.map_batches(side_counts("l_orderkey", 1), batch_format="pandas")
-    )
-    kd = _with_coarse_group(both, "key")
-
-    def partial(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby(["key", "side"], as_index=False)["n"].sum()
-        p = m.pivot_table(index="key", columns="side", values="n", fill_value=0)
-        a = p[0].to_numpy(np.int64) if 0 in p.columns else np.zeros(len(p), np.int64)
-        b = p[1].to_numpy(np.int64) if 1 in p.columns else np.zeros(len(p), np.int64)
-        keys = p.index.to_numpy(np.int64)
-        prod = a * b
-        sampled = np.array(
-            [
-                int(hashlib.md5(f"js|{int(k)}".encode("utf-8")).hexdigest()[:16], 16)
-                % JS_MOD
-                == 0
-                for k in keys
-            ]
-        )
-        return pd.DataFrame(
-            {
-                "exact_part": pd.Series([int(prod.sum())], dtype=np.int64),
-                "sample_part": pd.Series(
-                    [int(prod[sampled].sum())], dtype=np.int64
-                ),
-            }
-        )
-
-    parts = kd.groupby("_g").map_groups(partial, batch_format="pandas")
-    tot = parts.sum(["exact_part", "sample_part"])  # bounded 2-scalar reduce
-    exact = int(tot["sum(exact_part)"] or 0)
-    est = JS_MOD * int(tot["sum(sample_part)"] or 0)
-    err = 10000 * abs(est - exact) // exact if exact else 0
-    return pd.DataFrame(
-        {
-            "est_rows": pd.Series([est], dtype=np.int64),
-            "exact_rows": pd.Series([exact], dtype=np.int64),
-            "err_bp": pd.Series([err], dtype=np.int64),
-        }
-    )
-
-
-JOIN_SIZE_ESTIMATE_SQL = f"""
-WITH a AS (SELECT o_orderkey AS key, COUNT(*) AS n FROM orders GROUP BY 1),
-b AS (SELECT l_orderkey AS key, COUNT(*) AS n FROM lineitem GROUP BY 1),
-j AS (
-  SELECT a.key, a.n * b.n AS prod,
-    CASE WHEN CAST(concat('0x', substr(md5('js|' || CAST(a.key AS VARCHAR)), 1, 16)) AS UBIGINT)
-         % {JS_MOD} = 0 THEN 1 ELSE 0 END AS sampled
-  FROM a JOIN b USING (key)
-), s AS (
-  SELECT CAST(SUM(prod) AS BIGINT) AS exact_rows,
-         CAST({JS_MOD} * SUM(prod * sampled) AS BIGINT) AS est_rows
-  FROM j
-)
-SELECT est_rows, exact_rows,
-  CAST(CASE WHEN exact_rows > 0
-       THEN 10000 * abs(est_rows - exact_rows) // exact_rows
-       ELSE 0 END AS BIGINT) AS err_bp
-FROM s
-"""
 
 
 # ============================================ content-defined chunking
@@ -740,177 +428,6 @@ SELECT d.doc_id AS doc_id,
        length(d.text)) AS BIGINT) AS max_chunk,
   COALESCE(l.bounds_md5, md5('')) AS bounds_md5
 FROM documents d LEFT JOIN lens l USING (doc_id)
-"""
-
-
-# ===================================================== LRU hit rate
-#
-# Cache / working-set analysis via the stack-distance equivalence: an
-# LRU cache of capacity C hits an access iff FEWER than C distinct
-# items were touched since that item's previous access — so per-key
-# cache simulation distributes perfectly (each user's stream folds
-# independently) and the SQL oracle needs no mutable cache state, only
-# a distinct-count between consecutive accesses. The measurement a
-# crawl re-fetch cache (or a politeness DNS cache) is sized from.
-
-LRU_CAPACITY = 4
-
-
-def lru_hits(items: list) -> int:
-    """Exact LRU(C) hit count over one access stream (MRU-list sim)."""
-    cache: list = []
-    hits = 0
-    for x in items:
-        if x in cache:
-            hits += 1
-            cache.remove(x)
-        elif len(cache) == LRU_CAPACITY:
-            cache.pop()  # evict LRU (list is MRU-first)
-        cache.insert(0, x)
-    return hits
-
-
-def q_lru_hit_rate(sf_dir: str):
-    """(user_id, n_accesses, n_hits, hit_bp): LRU(4) hit statistics of
-    each user's event_type access stream ordered by (ts, event_id).
-
-    Scale shape: ONE coarse exchange on user_id; the fold is per-user
-    local. The stack-distance identity keeps the oracle declarative."""
-    ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-    kd = _with_coarse_group(ev, "user_id")
-
-    def sim(g: pd.DataFrame) -> pd.DataFrame:
-        out_u, out_n, out_h = [], [], []
-        for uid, rows in g.groupby("user_id"):
-            rows = rows.sort_values(["ts", "event_id"], kind="mergesort")
-            h = lru_hits(rows["event_type"].tolist())
-            out_u.append(uid)
-            out_n.append(len(rows))
-            out_h.append(h)
-        n = np.array(out_n, dtype=np.int64)
-        h = np.array(out_h, dtype=np.int64)
-        return pd.DataFrame(
-            {
-                "user_id": pd.Series(out_u, dtype=np.int64),
-                "n_accesses": n,
-                "n_hits": h,
-                "hit_bp": 10000 * h // np.maximum(n, 1),
-            }
-        )
-
-    return kd.groupby("_g").map_groups(sim, batch_format="pandas")
-
-
-LRU_HIT_RATE_SQL = f"""
-WITH s AS (
-  SELECT user_id, event_type,
-         ROW_NUMBER() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
-  FROM events
-), p AS (
-  SELECT user_id, event_type, rn,
-         LAG(rn) OVER (PARTITION BY user_id, event_type ORDER BY rn) AS prev
-  FROM s
-), h AS (
-  SELECT user_id, rn,
-    CASE WHEN prev IS NOT NULL AND (
-      SELECT COUNT(DISTINCT s2.event_type) FROM s s2
-      WHERE s2.user_id = p.user_id AND s2.rn > p.prev AND s2.rn < p.rn
-    ) < {LRU_CAPACITY} THEN 1 ELSE 0 END AS hit
-  FROM p
-)
-SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_accesses,
-       CAST(SUM(hit) AS BIGINT) AS n_hits,
-       CAST(10000 * SUM(hit) // GREATEST(COUNT(*), 1) AS BIGINT) AS hit_bp
-FROM h GROUP BY user_id
-"""
-
-
-# ====================================================== late-data audit
-#
-# Event-time vs processing-time accounting (the Flink/Beam windowing
-# concept): each event's ARRIVAL is its event time plus a deterministic
-# network delay; a 10-minute tumbling event-time window with 5 minutes
-# of allowed lateness DROPS (marks late) every event arriving after
-# window_end + 5min — the number that sizes a streaming pipeline's
-# lateness allowance before data loss.
-
-LATE_WIN_US = 10 * 60 * 1_000_000
-LATE_ALLOW_US = 5 * 60 * 1_000_000
-LATE_MAX_DELAY_US = 10 * 60 * 1_000_000
-
-
-def q_late_data(sf_dir: str):
-    """(win, n_events, n_late, late_bp): per event-time window, events
-    whose simulated arrival misses the watermark allowance.
-
-    Scale shape: pure per-batch classification + (win) combiner -> one
-    bounded-by-time-range groupby (windows, not events, are the key
-    domain)."""
-    ev = _read(sf_dir, "events", columns=["event_id", "ts"])
-
-    def classify(df: pd.DataFrame) -> pd.DataFrame:
-        t = df["ts"].astype("int64").to_numpy()
-        eid = df["event_id"].to_numpy(np.int64)
-        delay = np.array(
-            [
-                int(hashlib.md5(f"lat|{int(i)}".encode("utf-8")).hexdigest()[:16], 16)
-                % LATE_MAX_DELAY_US
-                for i in eid
-            ],
-            dtype=np.int64,
-        )
-        win = t // LATE_WIN_US
-        win_end = (win + 1) * LATE_WIN_US
-        late = (t + delay > win_end + LATE_ALLOW_US).astype(np.int64)
-        out = pd.DataFrame({"win": win, "n": np.int64(1), "late": late})
-        g = out.groupby("win", as_index=False).sum()
-        return g.astype(np.int64)
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("win", as_index=False)[["n", "late"]].sum()
-        n = m["n"].to_numpy(np.int64)
-        late = m["late"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "win": m["win"].to_numpy(np.int64),
-                "n_events": n,
-                "n_late": late,
-                "late_bp": 10000 * late // np.maximum(n, 1),
-            }
-        )
-
-    # one Ray group per day of windows keeps group count bounded
-    kd = ev.map_batches(classify, batch_format="pandas")
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["wb"] = df["win"] % 16
-        return df
-
-    return (
-        kd.map_batches(bucket, batch_format="pandas")
-        .groupby("wb")
-        .map_groups(lambda g: merge(g.drop(columns=["wb"])), batch_format="pandas")
-    )
-
-
-LATE_DATA_SQL = f"""
-WITH e AS (
-  SELECT epoch_us(ts) AS t,
-    CAST(concat('0x', substr(md5('lat|' || CAST(event_id AS VARCHAR)), 1, 16)) AS UBIGINT)
-      % {LATE_MAX_DELAY_US} AS delay
-  FROM events
-), c AS (
-  SELECT t // {LATE_WIN_US} AS win,
-    CASE WHEN t + delay > (t // {LATE_WIN_US} + 1) * {LATE_WIN_US}
-              + {LATE_ALLOW_US} THEN 1 ELSE 0 END AS late
-  FROM e
-)
-SELECT CAST(win AS BIGINT) AS win,
-  CAST(COUNT(*) AS BIGINT) AS n_events,
-  CAST(SUM(late) AS BIGINT) AS n_late,
-  CAST(10000 * SUM(late) // GREATEST(COUNT(*), 1) AS BIGINT) AS late_bp
-FROM c GROUP BY win
 """
 
 

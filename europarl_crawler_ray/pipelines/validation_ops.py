@@ -1,19 +1,18 @@
 """Data-validation and curation-mix operators.
 
-A crawl corpus feeding a training pipeline needs declarative quality
-gates (deequ-style constraint suites), mixture control (temperature-
-scaled language sampling, NLLB / mT5-style), OLAP rollups (CUBE),
-closed-form per-group model fits, readability scoring, link-prediction
-scores over the crawl graph, and small-file compaction planning.
+A crawl corpus feeding a training pipeline needs mixture control
+(temperature-scaled language sampling, NLLB / mT5-style), readability
+scoring, link-prediction scores over the crawl graph, and small-file
+compaction planning.
 
 Reference parity: the reference's quality gates are the downloader's
 status/content checks (europarl-crawler downloader/postprocessor); the
 rest are training-data additions (temperature sampling: Arivazhagan et
-al. 2019 §3; Adamic-Adar 2003; Flesch 1948; deequ: Schelter et al.
-VLDB 2018). All oracled exactly: every score is either pure integer
-arithmetic or a single correctly-rounded division of exact integers,
-so DuckDB and numpy agree bit-for-bit (repo convention, see
-queries.q_pagerank's scaled-integer note).
+al. 2019 §3; Adamic-Adar 2003; Flesch 1948). All oracled exactly:
+every score is either pure integer arithmetic or a single
+correctly-rounded division of exact integers, so DuckDB and numpy
+agree bit-for-bit (repo convention, see queries.q_pagerank's
+scaled-integer note).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data
 
 from .._util import read_table as _read
 from ..functions.dedup import md5_hash64
@@ -30,134 +28,8 @@ from .grouping import global_prune, with_coarse_group as _with_coarse_group
 
 def _cents(values: np.ndarray) -> np.ndarray:
     """floor(v*100 + 0.5) — the repo's exact-cents rule (identical IEEE
-    arithmetic in numpy and DuckDB; see corpus_ops.q_running_totals)."""
+    arithmetic in numpy and DuckDB)."""
     return np.floor(values * 100.0 + 0.5).astype(np.int64)
-
-
-# ================================================= constraint_check
-#
-# A deequ-style declarative constraint suite over the orders table:
-# completeness, uniqueness, numeric range, set membership, regex
-# pattern, and date horizon — each check reports exact violation
-# counts, so the suite doubles as a data-quality metric feed.
-
-PRICE_CAP_CENTS = 40_000_000  # 400k dollars — some orders violate
-DATE_HORIZON = np.datetime64("2001-01-01")
-PRIO_PATTERN = r"^[1-4]-"  # '5-LOW' violates
-STATUS_SET = ("F", "O")  # 'P' violates
-
-
-def q_constraint_check(sf_dir: str):
-    """Single-pass vectorized partials per block (one tiny count row per
-    check), ONE distributed combine via global_prune (sum-of-partials is
-    associative and idempotent on the combined row), plus one coarse
-    exchange of just the key column for the exact-uniqueness check —
-    the driver only ever sees O(n_checks) rows.
-
-    Scale shape: at 100 TB the scan is embarrassingly parallel and the
-    uniqueness exchange ships one int64 column; everything else is a
-    7-row reduce."""
-    orders = _read(
-        sf_dir,
-        "orders",
-        columns=[
-            "o_orderkey",
-            "o_custkey",
-            "o_orderstatus",
-            "o_totalprice",
-            "o_orderdate",
-            "o_orderpriority",
-        ],
-    )
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        price_c = _cents(df["o_totalprice"].to_numpy())
-        dates = df["o_orderdate"].to_numpy().astype("datetime64[us]")
-        return pd.DataFrame(
-            {
-                "n_rows": [len(df)],
-                "v_null_custkey": [int(df["o_custkey"].isna().sum())],
-                "v_price_cap": [int((price_c > PRICE_CAP_CENTS).sum())],
-                "v_status_set": [int((~df["o_orderstatus"].isin(STATUS_SET)).sum())],
-                "v_prio_pattern": [
-                    int(
-                        (~df["o_orderpriority"].str.contains(PRIO_PATTERN, regex=True))
-                        .fillna(True)
-                        .sum()
-                    )
-                ],
-                "v_date_horizon": [int((dates >= DATE_HORIZON).sum())],
-            }
-        ).astype(np.int64)
-
-    def sum_partials(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
-        return df.sum(axis=0).to_frame().T.astype(np.int64)
-
-    counts = global_prune(orders.map_batches(partial, batch_format="pandas"), sum_partials)
-    n_rows = int(counts["n_rows"].iloc[0]) if len(counts) else 0
-
-    # exact uniqueness: nunique per coarse bucket of the key column sums
-    # to the global distinct count (a key lives in exactly one bucket)
-    keys = _read(sf_dir, "orders", columns=["o_orderkey"])
-
-    def bucket_nunique(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"n_distinct": [g["o_orderkey"].nunique()]}).astype(np.int64)
-
-    nd = (
-        _with_coarse_group(keys, "o_orderkey")
-        .groupby("_g")
-        .map_groups(bucket_nunique, batch_format="pandas")
-        .sum("n_distinct")
-    )
-    v_dup = n_rows - int(nd or 0)
-
-    checks = [
-        ("completeness_custkey", int(counts["v_null_custkey"].iloc[0]) if n_rows else 0),
-        ("uniqueness_orderkey", v_dup),
-        ("range_totalprice_le_400k", int(counts["v_price_cap"].iloc[0]) if n_rows else 0),
-        ("in_set_orderstatus", int(counts["v_status_set"].iloc[0]) if n_rows else 0),
-        ("pattern_orderpriority_1to4", int(counts["v_prio_pattern"].iloc[0]) if n_rows else 0),
-        ("date_horizon_pre2001", int(counts["v_date_horizon"].iloc[0]) if n_rows else 0),
-    ]
-    return pd.DataFrame(
-        {
-            "check_name": [c for c, _ in checks],
-            "n_rows": np.full(len(checks), n_rows, np.int64),
-            "n_violations": np.array([v for _, v in checks], np.int64),
-            "status": ["pass" if v == 0 else "fail" for _, v in checks],
-        }
-    )
-
-
-CONSTRAINT_CHECK_SQL = f"""
-WITH base AS (
-  SELECT COUNT(*) AS n,
-         COUNT(*) - COUNT(o_custkey) AS v_null,
-         COUNT(*) - COUNT(DISTINCT o_orderkey) AS v_dup,
-         SUM(CASE WHEN CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT)
-                       > {PRICE_CAP_CENTS} THEN 1 ELSE 0 END) AS v_price,
-         SUM(CASE WHEN o_orderstatus NOT IN ('F', 'O') THEN 1 ELSE 0 END) AS v_status,
-         SUM(CASE WHEN NOT regexp_matches(o_orderpriority, '^[1-4]-')
-                  THEN 1 ELSE 0 END) AS v_prio,
-         SUM(CASE WHEN o_orderdate >= TIMESTAMP '2001-01-01' THEN 1 ELSE 0 END) AS v_date
-  FROM orders)
-SELECT check_name, CAST(n AS BIGINT) AS n_rows,
-       CAST(v AS BIGINT) AS n_violations,
-       CASE WHEN v = 0 THEN 'pass' ELSE 'fail' END AS status
-FROM base, (VALUES
-  ('completeness_custkey'), ('uniqueness_orderkey'),
-  ('range_totalprice_le_400k'), ('in_set_orderstatus'),
-  ('pattern_orderpriority_1to4'), ('date_horizon_pre2001')) AS c(check_name),
-LATERAL (SELECT CASE check_name
-  WHEN 'completeness_custkey' THEN v_null
-  WHEN 'uniqueness_orderkey' THEN v_dup
-  WHEN 'range_totalprice_le_400k' THEN v_price
-  WHEN 'in_set_orderstatus' THEN v_status
-  WHEN 'pattern_orderpriority_1to4' THEN v_prio
-  ELSE v_date END AS v)
-"""
 
 
 # ================================================= temperature_mix
@@ -251,77 +123,6 @@ r AS (
                     doc_id) AS rn
   FROM documents)
 SELECT r.doc_id, r.lang FROM r JOIN tgt USING (lang) WHERE rn <= target
-"""
-
-
-# ================================================= linreg_fit
-#
-# Closed-form per-group least squares (value cents vs minutes since
-# 2024-01-01) from exact integer moment sums: slope and intercept are
-# each ONE double division of exact integers, so numpy/Python and
-# DuckDB agree bit-for-bit. int64 moment partials are safe to ~sf1
-# (n·Sxy < 2^63); the driver-side combine uses Python ints (unbounded)
-# and the SQL casts through HUGEINT.
-
-_EPOCH_US = 1_704_067_200_000_000  # 2024-01-01 in µs
-
-
-def q_linreg_fit(sf_dir: str):
-    """Per-batch integer moment partials (≤5 rows per block), ONE
-    global_prune combine, exact closed form on the driver over 5 rows.
-
-    Scale shape: no shuffle at all — moments are a sum reduce; group
-    dim is the fixed event-type vocabulary."""
-    ev = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        x = (us - _EPOCH_US) // 60_000_000
-        y = _cents(df["value"].to_numpy())
-        g = pd.DataFrame(
-            {"event_type": df["event_type"], "n": 1, "sx": x, "sy": y, "sxx": x * x, "sxy": x * y}
-        )
-        return g.groupby("event_type", as_index=False).sum()
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
-        return df.groupby("event_type", as_index=False).sum()
-
-    m = global_prune(ev.map_batches(partial, batch_format="pandas"), combine)
-    rows = []
-    if not len(m):  # empty input: Ray's empty to_pandas has no columns
-        m = pd.DataFrame(columns=["event_type", "n", "sx", "sy", "sxx", "sxy"])
-    for r in m.sort_values("event_type").itertuples():
-        n, sx, sy, sxx, sxy = (int(r.n), int(r.sx), int(r.sy), int(r.sxx), int(r.sxy))
-        den = n * sxx - sx * sx
-        slope = float(n * sxy - sx * sy) / float(den) if den else 0.0
-        intercept = float(sy * sxx - sx * sxy) / float(den) if den else 0.0
-        rows.append((r.event_type, n, slope, intercept))
-    return pd.DataFrame(rows, columns=["event_type", "n", "slope_cents_per_min", "intercept_cents"]).astype(
-        {"n": np.int64}
-    )
-
-
-LINREG_FIT_SQL = f"""
-WITH pts AS (
-  SELECT event_type,
-         (epoch_us(ts) - {_EPOCH_US}) // 60000000 AS x,
-         CAST(floor(value * 100 + 0.5) AS BIGINT) AS y
-  FROM events),
-m AS (
-  SELECT event_type, CAST(COUNT(*) AS HUGEINT) AS n,
-         CAST(SUM(x) AS HUGEINT) AS sx, CAST(SUM(y) AS HUGEINT) AS sy,
-         CAST(SUM(x * x) AS HUGEINT) AS sxx, CAST(SUM(x * y) AS HUGEINT) AS sxy
-  FROM pts GROUP BY 1)
-SELECT event_type, CAST(n AS BIGINT) AS n,
-       CASE WHEN n * sxx - sx * sx = 0 THEN 0.0
-            ELSE CAST(n * sxy - sx * sy AS DOUBLE) / CAST(n * sxx - sx * sx AS DOUBLE)
-       END AS slope_cents_per_min,
-       CASE WHEN n * sxx - sx * sx = 0 THEN 0.0
-            ELSE CAST(sy * sxx - sx * sxy AS DOUBLE) / CAST(n * sxx - sx * sx AS DOUBLE)
-       END AS intercept_cents
-FROM m
 """
 
 
@@ -455,70 +256,6 @@ FROM c
 """
 
 
-# ================================================= cube_stats
-#
-# GROUPING-SETS rollup (full CUBE over status × priority): the fine
-# cross dim is bounded (3×5), so per-batch partials + one combine give
-# the fine cells exactly, and every coarser grouping set is derived
-# from those cells driver-side — zero shuffles for an all-subtotals
-# OLAP cube.
-
-
-def q_cube_stats(sf_dir: str):
-    orders = _read(sf_dir, "orders", columns=["o_orderstatus", "o_orderpriority", "o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame(
-            {
-                "o_orderstatus": df["o_orderstatus"],
-                "o_orderpriority": df["o_orderpriority"],
-                "n_orders": 1,
-                "sum_price_cents": _cents(df["o_totalprice"].to_numpy()),
-            }
-        )
-        return g.groupby(["o_orderstatus", "o_orderpriority"], as_index=False).sum()
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
-        return df.groupby(["o_orderstatus", "o_orderpriority"], as_index=False).sum()
-
-    fine = global_prune(orders.map_batches(partial, batch_format="pandas"), combine)
-    if not len(fine):
-        return pd.DataFrame(
-            {
-                "o_orderstatus": pd.Series([], dtype=str),
-                "o_orderpriority": pd.Series([], dtype=str),
-                "n_orders": pd.Series([], dtype=np.int64),
-                "sum_price_cents": pd.Series([], dtype=np.int64),
-            }
-        )
-    sets = []
-    for dims in ((["o_orderstatus", "o_orderpriority"]), (["o_orderstatus"]), (["o_orderpriority"]), ([])):
-        if dims:
-            s = fine.groupby(dims, as_index=False)[["n_orders", "sum_price_cents"]].sum()
-        else:
-            s = fine[["n_orders", "sum_price_cents"]].sum().to_frame().T
-        for col in ("o_orderstatus", "o_orderpriority"):
-            if col not in s.columns:
-                s[col] = "ALL"
-        sets.append(s[["o_orderstatus", "o_orderpriority", "n_orders", "sum_price_cents"]])
-    out = pd.concat(sets, ignore_index=True)
-    out["n_orders"] = out["n_orders"].astype(np.int64)
-    out["sum_price_cents"] = out["sum_price_cents"].astype(np.int64)
-    return out
-
-
-CUBE_STATS_SQL = """
-SELECT COALESCE(o_orderstatus, 'ALL') AS o_orderstatus,
-       COALESCE(o_orderpriority, 'ALL') AS o_orderpriority,
-       CAST(COUNT(*) AS BIGINT) AS n_orders,
-       CAST(SUM(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_price_cents
-FROM orders
-GROUP BY CUBE (o_orderstatus, o_orderpriority)
-"""
-
-
 # ================================================= compaction_plan
 #
 # Small-file compaction planning per table partition (source): files
@@ -562,298 +299,6 @@ SELECT source, doc_id, CAST(n_chars AS BIGINT) AS size_bytes,
                 ROWS UNBOUNDED PRECEDING) - n_chars)
             // {COMPACT_TARGET_BYTES} AS BIGINT) AS bin
 FROM documents
-"""
-
-
-# ===================================================== k-anonymity audit
-#
-# Privacy-release auditing (Sweeney 2002): which quasi-identifier
-# combinations identify fewer than k individuals. The QI here is
-# (nation, market segment, $1000 account-balance band) — the
-# re-identification surface a customer-table release would carry.
-# Balance bands use shifted-cents integer division so floor/truncate
-# semantics agree across engines for negative balances.
-
-KANON_K = 5
-_KANON_SHIFT = 10_000_000  # cents shift: acctbal >= -999.99 → always positive
-
-
-def q_k_anon_audit(sf_dir: str, k: int = KANON_K):
-    """(c_nationkey, c_mktsegment, bal_band, n): every QI combo with
-    fewer than k members — the rows a k-anonymous release must suppress
-    or generalize.
-
-    Scale shape: per-batch combo counts (vectorized groupby) → ONE
-    native groupby on the combo columns — group count is bounded by the
-    VALUE DOMAIN (nations × segments × bands, ~10³), not by rows, so
-    the exchange is metadata-sized at any corpus size."""
-    cust = _read(
-        sf_dir, "customer", columns=["c_nationkey", "c_mktsegment", "c_acctbal"]
-    )
-    from ray.data.aggregate import Sum
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    "c_nationkey": pd.Series([], dtype=np.int64),
-                    "c_mktsegment": pd.Series([], dtype=object),
-                    "bal_band": pd.Series([], dtype=np.int64),
-                    "n_p": pd.Series([], dtype=np.int64),
-                }
-            )
-        cents = np.floor(df["c_acctbal"].to_numpy(np.float64) * 100.0 + 0.5).astype(
-            np.int64
-        )
-        band = (cents + _KANON_SHIFT) // 100_000  # $1000 bands, all-positive
-        out = (
-            df.assign(bal_band=band)
-            .groupby(["c_nationkey", "c_mktsegment", "bal_band"], as_index=False)
-            .size()
-            .rename(columns={"size": "n_p"})
-        )
-        return out.astype({"c_nationkey": np.int64, "bal_band": np.int64, "n_p": np.int64})
-
-    agg = (
-        cust.map_batches(partial, batch_format="pandas")
-        .groupby(["c_nationkey", "c_mktsegment", "bal_band"])
-        .aggregate(Sum("n_p", alias_name="n"))
-        .to_pandas()  # ≤ nations × segments × bands rows — domain-bounded
-    )
-    if agg.empty:
-        return pd.DataFrame(
-            {
-                "c_nationkey": pd.Series([], dtype=np.int64),
-                "c_mktsegment": pd.Series([], dtype=object),
-                "bal_band": pd.Series([], dtype=np.int64),
-                "n": pd.Series([], dtype=np.int64),
-            }
-        )
-    risky = agg[agg["n"] < k].reset_index(drop=True)
-    return risky.astype({"c_nationkey": np.int64, "bal_band": np.int64, "n": np.int64})
-
-
-K_ANON_AUDIT_SQL = f"""
-SELECT CAST(c_nationkey AS BIGINT) AS c_nationkey, c_mktsegment,
-       (CAST(FLOOR(c_acctbal * 100 + 0.5) AS BIGINT) + {_KANON_SHIFT}) // 100000
-         AS bal_band,
-       CAST(COUNT(*) AS BIGINT) AS n
-FROM customer
-GROUP BY 1, 2, 3
-HAVING COUNT(*) < {KANON_K}
-"""
-
-
-# ================================================ integer EWMA smoothing
-#
-# Exponentially-weighted daily event-volume smoothing, α = 1/4 in pure
-# nonnegative integer arithmetic — s_t = (3·s_{{t-1}} + 1000·c_t) // 4 —
-# so floor and truncate coincide and the recursion is bit-exact in both
-# engines (the anomaly-detection baseline a crawl scheduler smooths
-# fetch volumes with). Days with zero events are densified into the
-# grid; the recursion runs over the bounded (types × days) count table.
-
-EWMA_SCALE = 1000
-
-
-def q_ewma_forecast(sf_dir: str):
-    """(event_type, day_idx, n_events, ewma_milli): daily counts per
-    event type with the EWMA track.
-
-    Scale shape: per-batch (type, day) count partials → ONE native
-    groupby bounded by the VALUE DOMAIN (types × days); the sequential
-    EWMA recursion runs on that domain-bounded table on the driver —
-    the same class-(a) bounded finish as the histogram quantile ops."""
-    ev = _read(sf_dir, "events", columns=["event_type", "ts"])
-    from ray.data.aggregate import Sum
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    "event_type": pd.Series([], dtype=object),
-                    "day": pd.Series([], dtype=object),
-                    "n_p": pd.Series([], dtype=np.int64),
-                }
-            )
-        day = pd.to_datetime(df["ts"]).dt.floor("D")
-        out = (
-            df.assign(day=day.astype(str))
-            .groupby(["event_type", "day"], as_index=False)
-            .size()
-            .rename(columns={"size": "n_p"})
-        )
-        return out.astype({"n_p": np.int64})
-
-    agg = (
-        ev.map_batches(partial, batch_format="pandas")
-        .groupby(["event_type", "day"])
-        .aggregate(Sum("n_p", alias_name="n"))
-        .to_pandas()  # ≤ types × days rows — domain-bounded
-    )
-    empty = pd.DataFrame(
-        {
-            "event_type": pd.Series([], dtype=object),
-            "day_idx": pd.Series([], dtype=np.int64),
-            "n_events": pd.Series([], dtype=np.int64),
-            "ewma_milli": pd.Series([], dtype=np.int64),
-        }
-    )
-    if agg.empty:
-        return empty
-    days = sorted(agg["day"].unique())
-    idx = {d: i for i, d in enumerate(days)}
-    rows = []
-    for typ, g in agg.groupby("event_type"):
-        counts = np.zeros(len(days), np.int64)
-        for d, n in zip(g["day"], g["n"]):
-            counts[idx[d]] = int(n)
-        s = counts[0] * EWMA_SCALE
-        rows.append((typ, 0, int(counts[0]), int(s)))
-        for i in range(1, len(days)):
-            s = (3 * s + counts[i] * EWMA_SCALE) // 4
-            rows.append((typ, i, int(counts[i]), int(s)))
-    return pd.DataFrame(
-        rows, columns=["event_type", "day_idx", "n_events", "ewma_milli"]
-    ).astype({"day_idx": np.int64, "n_events": np.int64, "ewma_milli": np.int64})
-
-
-EWMA_FORECAST_SQL = f"""
-WITH RECURSIVE
-d AS (SELECT CAST(ts AS DATE) AS day, event_type FROM events),
-grid AS (
-  SELECT t.event_type, g.day,
-         CAST(date_diff('day', (SELECT MIN(day) FROM d), g.day) AS BIGINT)
-           AS day_idx
-  FROM (SELECT DISTINCT event_type FROM d) t
-  CROSS JOIN (SELECT DISTINCT day FROM d) g
-),
-c AS (
-  SELECT g.event_type, g.day_idx,
-         CAST(COUNT(d.day) AS BIGINT) AS n_events
-  FROM grid g
-  LEFT JOIN d ON d.event_type = g.event_type AND d.day = g.day
-  GROUP BY 1, 2
-),
--- dense re-index: day_idx has gaps if calendar days are missing
-r AS (
-  SELECT event_type, n_events,
-         ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY day_idx) - 1 AS i
-  FROM c
-),
-ew AS (
-  SELECT event_type, i, n_events,
-         n_events * {EWMA_SCALE} AS s
-  FROM r WHERE i = 0
-  UNION ALL
-  SELECT r.event_type, r.i, r.n_events,
-         (3 * ew.s + r.n_events * {EWMA_SCALE}) // 4
-  FROM ew JOIN r ON r.event_type = ew.event_type AND r.i = ew.i + 1
-)
-SELECT event_type, CAST(i AS BIGINT) AS day_idx,
-       CAST(n_events AS BIGINT) AS n_events, CAST(s AS BIGINT) AS ewma_milli
-FROM ew
-"""
-
-
-# ===================================================== benford_audit
-#
-# First-digit (Benford's law) audit over order totals — the classic
-# forensic data-quality screen for fabricated or re-keyed numeric
-# feeds (Nigrini 1996). Expected frequencies are the standard
-# log10(1 + 1/d) values rounded to parts-per-million; the nine
-# constants are hardcoded IDENTICALLY on both sides (they sum to
-# exactly 1,000,000), so the only arithmetic is integer. The per-digit
-# deviation statistic is a 10^6-scaled chi-square contribution:
-# chi2_scaled = floor((n_obs·10^6 − exp_ppm·N)^2 / (exp_ppm·N))
-#             = floor(10^6 · (obs − exp)^2 / exp).
-# The square can exceed 2^63 (N=150k ⇒ dev^2 ≈ 10^22), so the SQL
-# computes it in HUGEINT and the Python side in arbitrary-precision
-# int — both floor-divide, the final quotient fits int64.
-
-BENFORD_PPM = (
-    (1, 301030), (2, 176091), (3, 124939), (4, 96910), (5, 79181),
-    (6, 66947), (7, 57992), (8, 51153), (9, 45757),
-)
-
-
-def q_benford_audit(sf_dir: str):
-    """(digit, n_obs, exp_ppm, chi2_scaled) for digits 1-9.
-
-    Scale shape: per-block first-digit bincount (9-column partial row)
-    → ONE global_prune sum → 9-row driver solve. The scan is
-    embarrassingly parallel; nothing data-scaled leaves the tasks."""
-    orders = _read(sf_dir, "orders", columns=["o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        cents = _cents(df["o_totalprice"].to_numpy())
-        cents = cents[cents > 0]  # guard: SQL filters cents > 0 too
-        # exact first digit via decimal string (float log10 flips at
-        # powers of ten — the repo's integer-exactness rule applies)
-        first = (
-            pd.Series(cents).astype(str).str[0].astype(np.int64)
-            if len(cents)
-            else np.array([], np.int64)
-        )
-        counts = np.bincount(first, minlength=10)[1:10]
-        return pd.DataFrame(
-            {f"d{i}": [int(counts[i - 1])] for i in range(1, 10)}
-        ).astype(np.int64)
-
-    def sum_partials(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
-        return df.sum(axis=0).to_frame().T.astype(np.int64)
-
-    counts = global_prune(orders.map_batches(partial, batch_format="pandas"), sum_partials)
-    empty = pd.DataFrame(
-        {
-            "digit": pd.Series([], dtype=np.int64),
-            "n_obs": pd.Series([], dtype=np.int64),
-            "exp_ppm": pd.Series([], dtype=np.int64),
-            "chi2_scaled": pd.Series([], dtype=np.int64),
-        }
-    )
-    if not len(counts):
-        return empty
-    obs = {i: int(counts[f"d{i}"].iloc[0]) for i in range(1, 10)}
-    n = sum(obs.values())
-    if n == 0:
-        return empty
-    rows = []
-    for d, exp_ppm in BENFORD_PPM:
-        dev = obs[d] * 1_000_000 - exp_ppm * n  # Python int: no overflow
-        rows.append((d, obs[d], exp_ppm, (dev * dev) // (exp_ppm * n)))
-    return pd.DataFrame(
-        rows, columns=["digit", "n_obs", "exp_ppm", "chi2_scaled"]
-    ).astype(np.int64)
-
-
-BENFORD_AUDIT_SQL = f"""
-WITH c AS (
-  SELECT CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS cents FROM orders
-),
-d AS (
-  SELECT CAST(substr(CAST(cents AS VARCHAR), 1, 1) AS BIGINT) AS digit
-  FROM c WHERE cents > 0
-),
-obs AS (SELECT digit, CAST(COUNT(*) AS BIGINT) AS n_obs FROM d GROUP BY 1),
-bexp(digit, exp_ppm) AS (
-  VALUES {", ".join(f"({d}, {p})" for d, p in BENFORD_PPM)}
-),
-tot AS (SELECT CAST(COUNT(*) AS BIGINT) AS n FROM d)
-SELECT CAST(e.digit AS BIGINT) AS digit,
-       CAST(COALESCE(o.n_obs, 0) AS BIGINT) AS n_obs,
-       CAST(e.exp_ppm AS BIGINT) AS exp_ppm,
-       CAST(
-         (CAST(COALESCE(o.n_obs, 0) AS HUGEINT) * 1000000
-            - CAST(e.exp_ppm AS HUGEINT) * t.n)
-         * (CAST(COALESCE(o.n_obs, 0) AS HUGEINT) * 1000000
-            - CAST(e.exp_ppm AS HUGEINT) * t.n)
-         // (CAST(e.exp_ppm AS HUGEINT) * t.n)
-       AS BIGINT) AS chi2_scaled
-FROM bexp e LEFT JOIN obs o ON o.digit = e.digit CROSS JOIN tot t
-WHERE t.n > 0
 """
 
 
@@ -1601,125 +1046,6 @@ FROM b
 """
 
 
-# =================================================== inclusion_deps
-#
-# Inclusion-dependency discovery (Metanome/Binder-style data
-# profiling): for a candidate list of cross-table column pairs, count
-# the distinct dependent values missing from the referenced column —
-# the foreign-key validity audit a lakehouse runs before declaring
-# constraints. The candidate list mixes holding FKs with one genuine
-# violation (orders without lineitems), so both verdicts are live.
-#
-# Scale shape per pair: BOTH sides get a per-batch distinct combiner,
-# then ONE bucket exchange on key & mask co-locates each value's rows
-# (the partitioned_anti_join shape with a distinct-count piggybacked);
-# per-bucket np.setdiff1d, and only the two per-bucket counters reach
-# the final 16-row reduce. Nothing data-scaled on the driver.
-
-INCLUSION_PAIRS = [
-    ("customer", "c_nationkey", "nation", "n_nationkey"),
-    ("orders", "o_custkey", "customer", "c_custkey"),
-    ("lineitem", "l_orderkey", "orders", "o_orderkey"),
-    ("supplier", "s_nationkey", "nation", "n_nationkey"),
-    ("nation", "n_regionkey", "region", "r_regionkey"),
-    ("orders", "o_orderkey", "lineitem", "l_orderkey"),
-    ("lineitem", "l_partkey", "part", "p_partkey"),
-    ("events", "user_id", "customer", "c_custkey"),
-]
-
-_IND_BUCKETS = 32
-
-
-def q_inclusion_deps(sf_dir: str):
-    # ALL candidate pairs ride ONE pipeline and ONE exchange keyed
-    # (pair_id, bucket). The work list is (pair, side, row-group) items
-    # and each task reads its row group's single column with pyarrow
-    # directly — 16 separate read pipelines paid ~3 s startup each, and
-    # a 16-way Dataset.union was slower still (measured 23 s / 143 s →
-    # ~4 s at sf0.1). Row group = the parallelism unit, as everywhere.
-    import pyarrow.parquet as _pq
-
-    mask = _IND_BUCKETS - 1
-    items = []
-    for pid, (dt, dc, rt, rc) in enumerate(INCLUSION_PAIRS):
-        for side, (tbl, col) in enumerate([(dt, dc), (rt, rc)]):
-            path = f"{sf_dir}/{tbl}.parquet"
-            for rg in range(_pq.ParquetFile(path).metadata.num_row_groups):
-                items.append(
-                    {"pid": pid, "side": side, "path": path, "col": col, "rg": rg}
-                )
-    if not items:
-        return pd.DataFrame(
-            columns=["dependent", "referenced", "n_distinct", "n_violations", "holds"]
-        )
-
-    def read_keys(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for row in df.itertuples(index=False):
-            f = _pq.ParquetFile(row.path)
-            v = np.unique(
-                f.read_row_group(row.rg, columns=[row.col])
-                .column(0)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            out.append(
-                pd.DataFrame(
-                    {
-                        "k": v,
-                        "side": np.full(v.size, row.side, np.int8),
-                        "pb": (
-                            np.int64(row.pid) * _IND_BUCKETS + (v & mask)
-                        ).astype(np.int64),
-                    }
-                )
-            )
-        return pd.concat(out, ignore_index=True)
-
-    both = ray.data.from_items(items).map_batches(
-        read_keys, batch_format="pandas", batch_size=1
-    )
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        dk = np.unique(g.loc[g["side"] == 0, "k"].to_numpy(np.int64))
-        rk = np.unique(g.loc[g["side"] == 1, "k"].to_numpy(np.int64))
-        miss = np.setdiff1d(dk, rk, assume_unique=True)
-        return pd.DataFrame(
-            {
-                "pid": [np.int64(g["pb"].iloc[0] // _IND_BUCKETS)],
-                "part_distinct": [np.int64(dk.size)],
-                "part_viol": [np.int64(miss.size)],
-            }
-        )
-
-    per = both.groupby("pb").map_groups(per_bucket, batch_format="pandas")
-    tot = per.to_pandas()  # ≤ pairs × _IND_BUCKETS rows — bucket-bounded
-    frames = []
-    for pid, (dt, dc, rt, rc) in enumerate(INCLUSION_PAIRS):
-        rows = tot[tot["pid"] == pid] if len(tot) else tot
-        n_d = int(rows["part_distinct"].sum()) if len(rows) else 0
-        n_v = int(rows["part_viol"].sum()) if len(rows) else 0
-        frames.append((f"{dt}.{dc}", f"{rt}.{rc}", n_d, n_v, int(n_v == 0)))
-    return pd.DataFrame(
-        frames,
-        columns=["dependent", "referenced", "n_distinct", "n_violations", "holds"],
-    ).astype({"n_distinct": "int64", "n_violations": "int64", "holds": "int64"})
-
-
-INCLUSION_DEPS_SQL = "\nUNION ALL\n".join(
-    f"""SELECT '{dt}.{dc}' AS dependent, '{rt}.{rc}' AS referenced,
-       CAST(COUNT(DISTINCT {dc}) AS BIGINT) AS n_distinct,
-       CAST(COUNT(DISTINCT CASE WHEN NOT EXISTS
-         (SELECT 1 FROM {rt} WHERE {rc} = d.{dc}) THEN d.{dc} END) AS BIGINT)
-         AS n_violations,
-       CAST(CASE WHEN COUNT(DISTINCT CASE WHEN NOT EXISTS
-         (SELECT 1 FROM {rt} WHERE {rc} = d.{dc}) THEN d.{dc} END) = 0
-         THEN 1 ELSE 0 END AS BIGINT) AS holds
-FROM {dt} d"""
-    for dt, dc, rt, rc in INCLUSION_PAIRS
-)
-
-
 # ==================================================== silhouette_eval
 #
 # Simplified (centroid-based) silhouette over the embedding table —
@@ -2156,88 +1482,6 @@ FROM m GROUP BY 1
 """
 
 
-# ======================================================== l_diversity
-#
-# l-diversity audit, the companion gate to k_anon_audit: for each
-# quasi-identifier group (nation, market segment) count members AND
-# distinct sensitive values (exact account-balance cents, the value the
-# k-anonymity bands generalize away) — a group can be k-anonymous yet
-# leak if everyone in it shares one sensitive value (Machanavajjhala
-# et al. 2007). diverse = l_distinct ≥ LDIV_L.
-#
-# Scale shape: per-batch (QI, cents) distinct+count combiner → ONE
-# coarse exchange on the QI pair (domain-bounded: nations × segments) →
-# in-task exact distinct + member sums. Driver sees ≤ |QI domain| rows.
-
-LDIV_L = 3
-
-
-def q_l_diversity(sf_dir: str):
-    cust = _read(
-        sf_dir, "customer", columns=["c_nationkey", "c_mktsegment", "c_acctbal"]
-    )
-    cols = ["c_nationkey", "c_mktsegment", "n", "l_distinct", "diverse"]
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "c_nationkey": pd.Series(dtype=np.int64),
-                    "c_mktsegment": pd.Series(dtype=object),
-                    "cents": pd.Series(dtype=np.int64),
-                    "cnt": pd.Series(dtype=np.int64),
-                }
-            )
-        out = df.assign(
-            c_nationkey=df["c_nationkey"].astype(np.int64),
-            cents=_cents(df["c_acctbal"].to_numpy(np.float64)),
-            cnt=1,
-        )
-        return out.groupby(
-            ["c_nationkey", "c_mktsegment", "cents"], as_index=False
-        )["cnt"].sum()
-
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby(["c_nationkey", "c_mktsegment"]).agg(
-            n=("cnt", "sum"), l_distinct=("cents", "nunique")
-        )
-        agg = agg.reset_index()
-        agg["diverse"] = (agg["l_distinct"] >= LDIV_L).astype(np.int64)
-        return agg
-
-    def qi_key(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(
-            _qi=df["c_nationkey"].astype(str) + "|" + df["c_mktsegment"].astype(str)
-        )
-
-    ds = cust.map_batches(partial, batch_format="pandas").map_batches(
-        qi_key, batch_format="pandas"
-    )
-    out = (
-        _with_coarse_group(ds, "_qi")
-        .groupby("_g")
-        .map_groups(
-            lambda g: per_group(g.drop(columns=["_g", "_qi"])),
-            batch_format="pandas",
-        )
-    )
-    return out
-
-
-L_DIVERSITY_SQL = f"""
-WITH c AS (
-  SELECT c_nationkey, c_mktsegment,
-         CAST(FLOOR(c_acctbal * 100 + 0.5) AS BIGINT) AS cents
-  FROM customer)
-SELECT CAST(c_nationkey AS BIGINT) AS c_nationkey, c_mktsegment,
-       CAST(COUNT(*) AS BIGINT) AS n,
-       CAST(COUNT(DISTINCT cents) AS BIGINT) AS l_distinct,
-       CAST(CASE WHEN COUNT(DISTINCT cents) >= {LDIV_L} THEN 1 ELSE 0 END
-            AS BIGINT) AS diverse
-FROM c GROUP BY 1, 2
-"""
-
-
 # ================================================== conformal_coverage
 #
 # Split-conformal audit of a corpus statistic (Vovk et al. 2005;
@@ -2351,17 +1595,10 @@ FROM d WHERE split = 0
 
 
 VALIDATION_SQL_QUERIES: dict[str, tuple] = {
-    "constraint_check": (q_constraint_check, CONSTRAINT_CHECK_SQL),
     "temperature_mix": (q_temperature_mix, TEMPERATURE_MIX_SQL),
-    "linreg_fit": (q_linreg_fit, LINREG_FIT_SQL),
     "adamic_adar": (q_adamic_adar, ADAMIC_ADAR_SQL),
     "readability": (q_readability, READABILITY_SQL),
-    "cube_stats": (q_cube_stats, CUBE_STATS_SQL),
     "compaction_plan": (q_compaction_plan, COMPACTION_PLAN_SQL),
-    "k_anon_audit": (q_k_anon_audit, K_ANON_AUDIT_SQL),
-    "ewma_forecast": (q_ewma_forecast, EWMA_FORECAST_SQL),
-    "benford_audit": (q_benford_audit, BENFORD_AUDIT_SQL),
-    "inclusion_deps": (q_inclusion_deps, INCLUSION_DEPS_SQL),
     "auc_eval": (q_auc_eval, AUC_EVAL_SQL),
     "ks_drift": (q_ks_drift, KS_DRIFT_SQL),
     "ndcg_eval": (q_ndcg_eval, _ndcg_sql()),
@@ -2373,6 +1610,5 @@ VALIDATION_SQL_QUERIES: dict[str, tuple] = {
     "embedding_outliers": (q_embedding_outliers, EMBEDDING_OUTLIERS_SQL),
     "cluster_purity": (q_cluster_purity, CLUSTER_PURITY_SQL),
     "bootstrap_means": (q_bootstrap_means, BOOTSTRAP_MEANS_SQL),
-    "l_diversity": (q_l_diversity, L_DIVERSITY_SQL),
     "conformal_coverage": (q_conformal_coverage, CONFORMAL_COVERAGE_SQL),
 }

@@ -1,5 +1,5 @@
 """Web-corpus operators (round-3 batch 6): parallel-corpus (bitext)
-alignment, SURT locality keys, and a broadcast IP-range geo join.
+alignment and SURT locality keys.
 
 The reference repo's whole purpose is harvesting EuroParl — the classic
 parallel-corpus source — so ``bitext_align`` implements the alignment
@@ -8,11 +8,8 @@ a Gale-Church-style length-ratio filter; cf. reference test fixtures
 exercising per-language day/session documents). ``surt_keys`` is the
 Common-Crawl/CDX Sorted-URL-Reordering-Transform: the canonical range-
 partitioning key that co-locates a domain's pages in one shard.
-``ip_geo_join`` is the broadcast-side range-lookup join (GeoIP shape):
-the small sorted breakpoint table ships once via ``ray.put`` and every
-batch binary-searches it — no shuffle, no per-batch re-ship.
 
-All three SQL-oracled; scale idioms per pipelines/grouping.py.
+Both SQL-oracled; scale idioms per pipelines/grouping.py.
 """
 
 from __future__ import annotations
@@ -90,10 +87,6 @@ from .sketcheval_ops import (  # noqa: F401
     _read,
     q_quantile_map,
     QUANTILE_MAP_SQL,
-    q_props_stats,
-    PROPS_STATS_SQL,
-    q_burst_days,
-    BURST_DAYS_SQL,
     RADIX_QS_BP,
     radix_hist,
     radix_interp,
@@ -101,27 +94,13 @@ from .sketcheval_ops import (  # noqa: F401
     q_radix_quantiles,
     _radix_sql,
     _RADIX_CENTS_CTE,
-    q_funnel_latency,
-    _funnel_latency_sql,
     q_minhash_error,
     _minhash_error_sql,
-    JS_MOD,
-    q_join_size_estimate,
-    JOIN_SIZE_ESTIMATE_SQL,
     CDC_W,
     CDC_DIV,
     cdc_boundaries,
     q_cdc_chunks,
     CDC_CHUNKS_SQL,
-    LRU_CAPACITY,
-    lru_hits,
-    q_lru_hit_rate,
-    LRU_HIT_RATE_SQL,
-    LATE_WIN_US,
-    LATE_ALLOW_US,
-    LATE_MAX_DELAY_US,
-    q_late_data,
-    LATE_DATA_SQL,
     PQ_SUBSPACES,
     PQ_SUBDIM,
     PQ_CODEWORDS,
@@ -273,104 +252,6 @@ WITH parts AS (
 SELECT doc_id, url, surt,
        CAST({_md5u('prefix2')} % {N_SURT_SHARDS} AS BIGINT) AS shard
 FROM built
-"""
-
-
-# ======================================================== IP-range geo join
-#
-# The GeoIP enrichment shape: a SMALL sorted range table (CIDR block ->
-# country) against a LARGE fact stream. The block table is built once on
-# the driver (bounded: N_GEO_BLOCKS rows), broadcast via ray.put, and
-# each batch matches with one np.searchsorted — a broadcast range-lookup
-# instead of an all-to-all range join.
-
-N_GEO_BLOCKS = 64
-_U32 = 1 << 32
-
-
-def _geo_breakpoints() -> np.ndarray:
-    bps = [
-        int(hashlib.md5(f"blk|{i}".encode("utf-8")).hexdigest()[:16], 16) % _U32
-        for i in range(N_GEO_BLOCKS)
-    ]
-    return np.array(sorted(bps), dtype=np.int64)
-
-
-def _ip32(user_ids: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            int(hashlib.md5(f"ip|{int(u)}".encode("utf-8")).hexdigest()[:16], 16)
-            % _U32
-            for u in user_ids
-        ],
-        dtype=np.int64,
-    )
-
-
-def q_ip_geo_join(sf_dir: str):
-    """(country, n_events, n_users): per-country event volume after
-    mapping every user's deterministic IPv4 through the breakpoint
-    table; range k (k = number of breakpoints <= ip) is country Ckk.
-
-    Scale shape: breakpoints broadcast ONCE via ray.put (read inside
-    every task, never re-shipped per batch); per-batch (user, country,
-    n) combiner -> ONE coarse exchange on user_id -> in-task per-user
-    collapse -> bounded (<= 65-row) country groupby. A shuffle range
-    join would move every event row; this moves one count per
-    (batch, user)."""
-    from ray.data.aggregate import Count as _Count, Sum as _Sum
-
-    bps_ref = ray.put(_geo_breakpoints())
-    ev = _read(sf_dir, "events", columns=["event_id", "user_id"])
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("user_id", as_index=False).size()
-        out.columns = ["user_id", "n"]
-        bps = ray.get(bps_ref)
-        k = np.searchsorted(bps, _ip32(out["user_id"].to_numpy(np.int64)), side="right")
-        out["country"] = [f"C{int(i):02d}" for i in k]
-        return out.astype({"user_id": np.int64, "n": np.int64})
-
-    kd = _with_coarse_group(
-        ev.map_batches(combine, batch_format="pandas"), "user_id"
-    )
-
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["user_id", "country"], as_index=False)["n"].sum()
-        return out.astype({"user_id": np.int64, "n": np.int64})
-
-    users = kd.groupby("_g").map_groups(per_user, batch_format="pandas")
-    return (
-        users.groupby("country")
-        .aggregate(
-            _Sum("n", alias_name="n_events"), _Count("user_id", alias_name="n_users")
-        )
-    )
-
-
-IP_GEO_JOIN_SQL = f"""
-WITH bp AS (
-  SELECT i, CAST({_md5u("'blk|' || CAST(i AS VARCHAR)")} % 4294967296 AS BIGINT) AS b
-  FROM range({N_GEO_BLOCKS}) t(i)
-), ranges AS (
-  SELECT CAST(ROW_NUMBER() OVER (ORDER BY b) AS BIGINT) AS k, b AS lo,
-         LEAD(b, 1, 4294967296) OVER (ORDER BY b) AS hi
-  FROM bp
-), allr AS (
-  SELECT CAST(0 AS BIGINT) AS k, CAST(0 AS BIGINT) AS lo,
-         (SELECT MIN(b) FROM bp) AS hi
-  UNION ALL SELECT k, lo, hi FROM ranges
-), ips AS (
-  SELECT user_id,
-         CAST({_md5u("'ip|' || CAST(user_id AS VARCHAR)")} % 4294967296 AS BIGINT) AS ip,
-         COUNT(*) AS n
-  FROM events GROUP BY user_id
-)
-SELECT 'C' || lpad(CAST(r.k AS VARCHAR), 2, '0') AS country,
-       CAST(SUM(i.n) AS BIGINT) AS n_events,
-       CAST(COUNT(*) AS BIGINT) AS n_users
-FROM ips i JOIN allr r ON i.ip >= r.lo AND i.ip < r.hi
-GROUP BY 1
 """
 
 
@@ -738,92 +619,6 @@ FROM documents
 """
 
 
-# ====================================================== activity trend
-#
-# Per-entity OLS slope over time, integer-exact: with x = epoch day and
-# y = integer cents, the least-squares slope is the RATIONAL
-# (n*Sxy - Sx*Sy) / (n*Sxx - Sx^2); emitting numerator and denominator
-# as int64 sidesteps float division entirely (the decayed_counts
-# philosophy applied to regression). The per-key feature-engineering
-# shape every engagement/churn model computes.
-
-
-def q_activity_trend(sf_dir: str):
-    """(user_id, n, slope_num, slope_den, trend): exact rational OLS
-    slope of value-cents over epoch-day per user; trend = sign(num)
-    (den >= 0 always; 0 when a user's events share one day).
-
-    Scale shape: the five sums are a per-batch combiner (one row per
-    (batch, user)) -> ONE coarse exchange on user_id -> in-task sum;
-    bodies/timestamps reduce to 40 bytes per user before the wire."""
-    ev = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        x = (df["ts"].astype("int64").to_numpy() // 86_400_000_000).astype(
-            np.int64
-        )
-        y = np.floor(df["value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-        g = pd.DataFrame(
-            {
-                "user_id": df["user_id"].to_numpy(np.int64),
-                "n": np.int64(1),
-                "sx": x,
-                "sy": y,
-                "sxx": x * x,
-                "sxy": x * y,
-            }
-        ).groupby("user_id", as_index=False).sum()
-        return g.astype(np.int64)
-
-    kd = _with_coarse_group(
-        ev.map_batches(partial, batch_format="pandas"), "user_id"
-    )
-
-    def reduce(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.groupby("user_id", as_index=False)[
-            ["n", "sx", "sy", "sxx", "sxy"]
-        ].sum()
-        n = s["n"].to_numpy(np.int64)
-        num = n * s["sxy"].to_numpy(np.int64) - s["sx"].to_numpy(
-            np.int64
-        ) * s["sy"].to_numpy(np.int64)
-        den = n * s["sxx"].to_numpy(np.int64) - s["sx"].to_numpy(np.int64) ** 2
-        return pd.DataFrame(
-            {
-                "user_id": s["user_id"].to_numpy(np.int64),
-                "n": n,
-                "slope_num": num,
-                "slope_den": den,
-                "trend": np.sign(num).astype(np.int64),
-            }
-        )
-
-    return kd.groupby("_g").map_groups(reduce, batch_format="pandas")
-
-
-ACTIVITY_TREND_SQL = """
-WITH e AS (
-  -- DuckDB's // on DOUBLE is plain division: floor explicitly
-  SELECT user_id,
-         CAST(FLOOR(epoch(ts) / 86400) AS BIGINT) AS d,
-         CAST(FLOOR(value * 100 + 0.5) AS BIGINT) AS c
-  FROM events
-), s AS (
-  SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n,
-         CAST(SUM(d) AS BIGINT) AS sx, CAST(SUM(c) AS BIGINT) AS sy,
-         CAST(SUM(d * d) AS BIGINT) AS sxx,
-         CAST(SUM(d * c) AS BIGINT) AS sxy
-  FROM e GROUP BY user_id
-)
-SELECT user_id, n,
-  CAST(n * sxy - sx * sy AS BIGINT) AS slope_num,
-  CAST(n * sxx - sx * sx AS BIGINT) AS slope_den,
-  CAST(CASE WHEN n * sxy - sx * sy > 0 THEN 1
-            WHEN n * sxy - sx * sy < 0 THEN -1 ELSE 0 END AS BIGINT) AS trend
-FROM s
-"""
-
-
 # ================================================ consistent-hash ring
 #
 # The placement function a 256-node seen-set / cache tier uses: N nodes
@@ -906,73 +701,6 @@ FROM keys k
 """
 
 
-# ===================================================== Z-order indexing
-#
-# Morton-curve clustering (the Delta-Lake/Iceberg Z-ORDER shape): bit-
-# interleave (user_id, epoch_day) so ranges of the curve are rectangles
-# in key space — a reader filtering on EITHER dimension prunes most
-# files. file_id = top 6 curve bits = the 64-way range partition a
-# writer would emit.
-
-ZORDER_BITS = 16
-ZORDER_FILES_SHIFT = 2 * ZORDER_BITS - 6  # top 6 bits -> 64 files
-
-
-def zorder_interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Interleave the low 16 bits of x (even positions) and y (odd)."""
-    z = np.zeros(len(x), dtype=np.int64)
-    for i in range(ZORDER_BITS):
-        z |= ((x >> i) & 1) << (2 * i)
-        z |= ((y >> i) & 1) << (2 * i + 1)
-    return z
-
-
-def q_zorder_index(sf_dir: str):
-    """(event_id, zkey, file_id): Morton key of (user_id, epoch day) and
-    the 64-way curve-range file assignment.
-
-    Scale shape: pure vectorized per-batch map (16 shift/or passes);
-    the subsequent cluster-write is the terasort exchange on zkey
-    already demonstrated by epoch_shuffle."""
-    ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-
-    def zorder(df: pd.DataFrame) -> pd.DataFrame:
-        x = df["user_id"].to_numpy(np.int64) % (1 << ZORDER_BITS)
-        y = (
-            df["ts"].astype("int64").to_numpy() // 86_400_000_000
-        ) % (1 << ZORDER_BITS)
-        z = zorder_interleave(x, y)
-        return pd.DataFrame(
-            {
-                "event_id": df["event_id"].to_numpy(np.int64),
-                "zkey": z,
-                "file_id": z >> ZORDER_FILES_SHIFT,
-            }
-        )
-
-    return ev.map_batches(zorder, batch_format="pandas")
-
-
-def _zorder_sql() -> str:
-    terms = " + ".join(
-        f"(((x >> {i}) & 1) << {2 * i}) + (((y >> {i}) & 1) << {2 * i + 1})"
-        for i in range(ZORDER_BITS)
-    )
-    return f"""
-WITH e AS (
-  -- non-negative modulo (numpy semantics) even for pre-1970 timestamps
-  SELECT event_id, ((user_id % {1 << ZORDER_BITS}) + {1 << ZORDER_BITS})
-           % {1 << ZORDER_BITS} AS x,
-         ((CAST(FLOOR(epoch(ts) / 86400) AS BIGINT) % {1 << ZORDER_BITS})
-           + {1 << ZORDER_BITS}) % {1 << ZORDER_BITS} AS y
-  FROM events
-)
-SELECT event_id, CAST({terms} AS BIGINT) AS zkey,
-       CAST(({terms}) >> {ZORDER_FILES_SHIFT} AS BIGINT) AS file_id
-FROM e
-"""
-
-
 # ============================================= distribution resampling
 #
 # Deterministic importance resampling to a target language mix (the
@@ -1050,91 +778,6 @@ SELECT doc_id, lang,
                // (10000 * n_l))
        THEN 1 ELSE 0 END AS BIGINT) AS kept
 FROM c
-"""
-
-
-# ========================================== prefix-preserving IP anonymization
-#
-# Crypto-PAn-style pseudonymization (Xu et al., ICNP 2002 — public
-# scheme, md5 standing in for the AES PRF): output bit i = input bit i
-# XOR prf(input bits 0..i-1), which preserves prefix relationships
-# EXACTLY — two IPs share a k-bit anonymized prefix iff they shared a
-# k-bit original prefix — the property that keeps subnet-level analytics
-# valid over scrubbed crawl telemetry (complements pii_scrub's content
-# redaction with structure-preserving field redaction).
-
-
-def anonymize_ip(ip: int) -> int:
-    bits = format(ip, "032b")
-    out = 0
-    for i in range(32):
-        f = (
-            int(hashlib.md5(("pan|" + bits[:i]).encode("utf-8")).hexdigest()[:16], 16)
-            % 2
-        )
-        out = (out << 1) | ((ip >> (31 - i)) & 1) ^ f
-    return out
-
-
-def _dotted(ip: int) -> str:
-    return ".".join(str((ip >> s) & 255) for s in (24, 16, 8, 0))
-
-
-def q_ip_anonymize(sf_dir: str):
-    """(user_id, ip, ip_anon): each distinct user's deterministic IPv4
-    and its prefix-preserving pseudonym, both dotted-quad.
-
-    Scale shape: distinct users via per-batch dedup + ONE coarse
-    exchange (the seen-set shape); the 32-round PRF walk is per distinct
-    user, not per event."""
-    ev = _read(sf_dir, "events", columns=["user_id"])
-
-    def distinct_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates("user_id").astype({"user_id": np.int64})
-
-    kd = _with_coarse_group(
-        ev.map_batches(distinct_part, batch_format="pandas"), "user_id"
-    )
-
-    def anon(g: pd.DataFrame) -> pd.DataFrame:
-        users = np.unique(g["user_id"].to_numpy(np.int64))
-        ips = _ip32(users)
-        return pd.DataFrame(
-            {
-                "user_id": users,
-                "ip": [_dotted(int(p)) for p in ips],
-                "ip_anon": [_dotted(anonymize_ip(int(p))) for p in ips],
-            }
-        )
-
-    return kd.groupby("_g").map_groups(anon, batch_format="pandas")
-
-
-def _ip_anonymize_sql() -> str:
-    dotted = (
-        lambda col: f"CAST(({col} >> 24) & 255 AS VARCHAR) || '.' || "
-        f"CAST(({col} >> 16) & 255 AS VARCHAR) || '.' || "
-        f"CAST(({col} >> 8) & 255 AS VARCHAR) || '.' || "
-        f"CAST({col} & 255 AS VARCHAR)"
-    )
-    return f"""
-WITH u AS (
-  SELECT DISTINCT user_id FROM events
-), ips AS (
-  SELECT user_id,
-         CAST({_md5u("'ip|' || CAST(user_id AS VARCHAR)")} % 4294967296 AS BIGINT) AS ip
-  FROM u
-), bits AS (
-  SELECT user_id, ip, i,
-    xor((ip >> (31 - CAST(i AS INTEGER))) & 1,
-        CAST({_md5u("'pan|' || substr(lpad(bin(ip), 32, '0'), 1, CAST(i AS INTEGER))")} % 2 AS BIGINT)) AS ob
-  FROM ips, unnest(range(32)) t(i)
-), anon AS (
-  SELECT user_id, ip,
-         CAST(SUM(ob << (31 - CAST(i AS INTEGER))) AS BIGINT) AS ipa
-  FROM bits GROUP BY user_id, ip
-)
-SELECT user_id, {dotted('ip')} AS ip, {dotted('ipa')} AS ip_anon FROM anon
 """
 
 
@@ -1338,113 +981,6 @@ SELECT doc_id, n_chars,
   CAST(10000 * (RANK() OVER (ORDER BY n_chars) - 1)
        // GREATEST(COUNT(*) OVER () - 1, 1) AS BIGINT) AS pct_bp
 FROM documents
-"""
-
-
-# ========================================================= basket lift
-#
-# Association-rule mining over user event baskets: for every unordered
-# event-type pair, lift = P(a,b) / (P(a) P(b)) over users — emitted as
-# the exact integer (10000 * n_ab * N) // (n_a * n_b), so >10000 means
-# positive association. The market-basket shape with a bounded type
-# dimension: all heavy work collapses to per-user type sets.
-
-
-def q_basket_lift(sf_dir: str):
-    """(type_a, type_b, n_ab, lift_bp) for type_a < type_b.
-
-    Scale shape: per-batch distinct (user, type) combiner -> ONE coarse
-    exchange on user_id -> per-user pair fan-out (<= C(|types|,2) rows
-    per user) -> bounded pair/single groupby; type counts and the user
-    total ride the same exchange as tagged rows — one shuffle total."""
-    from ray.data.aggregate import Sum as _Sum
-
-    ev = _read(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def distinct_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates().astype({"user_id": np.int64})
-
-    kd = _with_coarse_group(
-        ev.map_batches(distinct_part, batch_format="pandas"), "user_id"
-    )
-
-    def emit(g: pd.DataFrame) -> pd.DataFrame:
-        rows_a, rows_b, n = [], [], []
-        for _, grp in g.drop_duplicates(["user_id", "event_type"]).groupby(
-            "user_id"
-        ):
-            types = sorted(grp["event_type"].tolist())
-            # the tagged-row encoding reserves these two values
-            assert "__user__" not in types and "" not in types, (
-                "basket_lift: event_type collides with the in-band "
-                "sentinel values '__user__'/''"
-            )
-            rows_a.append("__user__")
-            rows_b.append("")
-            n.append(1)
-            for i, a in enumerate(types):
-                rows_a.append(a)
-                rows_b.append("")
-                n.append(1)
-                for b in types[i + 1 :]:
-                    rows_a.append(a)
-                    rows_b.append(b)
-                    n.append(1)
-        return pd.DataFrame(
-            {"a": rows_a, "b": rows_b, "n": pd.Series(n, dtype=np.int64)}
-        )
-
-    agg = (
-        kd.groupby("_g")
-        .map_groups(emit, batch_format="pandas")
-        .groupby(["a", "b"])
-        .aggregate(_Sum("n", alias_name="n"))
-        .to_pandas()
-    )  # bounded: 1 + |types| + C(|types|,2) rows
-    if agg.empty:  # Ray's empty to_pandas() carries no columns
-        return pd.DataFrame(
-            {
-                "type_a": pd.Series([], dtype=object),
-                "type_b": pd.Series([], dtype=object),
-                "n_ab": pd.Series([], dtype=np.int64),
-                "lift_bp": pd.Series([], dtype=np.int64),
-            }
-        )
-    n_users = int(agg.loc[agg["a"] == "__user__", "n"].iloc[0])
-    singles = {
-        r.a: int(r.n)
-        for r in agg[(agg["b"] == "") & (agg["a"] != "__user__")].itertuples()
-    }
-    pairs = agg[agg["b"] != ""].copy()
-    na = pairs["a"].map(singles).to_numpy(np.int64)
-    nb = pairs["b"].map(singles).to_numpy(np.int64)
-    nab = pairs["n"].to_numpy(np.int64)
-    return pd.DataFrame(
-        {
-            "type_a": pairs["a"].to_numpy(),
-            "type_b": pairs["b"].to_numpy(),
-            "n_ab": nab,
-            "lift_bp": 10000 * nab * n_users // (na * nb),
-        }
-    )
-
-
-BASKET_LIFT_SQL = """
-WITH ut AS (SELECT DISTINCT user_id, event_type FROM events),
-nu AS (SELECT COUNT(DISTINCT user_id) AS n_users FROM ut),
-ta AS (SELECT event_type, COUNT(*) AS n_t FROM ut GROUP BY 1),
-p AS (
-  SELECT a.event_type AS type_a, b.event_type AS type_b,
-         CAST(COUNT(*) AS BIGINT) AS n_ab
-  FROM ut a JOIN ut b
-    ON a.user_id = b.user_id AND a.event_type < b.event_type
-  GROUP BY 1, 2
-)
-SELECT p.type_a, p.type_b, p.n_ab,
-  CAST(10000 * p.n_ab * nu.n_users // (t1.n_t * t2.n_t) AS BIGINT) AS lift_bp
-FROM p, nu
-JOIN ta t1 ON t1.event_type = p.type_a
-JOIN ta t2 ON t2.event_type = p.type_b
 """
 
 
@@ -1665,257 +1201,6 @@ SELECT template, CAST(COUNT(*) AS BIGINT) AS n_urls FROM t GROUP BY template
 """
 
 
-# ==================================================== top-decile share
-#
-# Activity concentration: what share of all events comes from the top
-# 10% most active users — computed WITHOUT ranking any user. The
-# count-of-counts histogram (bounded by the activity domain) yields the
-# decile threshold T, and every tied user at T contributes exactly T
-# events, so the tie tail is (k - above)·T with no per-user selection —
-# the count_gini/waterfill trick applied to decile concentration.
-
-
-def q_top_decile_share(sf_dir: str):
-    """One row: (n_users, k, events_top, events_total, share_bp) with
-    k = ceil(n/10) top users by activity (ties resolved by count alone —
-    every tied user contributes the same T events, so no per-user
-    tie-break is ever needed).
-
-    Scale shape: per-batch (user, n) combiner -> ONE coarse exchange ->
-    per-task count-of-counts partials (bounded by the activity domain)
-    -> driver threshold solve over the small histogram."""
-    ev = _read(sf_dir, "events", columns=["user_id"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("user_id", as_index=False).size()
-        out.columns = ["user_id", "n"]
-        return out.astype(np.int64)
-
-    kd = _with_coarse_group(
-        ev.map_batches(partial, batch_format="pandas"), "user_id"
-    )
-
-    def coc(g: pd.DataFrame) -> pd.DataFrame:
-        x = g.groupby("user_id")["n"].sum()
-        out = x.value_counts().rename_axis("cnt").reset_index(name="n_users")
-        return out.astype(np.int64)
-
-    h = (
-        kd.groupby("_g")
-        .map_groups(coc, batch_format="pandas")
-        .groupby("cnt")
-        .map_groups(
-            lambda g: g.groupby("cnt", as_index=False)["n_users"].sum(),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )  # bounded: one row per distinct activity level
-    if h.empty:
-        return pd.DataFrame(
-            {
-                "n_users": pd.Series([0], dtype=np.int64),
-                "k": pd.Series([0], dtype=np.int64),
-                "events_top": pd.Series([0], dtype=np.int64),
-                "events_total": pd.Series([0], dtype=np.int64),
-                "share_bp": pd.Series([0], dtype=np.int64),
-            }
-        )
-    h = h.sort_values("cnt", ascending=False)
-    cnts = h["cnt"].to_numpy(np.int64)
-    nus = h["n_users"].to_numpy(np.int64)
-    n_users = int(nus.sum())
-    total = int((cnts * nus).sum())
-    k = (n_users + 9) // 10
-    cum_users = np.cumsum(nus)
-    i = int(np.searchsorted(cum_users, k, side="left"))  # threshold level
-    above = int(cum_users[i - 1]) if i > 0 else 0
-    top = int((cnts[:i] * nus[:i]).sum()) + (k - above) * int(cnts[i])
-    return pd.DataFrame(
-        {
-            "n_users": pd.Series([n_users], dtype=np.int64),
-            "k": pd.Series([k], dtype=np.int64),
-            "events_top": pd.Series([top], dtype=np.int64),
-            "events_total": pd.Series([total], dtype=np.int64),
-            "share_bp": pd.Series(
-                [10000 * top // total if total else 0], dtype=np.int64
-            ),
-        }
-    )
-
-
-TOP_DECILE_SHARE_SQL = """
-WITH c AS (SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n FROM events GROUP BY 1),
-r AS (
-  SELECT n, ROW_NUMBER() OVER (ORDER BY n DESC, user_id ASC) AS rn FROM c
-), t AS (
-  SELECT CAST(COUNT(*) AS BIGINT) AS n_users,
-         CAST((COUNT(*) + 9) // 10 AS BIGINT) AS k,
-         CAST(SUM(n) AS BIGINT) AS events_total
-  FROM c
-)
-SELECT t.n_users, t.k,
-  CAST((SELECT SUM(n) FROM r, t WHERE r.rn <= t.k) AS BIGINT) AS events_top,
-  t.events_total,
-  CAST(CASE WHEN t.events_total > 0
-       THEN 10000 * (SELECT SUM(n) FROM r, t WHERE r.rn <= t.k)
-            // t.events_total ELSE 0 END AS BIGINT) AS share_bp
-FROM t
-"""
-
-
-# ====================================================== fairness index
-#
-# Jain's fairness index over per-entity load, integer-exact: J =
-# (Σx)² / (n·Σx²) ∈ (0, 1], 1 = perfectly even — the standard scheduler
-# fairness number (here: how evenly the event load spreads across
-# users; in production, how evenly a politeness scheduler spreads
-# fetches across hosts). Complements count_gini (inequality) with the
-# fairness formulation, no sort and no histogram needed — just three
-# integer sums.
-
-
-def q_fairness_index(sf_dir: str):
-    """One row: (n_users, sum_x, sum_x2, fairness_bp) with fairness_bp =
-    10000·(Σx)² // (n·Σx²).
-
-    Scale shape: per-batch (user, count) combiner -> ONE coarse exchange
-    on user_id -> per-task (n, Σx, Σx²) partials -> 3-scalar reduce."""
-    ev = _read(sf_dir, "events", columns=["user_id"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("user_id", as_index=False).size()
-        out.columns = ["user_id", "n"]
-        return out.astype(np.int64)
-
-    kd = _with_coarse_group(
-        ev.map_batches(partial, batch_format="pandas"), "user_id"
-    )
-
-    def sums(g: pd.DataFrame) -> pd.DataFrame:
-        x = g.groupby("user_id")["n"].sum().to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "n_users": pd.Series([len(x)], dtype=np.int64),
-                "sum_x": pd.Series([int(x.sum())], dtype=np.int64),
-                "sum_x2": pd.Series([int((x * x).sum())], dtype=np.int64),
-            }
-        )
-
-    parts = kd.groupby("_g").map_groups(sums, batch_format="pandas")
-    tot = parts.sum(["n_users", "sum_x", "sum_x2"])
-    n = int(tot["sum(n_users)"] or 0)
-    sx = int(tot["sum(sum_x)"] or 0)
-    sx2 = int(tot["sum(sum_x2)"] or 0)
-    fb = 10000 * sx * sx // (n * sx2) if n and sx2 else 0
-    return pd.DataFrame(
-        {
-            "n_users": pd.Series([n], dtype=np.int64),
-            "sum_x": pd.Series([sx], dtype=np.int64),
-            "sum_x2": pd.Series([sx2], dtype=np.int64),
-            "fairness_bp": pd.Series([fb], dtype=np.int64),
-        }
-    )
-
-
-FAIRNESS_INDEX_SQL = """
-WITH c AS (SELECT user_id, CAST(COUNT(*) AS BIGINT) AS x FROM events GROUP BY 1),
-s AS (
-  SELECT CAST(COUNT(*) AS BIGINT) AS n_users,
-         CAST(SUM(x) AS BIGINT) AS sum_x,
-         CAST(SUM(x * x) AS BIGINT) AS sum_x2
-  FROM c
-)
-SELECT n_users, sum_x, sum_x2,
-  -- HUGEINT: 10^4 · (Σx)² overflows BIGINT past ~3e7 events (review)
-  CAST(CASE WHEN n_users > 0 AND sum_x2 > 0
-       THEN (10000 * CAST(sum_x AS HUGEINT) * CAST(sum_x AS HUGEINT))
-            // (CAST(n_users AS HUGEINT) * CAST(sum_x2 AS HUGEINT))
-       ELSE 0 END AS BIGINT) AS fairness_bp
-FROM s
-"""
-
-
-# ===================================================== interval union
-#
-# Gaps-and-islands interval merging: each event opens a 5-minute
-# activity window; per user, merge overlapping/touching windows and
-# report the union length — the "actual active time" measure (crawl
-# connection-held time, user engagement time) that naive SUM(duration)
-# double-counts.
-
-IU_WINDOW_US = 5 * 60 * 1_000_000
-
-
-def q_interval_union(sf_dir: str):
-    """(user_id, n_events, n_islands, covered_us): merged-interval count
-    and exact union length in microseconds.
-
-    Scale shape: ONE coarse exchange on user_id; inside the task the
-    island boundaries come from one sort + np.maximum.accumulate over
-    the user's interval ends — no per-interval scan."""
-    ev = _read(sf_dir, "events", columns=["user_id", "ts"])
-    kd = _with_coarse_group(ev, "user_id")
-
-    def union(g: pd.DataFrame) -> pd.DataFrame:
-        out_u, out_n, out_i, out_c = [], [], [], []
-        for uid, rows in g.groupby("user_id"):
-            s = np.sort(rows["ts"].astype("int64").to_numpy())
-            e = s + IU_WINDOW_US
-            if len(s) == 0:
-                continue
-            run_end = np.maximum.accumulate(e)
-            new_island = np.ones(len(s), dtype=bool)
-            new_island[1:] = s[1:] > run_end[:-1]
-            isl = np.cumsum(new_island) - 1
-            starts = s[new_island]
-            # island end = run_end at the island's LAST event: run_end is
-            # monotone and resets past an island boundary by construction
-            # (review finding: the per-island rescan was O(islands·events))
-            ends = run_end[np.flatnonzero(np.append(new_island[1:], True))]
-            out_u.append(uid)
-            out_n.append(len(s))
-            out_i.append(int(isl[-1] + 1))
-            out_c.append(int((ends - starts).sum()))
-        return pd.DataFrame(
-            {
-                "user_id": pd.Series(out_u, dtype=np.int64),
-                "n_events": pd.Series(out_n, dtype=np.int64),
-                "n_islands": pd.Series(out_i, dtype=np.int64),
-                "covered_us": pd.Series(out_c, dtype=np.int64),
-            }
-        )
-
-    return kd.groupby("_g").map_groups(union, batch_format="pandas")
-
-
-INTERVAL_UNION_SQL = """
-WITH iv AS (
-  SELECT user_id, epoch_us(ts) AS s, epoch_us(ts) + 300000000 AS e
-  FROM events
-), m AS (
-  SELECT user_id, s, e,
-    CASE WHEN MAX(e) OVER (PARTITION BY user_id ORDER BY s, e
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) IS NULL
-         OR s > MAX(e) OVER (PARTITION BY user_id ORDER BY s, e
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-    THEN 1 ELSE 0 END AS new_i
-  FROM iv
-), g AS (
-  SELECT user_id, s, e,
-         SUM(new_i) OVER (PARTITION BY user_id ORDER BY s, e) AS isl
-  FROM m
-), isl AS (
-  SELECT user_id, isl, MIN(s) AS s, MAX(e) AS e FROM g GROUP BY 1, 2
-)
-SELECT user_id,
-  (SELECT CAST(COUNT(*) AS BIGINT) FROM iv WHERE iv.user_id = isl.user_id)
-    AS n_events,
-  CAST(COUNT(*) AS BIGINT) AS n_islands,
-  CAST(SUM(e - s) AS BIGINT) AS covered_us
-FROM isl GROUP BY user_id
-"""
-
-
 # ===================================================== sentence stats
 #
 # Punctuation-rule sentence segmentation — the doc-shape feature the
@@ -2110,24 +1395,17 @@ WEBCORPUS_SQL_QUERIES: dict[str, tuple] = {
         q_radix_quantiles,
         _radix_sql(_RADIX_CENTS_CTE, "est_cents"),
     ),
-    "funnel_latency": (q_funnel_latency, _funnel_latency_sql()),
     "minhash_error": (q_minhash_error, _minhash_error_sql()),
-    "join_size_estimate": (q_join_size_estimate, JOIN_SIZE_ESTIMATE_SQL),
     "degree_assortativity": (q_degree_assortativity, DEGREE_ASSORTATIVITY_SQL),
     "cdc_chunks": (q_cdc_chunks, CDC_CHUNKS_SQL),
-    "lru_hit_rate": (q_lru_hit_rate, LRU_HIT_RATE_SQL),
     "bm25_rank": (q_bm25_rank, _bm25_sql()),
-    "late_data": (q_late_data, LATE_DATA_SQL),
     "product_quantize": (q_product_quantize, PRODUCT_QUANTIZE_SQL),
     "kmv_error": (q_kmv_error, _kmv_error_sql()),
     "theta_intersect": (q_theta_intersect, _theta_intersect_sql()),
     "bloom_fpr": (q_bloom_fpr, _bloom_fpr_sql()),
-    "fairness_index": (q_fairness_index, FAIRNESS_INDEX_SQL),
     "pq_recall": (q_pq_recall, _pq_recall_sql()),
     "path_templates": (q_path_templates, _path_templates_sql()),
-    "top_decile_share": (q_top_decile_share, TOP_DECILE_SHARE_SQL),
     "infer_types": (q_infer_types, INFER_TYPES_SQL),
-    "interval_union": (q_interval_union, INTERVAL_UNION_SQL),
     "mrl_recall": (q_mrl_recall, _mrl_recall_sql()),
     "vocab_drift": (q_vocab_drift, _vocab_drift_sql()),
     "postings_roundtrip": (q_postings_roundtrip, _postings_roundtrip_sql()),
@@ -2136,7 +1414,6 @@ WEBCORPUS_SQL_QUERIES: dict[str, tuple] = {
     "sentence_stats": (q_sentence_stats, SENTENCE_STATS_SQL),
     "crosslang_links": (q_crosslang_links, CROSSLANG_LINKS_SQL),
     "cocitation_pairs": (q_cocitation_pairs, COCITATION_PAIRS_SQL),
-    "burst_days": (q_burst_days, BURST_DAYS_SQL),
     "graph_reciprocity": (q_graph_reciprocity, GRAPH_RECIPROCITY_SQL),
     "butterfly_count": (q_butterfly_count, BUTTERFLY_COUNT_SQL),
     "modularity_score": (q_modularity_score, MODULARITY_SCORE_SQL),
@@ -2148,23 +1425,17 @@ WEBCORPUS_SQL_QUERIES: dict[str, tuple] = {
     "jl_distortion": (q_jl_distortion, JL_DISTORTION_SQL),
     "token_simpson": (q_token_simpson, TOKEN_SIMPSON_SQL),
     "quantile_map": (q_quantile_map, QUANTILE_MAP_SQL),
-    "props_stats": (q_props_stats, PROPS_STATS_SQL),
     "badword_filter": (q_badword_filter, _badword_sql()),
     "winnow_fingerprint": (q_winnow_fingerprint, WINNOW_FINGERPRINT_SQL),
     "crawl_trap_filter": (q_crawl_trap_filter, _crawl_trap_sql()),
-    "activity_trend": (q_activity_trend, ACTIVITY_TREND_SQL),
     "consistent_hash_assign": (q_consistent_hash_assign, CONSISTENT_HASH_SQL),
-    "zorder_index": (q_zorder_index, _zorder_sql()),
     "distribution_resample": (q_distribution_resample, _distribution_resample_sql()),
-    "ip_anonymize": (q_ip_anonymize, _ip_anonymize_sql()),
     "politeness_audit": (q_politeness_audit, POLITENESS_AUDIT_SQL),
     "langid_confusion": (q_langid_confusion, _langid_confusion_sql()),
     "rank_normalize": (q_rank_normalize, RANK_NORMALIZE_SQL),
-    "basket_lift": (q_basket_lift, BASKET_LIFT_SQL),
     "pareto_docs": (q_pareto_docs, PARETO_DOCS_SQL),
     "bitext_align": (q_bitext_align, BITEXT_ALIGN_SQL),
     "surt_keys": (q_surt_keys, SURT_KEYS_SQL),
-    "ip_geo_join": (q_ip_geo_join, IP_GEO_JOIN_SQL),
     "table_extract": (q_table_extract, TABLE_EXTRACT_SQL),
     "charset_normalize": (q_charset_normalize, CHARSET_NORMALIZE_SQL),
     "mime_sniff": (q_mime_sniff, MIME_SNIFF_SQL),

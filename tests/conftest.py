@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the checkout under test and its tools/ (check_oracles' comparator)
+sys.path[:0] = [REPO, os.path.join(REPO, "tools")]
 
 
 @pytest.fixture(scope="session")

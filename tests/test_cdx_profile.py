@@ -1,5 +1,5 @@
-"""CDX random-access fetch semantics and column-profiling laws on
-planted fixtures. Oracle parity at gate scale is covered by the gate."""
+"""CDX random-access fetch semantics on planted fixtures. Oracle parity
+at gate scale is covered by the gate."""
 
 import gzip
 import hashlib
@@ -8,7 +8,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from europarl_crawler_ray.pipelines.corpus_ops import q_profile_columns
 from europarl_crawler_ray.pipelines.queries import q_cdx_index
 from europarl_crawler_ray.sources.warc import (
     parse_warc,
@@ -72,26 +71,3 @@ def test_cdx_index_end_to_end(ray_session, tmp_path):
     assert len(out) == 20 and (out["fetched_ok"] == 1).all()
     assert out.loc[7, "digest"] == hashlib.md5(b"text number 7").hexdigest()
     assert out.loc[7, "rec_len"] == len("text number 7")
-
-
-def test_profile_columns_laws(ray_session, tmp_path):
-    li = pa.table(
-        {
-            "l_orderkey": pa.array([1, 2, 3, 4], pa.int64()),
-            "l_quantity": pa.array([1.0, 2.0, 2.0, 10.0]),
-            "l_returnflag": pa.array(["A", "N", "N", "R"]),
-            "l_linestatus": pa.array(["O", "O", "F", "F"]),
-        }
-    )
-    pq.write_table(li, tmp_path / "lineitem.parquet")
-    out = q_profile_columns(str(tmp_path)).to_pandas().set_index("column_name")
-    q = out.loc["l_quantity_cents"]
-    assert q["n_rows"] == 4 and q["n_distinct"] == 3 and q["n_nulls"] == 0
-    # zero-padded cents keep string order == numeric order (1000 > 200)
-    assert q["min_v"] == "000000000100" and q["max_v"] == "000000001000"
-    assert q["top_value"] == "000000000200" and q["top_n"] == 2
-    rf = out.loc["l_returnflag"]
-    assert rf["top_value"] == "N" and rf["top_n"] == 2
-    ls = out.loc["l_linestatus"]
-    # tie (O=2, F=2) broken by value ASC
-    assert ls["top_value"] == "F" and ls["top_n"] == 2

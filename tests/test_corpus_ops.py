@@ -1,10 +1,9 @@
-"""corpus_ops semantics on tiny planted fixtures: funnel chain ordering,
-inverted-index postings cap, dup-n-gram coverage, contamination flags,
+"""corpus_ops semantics on tiny planted fixtures: inverted-index
+postings cap, dup-n-gram coverage, contamination flags,
 and normalization round trips. Oracle parity is covered by the gate."""
 
 import hashlib
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -14,7 +13,6 @@ from europarl_crawler_ray.pipelines.corpus_ops import (
     normalize_text,
     q_contamination_check,
     q_dup_ngram_coverage,
-    q_funnel_counts,
     q_inverted_index,
     q_normalize_text,
 )
@@ -31,68 +29,6 @@ def _write_docs(path, texts: dict[int, str]):
         }
     )
     pq.write_table(t, path / "documents.parquet")
-
-
-# ------------------------------------------------------------- funnel
-
-
-def _write_events(path, rows):
-    t = pa.table(
-        {
-            "event_id": pa.array(range(len(rows)), pa.int64()),
-            "ts": pa.array([pd.Timestamp(r[1]) for r in rows], pa.timestamp("us")),
-            "user_id": pa.array([r[0] for r in rows], pa.int64()),
-            "event_type": pa.array([r[2] for r in rows]),
-            "value": pa.array([0.0] * len(rows)),
-            "props": pa.array(["{}"] * len(rows)),
-        }
-    )
-    pq.write_table(t, path / "events.parquet")
-
-
-def test_funnel_strict_ordering(ray_session, tmp_path):
-    _write_events(
-        tmp_path,
-        [
-            # user 1 completes the full funnel in order
-            (1, "2021-01-01 10:00", "signup"),
-            (1, "2021-01-01 10:01", "view"),
-            (1, "2021-01-01 10:02", "click"),
-            (1, "2021-01-01 10:03", "purchase"),
-            # user 2: view BEFORE signup only -> stops at stage 1
-            (2, "2021-01-01 09:00", "view"),
-            (2, "2021-01-01 10:00", "signup"),
-            # user 3: signup+view but click is simultaneous with view ->
-            # strict > excludes it
-            (3, "2021-01-01 10:00", "signup"),
-            (3, "2021-01-01 10:05", "view"),
-            (3, "2021-01-01 10:05", "click"),
-            # user 4 never signs up
-            (4, "2021-01-01 10:00", "purchase"),
-        ],
-    )
-    out = (
-        q_funnel_counts(str(tmp_path)).to_pandas().set_index("stage")["n_users"].to_dict()
-    )
-    assert out == {1: 3, 2: 2, 3: 1, 4: 1}
-
-
-def test_funnel_greedy_min_not_best_chain(ray_session, tmp_path):
-    # greedy earliest-chain semantics: t2 is the MIN view after signup,
-    # even when a LATER view would enable a click; the chain then fails
-    # at click because the only click precedes that min view's successor
-    _write_events(
-        tmp_path,
-        [
-            (1, "2021-01-01 10:00", "signup"),
-            (1, "2021-01-01 10:01", "view"),
-            (1, "2021-01-01 10:00:30", "click"),  # before min view -> not counted
-        ],
-    )
-    out = (
-        q_funnel_counts(str(tmp_path)).to_pandas().set_index("stage")["n_users"].to_dict()
-    )
-    assert out == {1: 1, 2: 1}
 
 
 # ------------------------------------------------------ inverted index
@@ -271,38 +207,6 @@ def test_hive_partition_scan(ray_session, tmp_path):
     assert os.path.isdir(os.path.join(hive, "lang=de"))
 
 
-# ------------------------------------------------------ running totals
-
-
-def test_running_totals_cumsum(ray_session, tmp_path):
-    from europarl_crawler_ray.pipelines.corpus_ops import q_running_totals
-
-    rows = [
-        (1, "2021-01-01 10:00", "view", 1.25),
-        (1, "2021-01-01 10:01", "view", 2.00),
-        (1, "2021-01-01 09:00", "view", 0.50),   # earlier -> first
-        (2, "2021-01-01 10:00", "view", 10.00),
-    ]
-    t = pa.table(
-        {
-            "event_id": pa.array(range(len(rows)), pa.int64()),
-            "ts": pa.array([pd.Timestamp(r[1]) for r in rows], pa.timestamp("us")),
-            "user_id": pa.array([r[0] for r in rows], pa.int64()),
-            "event_type": pa.array([r[2] for r in rows]),
-            "value": pa.array([r[3] for r in rows]),
-            "props": pa.array(["{}"] * len(rows)),
-        }
-    )
-    pq.write_table(t, tmp_path / "events.parquet")
-    out = (
-        q_running_totals(str(tmp_path)).to_pandas().set_index("event_id")["running_cents"]
-    )
-    assert out[2] == 50            # user 1, 09:00
-    assert out[0] == 50 + 125      # user 1, 10:00
-    assert out[1] == 50 + 125 + 200
-    assert out[3] == 1000          # user 2 independent
-
-
 # -------------------------------------------------- stratified sample
 
 
@@ -368,105 +272,3 @@ def test_group_quantiles_exact(ray_session, tmp_path):
     assert all(out[("de", p)] == 42 for p in (25, 50, 75, 90))
 
 
-# ------------------------------------------------- retention cohorts
-
-
-def test_retention_cohorts_planted(ray_session, tmp_path):
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from europarl_crawler_ray.pipelines.corpus_ops import q_retention_cohorts
-
-    # user 1: weeks 0 and 2 (cohort 0, ages 0+2); user 2: week 0 only;
-    # user 3: weeks 2,2,3 (duplicate week collapses; cohort 2, ages 0+1)
-    rows = [
-        (1, "1970-01-01"), (1, "1970-01-15"),
-        (2, "1970-01-02"),
-        (3, "1970-01-16"), (3, "1970-01-17"), (3, "1970-01-22"),
-    ]
-    pq.write_table(
-        pa.table(
-            {
-                "event_id": pa.array(range(len(rows)), pa.int64()),
-                "ts": pa.array([pd.Timestamp(r[1]) for r in rows], pa.timestamp("us")),
-                "user_id": pa.array([r[0] for r in rows], pa.int64()),
-                "event_type": pa.array(["view"] * len(rows)),
-                "value": pa.array([1.0] * len(rows)),
-                "props": pa.array(["{}"] * len(rows)),
-            }
-        ),
-        tmp_path / "events.parquet",
-    )
-    df = (
-        q_retention_cohorts(str(tmp_path))
-        .to_pandas()
-        .set_index(["cohort_week", "age_weeks"])["n_users"]
-        .sort_index()
-    )
-    assert df.to_dict() == {(0, 0): 2, (0, 2): 1, (2, 0): 1, (2, 1): 1}
-
-
-def test_count_gini_known_distributions(ray_session, tmp_path):
-    from fractions import Fraction
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from europarl_crawler_ray.pipelines.corpus_ops import q_count_gini
-
-    def write(custkeys):
-        pq.write_table(
-            pa.table(
-                {
-                    "o_orderkey": pa.array(range(len(custkeys)), pa.int64()),
-                    "o_custkey": pa.array(custkeys, pa.int64()),
-                    "o_orderstatus": pa.array(["O"] * len(custkeys)),
-                    "o_totalprice": pa.array([1.0] * len(custkeys)),
-                    "o_orderdate": pa.array([0] * len(custkeys), pa.timestamp("us")),
-                    "o_orderpriority": pa.array(["1"] * len(custkeys)),
-                }
-            ),
-            tmp_path / "orders.parquet",
-        )
-
-    # perfectly equal: 4 customers x 2 orders -> Gini 0
-    write([1, 1, 2, 2, 3, 3, 4, 4])
-    r = q_count_gini(str(tmp_path)).to_pandas().iloc[0]
-    assert (r["n_keys"], r["total_cnt"], r["gini_num"]) == (4, 8, 0)
-    # counts 1 and 3 across two customers: G = |1-3|*2 / (2*2*4) = 1/4
-    write([1, 2, 2, 2])
-    r = q_count_gini(str(tmp_path)).to_pandas().iloc[0]
-    assert Fraction(int(r["gini_num"]), int(r["gini_den"])) == Fraction(1, 4)
-
-
-# ------------------------------------------------ event transitions
-
-
-def test_event_transitions_user_boundaries_and_probs(ray_session, tmp_path):
-    from europarl_crawler_ray.pipelines.corpus_ops import q_event_transitions
-
-    _write_events(
-        tmp_path,
-        [
-            (1, "2021-01-01 10:00", "a"),
-            (1, "2021-01-01 10:01", "b"),
-            (1, "2021-01-01 10:02", "a"),
-            (1, "2021-01-01 10:03", "c"),
-            # a new user's first event is NOT a transition from user 1
-            (2, "2021-01-01 10:04", "b"),
-            (2, "2021-01-01 10:05", "a"),
-        ],
-    )
-    out = (
-        q_event_transitions(str(tmp_path))
-        .set_index(["prev_type", "next_type"])
-        .sort_index()
-    )
-    assert out.loc[("a", "b"), "n"] == 1 and out.loc[("a", "c"), "n"] == 1
-    assert out.loc[("b", "a"), "n"] == 2
-    # out of 'a': 2 transitions -> 5000 bp each
-    assert out.loc[("a", "b"), "p_bp"] == 5000
-    assert out.loc[("b", "a"), "p_bp"] == 10000
-    assert ("c", "b") not in out.index  # cross-user pair suppressed

@@ -1,5 +1,5 @@
-"""curation_ops semantics on planted fixtures: SCD2 run-collapse and
-interval chaining, OOV vocabulary tie-breaks, leakage-safe split
+"""curation_ops semantics on planted fixtures: OOV vocabulary
+tie-breaks, leakage-safe split
 invariants (near-dups co-assigned, singletons covered), and
 schema-evolution NULL-fill. Oracle parity at gate scale is covered by
 the driver gate / tools/check_oracles.py."""
@@ -9,10 +9,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from europarl_crawler_ray.pipelines.curation_ops import (
-    SCD2_OPEN_END,
     q_leakage_safe_split,
     q_oov_rate,
-    q_scd2_history,
     q_schema_evolution,
 )
 
@@ -30,46 +28,6 @@ def _write_docs(path, texts: dict[int, str], langs=None):
         }
     )
     pq.write_table(t, path / "documents.parquet")
-
-
-def _write_events(path, rows):
-    t = pa.table(
-        {
-            "event_id": pa.array(range(len(rows)), pa.int64()),
-            "ts": pa.array([pd.Timestamp(r[1]) for r in rows], pa.timestamp("us")),
-            "user_id": pa.array([r[0] for r in rows], pa.int64()),
-            "event_type": pa.array([r[2] for r in rows]),
-            "value": pa.array([0.0] * len(rows)),
-            "props": pa.array(["{}"] * len(rows)),
-        }
-    )
-    pq.write_table(t, path / "events.parquet")
-
-
-def test_scd2_run_collapse_and_chaining(ray_session, tmp_path):
-    _write_events(
-        tmp_path,
-        [
-            (1, "2021-01-01 10:00", "a"),
-            (1, "2021-01-01 10:05", "a"),  # same run — collapsed
-            (1, "2021-01-01 10:10", "b"),
-            (1, "2021-01-01 10:20", "a"),  # a reappears: NEW version
-            (2, "2021-01-01 09:00", "x"),
-        ],
-    )
-    out = (
-        q_scd2_history(str(tmp_path))
-        .to_pandas()
-        .sort_values(["user_id", "version_no"])
-        .reset_index(drop=True)
-    )
-    u1 = out[out["user_id"] == 1]
-    assert list(u1["event_type"]) == ["a", "b", "a"]
-    assert list(u1["version_no"]) == [0, 1, 2]
-    # intervals chain: each valid_to equals the next valid_from
-    assert list(u1["valid_to"])[:-1] == list(u1["valid_from"])[1:]
-    assert u1["valid_to"].iloc[-1] == SCD2_OPEN_END
-    assert out[out["user_id"] == 2]["valid_to"].iloc[0] == SCD2_OPEN_END
 
 
 def test_oov_rate_rare_token(ray_session, tmp_path):

@@ -3,14 +3,9 @@ three-stage cascade with per-stage verdict attribution."""
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import numpy as np
 import pandas as pd
-
-sys.path.insert(0, "/root/repo/tools")
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.mining_ops import (
     _dedup_cascade_sql,

@@ -6,16 +6,12 @@ bins on hand-built corpora."""
 from __future__ import annotations
 
 import math
-import sys
 
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo/tools")
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.corpus_ops import (
     VOCAB_GROWTH_SQL,

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import numpy as np
 import pandas as pd
-
-sys.path.insert(0, "/root/repo/tools")
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.validation_ops import (
     AUC_EVAL_SQL,

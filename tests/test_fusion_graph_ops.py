@@ -1,8 +1,7 @@
 """Brute-force pins for the round-4 third-session operators:
-benford_audit (first-digit law audit), rrf_fuse (reciprocal-rank
-fusion), butterfly_count (bipartite 4-cycle census). Each is checked
-against a straight-line pandas/python reimplementation on the real
-sf0.001 tables — independent of the SQL oracle, so a shared
+butterfly_count (bipartite 4-cycle census) and closeness_pivots. Each
+is checked against a straight-line pandas/python reimplementation on
+the real sf0.001 tables — independent of the SQL oracle, so a shared
 misconception in both engines would still be caught here.
 DuckDB-oracle parity runs in TestLastBatchOracleParity."""
 
@@ -10,16 +9,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from europarl_crawler_ray.pipelines.mining_ops import (
-    RRF_K,
-    RRF_TOP_K,
-    _RRF_SCALE,
-    q_rrf_fuse,
-)
-from europarl_crawler_ray.pipelines.validation_ops import (
-    BENFORD_PPM,
-    q_benford_audit,
-)
 from europarl_crawler_ray.pipelines.webgraph_ops import q_butterfly_count
 
 
@@ -32,101 +21,6 @@ def _pdf(res):
     if isinstance(res, pa.Table):
         return res.to_pandas()
     return res
-
-
-class TestBenford:
-    def test_ppm_constants_sum_to_one_million(self):
-        assert sum(p for _d, p in BENFORD_PPM) == 1_000_000
-
-    def test_ppm_constants_are_rounded_log10(self):
-        import math
-
-        for d, p in BENFORD_PPM:
-            assert p == round(math.log10(1 + 1 / d) * 1_000_000)
-
-    def test_brute_force(self, ray_session, sf_dir):
-        got = _pdf(q_benford_audit(sf_dir)).sort_values("digit").reset_index(drop=True)
-        orders = pd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
-        cents = np.floor(orders["o_totalprice"].to_numpy() * 100.0 + 0.5).astype(
-            np.int64
-        )
-        cents = cents[cents > 0]
-        first = pd.Series(cents).astype(str).str[0].astype(int)
-        n = len(first)
-        assert n > 0
-        exp_rows = []
-        for d, ppm in BENFORD_PPM:
-            obs = int((first == d).sum())
-            dev = obs * 1_000_000 - ppm * n
-            exp_rows.append((d, obs, ppm, (dev * dev) // (ppm * n)))
-        exp = pd.DataFrame(
-            exp_rows, columns=["digit", "n_obs", "exp_ppm", "chi2_scaled"]
-        )
-        pd.testing.assert_frame_equal(got.astype(np.int64), exp.astype(np.int64))
-
-    def test_counts_cover_all_rows(self, ray_session, sf_dir):
-        got = _pdf(q_benford_audit(sf_dir))
-        orders = pd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
-        assert int(got["n_obs"].sum()) == len(orders)
-
-
-class TestRrfFuse:
-    def test_brute_force(self, ray_session, sf_dir):
-        got = (
-            _pdf(q_rrf_fuse(sf_dir))
-            .sort_values(["nationkey", "rank"])
-            .reset_index(drop=True)
-        )
-        orders = pd.read_parquet(
-            f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-        )
-        customer = pd.read_parquet(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-        )
-        orders["cents"] = np.floor(
-            orders["o_totalprice"].to_numpy() * 100.0 + 0.5
-        ).astype(np.int64)
-        agg = orders.groupby("o_custkey").agg(
-            spend=("cents", "sum"), n=("cents", "size")
-        )
-        j = agg.merge(customer, left_index=True, right_on="c_custkey")
-        rows = []
-        for nk, g in j.groupby("c_nationkey"):
-            g = g.reset_index(drop=True)
-            r1 = (
-                g.sort_values(["spend", "c_custkey"], ascending=[False, True])
-                .reset_index()
-                .reset_index()
-                .set_index("index")["level_0"]
-                + 1
-            )
-            r2 = (
-                g.sort_values(["n", "c_custkey"], ascending=[False, True])
-                .reset_index()
-                .reset_index()
-                .set_index("index")["level_0"]
-                + 1
-            )
-            score = (_RRF_SCALE // (RRF_K + r1)) + (_RRF_SCALE // (RRF_K + r2))
-            g = g.assign(score=score)
-            top = g.sort_values(
-                ["score", "c_custkey"], ascending=[False, True]
-            ).head(RRF_TOP_K)
-            for rank, (_, row) in enumerate(top.iterrows(), start=1):
-                rows.append(
-                    (int(nk), int(row["c_custkey"]), int(row["score"]), rank)
-                )
-        exp = (
-            pd.DataFrame(rows, columns=["nationkey", "custkey", "rrf_score", "rank"])
-            .sort_values(["nationkey", "rank"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got.astype(np.int64), exp.astype(np.int64))
-
-    def test_at_most_k_per_nation(self, ray_session, sf_dir):
-        got = _pdf(q_rrf_fuse(sf_dir))
-        assert got.groupby("nationkey").size().max() <= RRF_TOP_K
-        assert (got["rank"] >= 1).all()
 
 
 class TestButterfly:

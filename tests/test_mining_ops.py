@@ -3,32 +3,22 @@ DSIR hashed importance scoring, and mergeable Misra-Gries heavy hitters."""
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import numpy as np
 import pandas as pd
 import pytest
-
-sys.path.insert(0, "/root/repo/tools")
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.mining_ops import (
     HH_K,
     MINING_SQL_QUERIES,
     SEMDEDUP_CELLS,
     SEMDEDUP_TAU,
-    SKEW_M,
-    SKEW_SALTS,
-    SKEW_TOPK,
     _hh_items,
     _md5_u64,
     _mg_truncate,
-    _skew_hosts,
     q_heavy_hitters,
     q_redirect_resolve,
     q_semdedup,
-    q_skew_join,
 )
 
 
@@ -143,88 +133,6 @@ class TestMiningOracleParity:
         pd.testing.assert_frame_equal(
             out.astype({"cell": np.int64}), expect.astype({"cell": np.int64})
         )
-
-    def test_skew_hosts_head_carries_half(self):
-        hosts = _skew_hosts(np.arange(100000))
-        head = pd.Series(hosts).value_counts()
-        # Zipf(~2): the heaviest host carries roughly half the stream
-        assert 0.4 < head.iloc[0] / len(hosts) < 0.6
-
-    def test_skew_join_salted_decomposition_is_exact_under_ties(self):
-        # adversarial ties: many rows share value_cents within one hot
-        # host — per-(host,salt) top-k then merge must equal the global
-        # (cents DESC, event_id ASC) top-k exactly
-        rng_ids = np.arange(5000)
-        host = _skew_hosts(rng_ids)
-        salt = (_md5_u64("sjs:", rng_ids) % np.uint64(SKEW_SALTS)).astype(np.int64)
-        cents = (rng_ids % 7).astype(np.int64)  # massive tie plateaus
-        df = pd.DataFrame(
-            {"host": host, "salt": salt, "event_id": rng_ids, "value_cents": cents}
-        )
-
-        def topk(g):
-            g = g.sort_values(
-                ["value_cents", "event_id"], ascending=[False, True], kind="mergesort"
-            )
-            return g.head(SKEW_TOPK)
-
-        shard = (
-            df.groupby(["host", "salt"], group_keys=False)
-            .apply(topk)
-            .drop(columns=["salt"])
-        )
-        merged = shard.groupby("host", group_keys=False).apply(topk)
-        direct = df.drop(columns=["salt"]).groupby("host", group_keys=False).apply(topk)
-        pd.testing.assert_frame_equal(
-            merged.sort_values(["host", "value_cents", "event_id"],
-                               ascending=[True, False, True]).reset_index(drop=True),
-            direct.sort_values(["host", "value_cents", "event_id"],
-                               ascending=[True, False, True]).reset_index(drop=True),
-        )
-
-    def test_skew_join_matches_bruteforce(self, ray_session, sf_dir):
-        out = (
-            q_skew_join(sf_dir)
-            .to_pandas()
-            .sort_values(["host", "rank"])
-            .reset_index(drop=True)
-        )
-        ev = pd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "value"])
-        ids = ev["event_id"].to_numpy().astype(np.int64)
-        fact = pd.DataFrame(
-            {
-                "host": _skew_hosts(ids),
-                "event_id": ids,
-                "value_cents": np.floor(
-                    ev["value"].to_numpy() * 100.0 + 0.5
-                ).astype(np.int64),
-            }
-        )
-        part = pd.read_parquet(
-            f"{sf_dir}/part.parquet", columns=["p_partkey", "p_size"]
-        )
-        dim = (
-            pd.DataFrame(
-                {
-                    "host": (part["p_partkey"].to_numpy(np.int64) % SKEW_M) + 1,
-                    "p_partkey": part["p_partkey"].to_numpy(np.int64),
-                    "host_weight": part["p_size"].to_numpy(np.int64),
-                }
-            )
-            .sort_values(["host", "p_partkey"])
-            .groupby("host", as_index=False)
-            .first()
-        )
-        j = fact.merge(dim[["host", "host_weight"]], on="host")
-        j = j.sort_values(
-            ["host", "value_cents", "event_id"], ascending=[True, False, True],
-            kind="mergesort",
-        )
-        j = j.groupby("host", group_keys=False).head(SKEW_TOPK).copy()
-        j["rank"] = j.groupby("host").cumcount().to_numpy() + 1
-        expect = j[["host", "rank", "event_id", "value_cents", "host_weight"]]
-        expect = expect.sort_values(["host", "rank"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(out, expect.astype(out.dtypes.to_dict()))
 
     def test_heavy_hitters_exact_counts(self, ray_session, sf_dir):
         out = q_heavy_hitters(sf_dir)

@@ -2,11 +2,9 @@
 tie-swap tolerance (ADVICE r3 low #4) must absorb a single float-tie
 swap but still fail real ordering or membership bugs."""
 
-import sys
 
 import pandas as pd
 
-sys.path.insert(0, "/root/repo/tools")
 from check_oracles import compare  # noqa: E402
 
 

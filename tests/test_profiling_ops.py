@@ -1,16 +1,11 @@
-"""Tests for the profiling/curation batch: ngram_novelty (corpus_ops),
-inclusion_deps (validation_ops), pagerank_personalized (linkrank_ops)."""
+"""Tests for the profiling/curation batch: ngram_novelty (corpus_ops)
+and pagerank_personalized (linkrank_ops)."""
 
 from __future__ import annotations
-
-import sys
 
 import duckdb
 import numpy as np
 import pandas as pd
-
-sys.path.insert(0, "/root/repo/tools")
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.corpus_ops import (
     NGRAM_NOVELTY_SQL,
@@ -22,10 +17,6 @@ from europarl_crawler_ray.pipelines.linkrank_ops import (
     PPR_SEED_LANG,
     q_pagerank_personalized,
 )
-from europarl_crawler_ray.pipelines.validation_ops import (
-    INCLUSION_PAIRS,
-    q_inclusion_deps,
-)
 
 
 class TestOracleParity:
@@ -33,16 +24,12 @@ class TestOracleParity:
         from check_oracles import TABLES, compare, to_pandas
 
         from europarl_crawler_ray.pipelines.linkrank_ops import _ppr_sql
-        from europarl_crawler_ray.pipelines.validation_ops import (
-            INCLUSION_DEPS_SQL,
-        )
 
         con = duckdb.connect()
         for t in TABLES:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
         for name, fn, sql in [
             ("ngram_novelty", q_ngram_novelty, NGRAM_NOVELTY_SQL),
-            ("inclusion_deps", q_inclusion_deps, INCLUSION_DEPS_SQL),
             ("pagerank_personalized", q_pagerank_personalized, _ppr_sql()),
         ]:
             ray_df = to_pandas(fn(sf_dir))
@@ -75,29 +62,6 @@ class TestNgramNovelty:
             seen.update(grams)
             assert int(out.loc[int(did), "n_novel"]) == novel
             assert int(out.loc[int(did), "n_grams"]) == len(grams)
-
-
-class TestInclusionDeps:
-    def test_both_verdicts_live(self, ray_session, sf_dir):
-        out = q_inclusion_deps(sf_dir)
-        assert len(out) == len(INCLUSION_PAIRS)
-        # the candidate list is built to include holding FKs AND the
-        # genuine orders-without-lineitems violation
-        assert (out["holds"] == 1).any()
-        assert (out["holds"] == 0).any()
-        viol = out[out["holds"] == 0]
-        assert (viol["n_violations"] > 0).all()
-        held = out[out["holds"] == 1]
-        assert (held["n_violations"] == 0).all()
-
-    def test_matches_pandas_bruteforce(self, ray_session, sf_dir):
-        out = q_inclusion_deps(sf_dir).set_index("dependent")
-        for dt, dc, rt, rc in INCLUSION_PAIRS:
-            dep = set(pd.read_parquet(f"{sf_dir}/{dt}.parquet", columns=[dc])[dc])
-            ref = set(pd.read_parquet(f"{sf_dir}/{rt}.parquet", columns=[rc])[rc])
-            row = out.loc[f"{dt}.{dc}"]
-            assert int(row["n_distinct"]) == len(dep)
-            assert int(row["n_violations"]) == len(dep - ref)
 
 
 class TestPersonalizedPagerank:

@@ -7,15 +7,12 @@ hand-counted singleton masses, and a dict-counted length histogram."""
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 
 import duckdb
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.webtext_ops import (
     GOOD_TURING_MASS_SQL,

@@ -5,14 +5,10 @@ on a small doc table."""
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.queries import internal_edges_np
 from europarl_crawler_ray.pipelines.webgraph_ops import (

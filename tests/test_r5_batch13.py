@@ -5,15 +5,11 @@ plus independent brute-force recomputation on a small synthetic table.
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.queries import internal_edges_np
 from europarl_crawler_ray.pipelines.webcorpus_ops import _surt_url, surt_key

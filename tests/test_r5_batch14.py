@@ -6,15 +6,11 @@ and the OPIC cash-conservation invariant.
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.centrality_ops import (
     BIPARTITE_CHECK_SQL,

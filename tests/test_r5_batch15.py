@@ -5,7 +5,6 @@ parity plus independent brute force on a small synthetic table.
 
 from __future__ import annotations
 
-import sys
 from itertools import combinations
 
 import duckdb
@@ -13,8 +12,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.queries import internal_edges_np
 from europarl_crawler_ray.pipelines.sitegraph_ops import (

@@ -7,15 +7,11 @@ the _bigram_model_df refactor.
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.queries import internal_edges_np
 from europarl_crawler_ray.pipelines.sitegraph_ops import (

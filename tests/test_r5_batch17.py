@@ -7,7 +7,6 @@ testdata is ASCII-only, which would leave those classes untested).
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 import duckdb
@@ -15,8 +14,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.diagnostics_ops import (
     FILTER_KAPPA_SQL,

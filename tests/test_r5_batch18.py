@@ -5,7 +5,6 @@ directed_3cycles — DuckDB-oracle parity plus brute force.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 import duckdb
@@ -13,8 +12,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.crawlyield_ops import (
     DIRECTED_3CYCLES_SQL,

@@ -6,7 +6,6 @@ synthetic table with real token/length variety.
 
 from __future__ import annotations
 
-import sys
 from itertools import combinations
 
 import duckdb
@@ -14,8 +13,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.queries import internal_edges_np
 from europarl_crawler_ray.pipelines.sitegraph_ops import N_SITES

@@ -7,15 +7,12 @@ embeddings table.
 from __future__ import annotations
 
 import hashlib
-import sys
 
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.vectoraudit_ops import (
     HUB_CAP,

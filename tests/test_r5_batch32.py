@@ -8,15 +8,11 @@ words where the first replace pass is blocked by a consumed space.
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.bpetrain_ops import (
     _apply_merge,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-import sys
 from collections import Counter
 from itertools import combinations
 
@@ -21,8 +20,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.setsim_ops import (
     ALLPAIRS_JACCARD_SQL,

@@ -10,7 +10,6 @@ plants asymmetric filter disagreement.
 from __future__ import annotations
 
 import re
-import sys
 from collections import Counter
 
 import duckdb
@@ -18,8 +17,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.lexstat_ops import (
     DP_TOPK,

@@ -1,18 +1,15 @@
-"""Tests for the round-5 batch-39 assignment/burstiness operators
-(assignment_ops): mercator_queues, dispersion_index, hnsw_levels —
-DuckDB parity plus independent brute force. The Mercator test pins the
-one-host-one-queue invariant; the dispersion test plants a perfectly
-regular stream (VMR → 0 over its span) and a bursty one; the HNSW
-test checks the level histogram against a per-node trailing-zeros
-computation and the geometric decay shape.
+"""Tests for the round-5 batch-39 assignment operators
+(assignment_ops): mercator_queues and hnsw_levels — DuckDB parity
+plus independent brute force. The Mercator test pins the
+one-host-one-queue invariant; the HNSW test checks the level
+histogram against a per-node trailing-zeros computation and the
+geometric decay shape.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
 from collections import Counter
-from datetime import datetime, timedelta
 
 import duckdb
 import numpy as np
@@ -20,15 +17,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-sys.path.insert(0, "/root/repo")
-
 from europarl_crawler_ray.pipelines.assignment_ops import (
-    DISPERSION_INDEX_SQL,
     HNSW_MAX_LEVEL,
     MERC_B,
     MERC_HOSTS,
     MERCATOR_QUEUES_SQL,
-    q_dispersion_index,
     q_hnsw_levels,
     q_mercator_queues,
     _hnsw_sql,
@@ -105,50 +98,6 @@ def test_mercator_one_host_one_queue_and_parity(ray_session, tmp_path):
     # invariant: total requests across queues == total orders
     assert sum(v[1] for v in gotmap.values()) == n
     _parity(got, _oracle(tmp_path, MERCATOR_QUEUES_SQL, ["orders"]))
-
-
-def _write_events(d, rows):
-    ts, et = zip(*rows) if rows else ((), ())
-    n = len(rows)
-    pq.write_table(
-        pa.table(
-            {
-                "event_id": pa.array(range(n), pa.int64()),
-                "ts": pa.array(list(ts), pa.timestamp("us")),
-                "user_id": pa.array([1] * n, pa.int64()),
-                "event_type": pa.array(list(et), pa.string()),
-                "value": pa.array([0.0] * n, pa.float64()),
-                "props": pa.array(["{}"] * n, pa.string()),
-            }
-        ),
-        str(d / "events.parquet"),
-    )
-
-
-def test_dispersion_regular_vs_bursty_and_parity(ray_session, tmp_path):
-    base = datetime(2024, 1, 1)
-    rows = []
-    # 'steady': exactly 2/day for 10 days  -> variance < mean (VMR < 1)
-    for day in range(10):
-        for k in range(2):
-            rows.append((base + timedelta(days=day, hours=k), "steady"))
-    # 'burst': 20 events on one day       -> VMR >> 1
-    for k in range(20):
-        rows.append((base + timedelta(hours=k % 24), "burst"))
-    _write_events(tmp_path, rows)
-    got = _unwrap(q_dispersion_index(str(tmp_path)))
-    g = {r["event_type"]: r for _, r in got.iterrows()}
-    n = 10  # global span covers days 0..9
-    # steady brute force: counts = [2]*10 over 10 days
-    s1, s2 = 20, 40
-    exp_steady = 10**6 * (n * s2 - s1 * s1) // ((n - 1) * s1)
-    assert int(g["steady"]["vmr_x1e6"]) == exp_steady
-    # bursty: 20 on day0, 0 elsewhere
-    s1b, s2b = 20, 400
-    exp_burst = 10**6 * (n * s2b - s1b * s1b) // ((n - 1) * s1b)
-    assert int(g["burst"]["vmr_x1e6"]) == exp_burst
-    assert int(g["burst"]["vmr_x1e6"]) > 10**6 > int(g["steady"]["vmr_x1e6"])
-    _parity(got, _oracle(tmp_path, DISPERSION_INDEX_SQL, ["events"]))
 
 
 def test_hnsw_levels_brute_force_and_parity(ray_session, tmp_path):

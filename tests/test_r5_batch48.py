@@ -10,15 +10,12 @@ the global mean (the moment-matching property).
 from __future__ import annotations
 
 import hashlib
-import sys
 
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.coreset_ops import (
     CAND_N,

@@ -1,26 +1,16 @@
 """Tests for the round-5 batch-5 operators: truss_support
-(webgraph_ops), conformal_coverage (validation_ops), ab_test_stats
-(corpus_ops), jl_distortion (sketcheval_ops) — DuckDB-oracle parity at
-sf0.001 plus brute-force checks of the support counts, the order
-statistic, the 2×2 chi-square, and the sign-projection arithmetic on
-hand-built inputs."""
+(webgraph_ops), conformal_coverage (validation_ops), jl_distortion
+(sketcheval_ops) — DuckDB-oracle parity at sf0.001 plus brute-force
+checks of the support counts, the order statistic and the
+sign-projection arithmetic on hand-built inputs."""
 
 from __future__ import annotations
-
-import sys
 
 import duckdb
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-sys.path.insert(0, "/root/repo/tools")
-sys.path.insert(0, "/root/repo")
-
-from europarl_crawler_ray.pipelines.corpus_ops import (
-    AB_TEST_STATS_SQL,
-    q_ab_test_stats,
-)
 from europarl_crawler_ray.pipelines.sketcheval_ops import (
     JL_DISTORTION_SQL,
     JL_K,
@@ -72,24 +62,6 @@ def _write_emb(d, vecs):
     )
 
 
-def _write_events(d, rows):
-    """rows: list of (user_id, event_type)."""
-    pq.write_table(
-        pa.table(
-            {
-                "event_id": pa.array(range(len(rows)), pa.int64()),
-                "ts": pa.array([1_700_000_000_000_000 + i for i in range(len(rows))],
-                               pa.timestamp("us")),
-                "user_id": pa.array([r[0] for r in rows], pa.int64()),
-                "event_type": pa.array([r[1] for r in rows], pa.string()),
-                "value": pa.array([1.0] * len(rows), pa.float64()),
-                "props": pa.array(["{}"] * len(rows), pa.string()),
-            }
-        ),
-        str(d / "events.parquet"),
-    )
-
-
 class TestOracleParityBatch5:
     def test_parity(self, ray_session, sf_dir):
         from check_oracles import TABLES, compare, to_pandas
@@ -100,7 +72,6 @@ class TestOracleParityBatch5:
         for name, fn, sql in [
             ("truss_support", q_truss_support, TRUSS_SUPPORT_SQL),
             ("conformal_coverage", q_conformal_coverage, CONFORMAL_COVERAGE_SQL),
-            ("ab_test_stats", q_ab_test_stats, AB_TEST_STATS_SQL),
             ("jl_distortion", q_jl_distortion, JL_DISTORTION_SQL),
         ]:
             ray_df = to_pandas(fn(sf_dir))
@@ -164,33 +135,6 @@ class TestConformalCoverage:
         n_cov = int((scores[~cal] <= thr).sum())
         assert int(out["n_covered"].iloc[0]) == n_cov
         assert int(out["coverage_bp"].iloc[0]) == 10000 * n_cov // (60 - n_cal)
-
-
-class TestAbTestStats:
-    def test_chi2_brute_force(self, ray_session, tmp_path):
-        # users 0..9, purchases for a deterministic subset; repeated
-        # purchase events must not double-count a user
-        rows = []
-        for u in range(10):
-            rows.append((u, "view"))
-            if u % 3 == 0:
-                rows.append((u, "purchase"))
-                rows.append((u, "purchase"))
-        _write_events(tmp_path, rows)
-        out = q_ab_test_stats(str(tmp_path))
-        var = {u: _md5_64(f"ab:42:{u}") % 2 for u in range(10)}
-        conv = {u: 1 if u % 3 == 0 else 0 for u in range(10)}
-        ua = sum(1 for u in range(10) if var[u] == 0)
-        ca = sum(conv[u] for u in range(10) if var[u] == 0)
-        ub, cb = 10 - ua, sum(conv.values()) - ca
-        assert int(out["users_a"].iloc[0]) == ua
-        assert int(out["conv_a"].iloc[0]) == ca
-        assert int(out["users_b"].iloc[0]) == ub
-        assert int(out["conv_b"].iloc[0]) == cb
-        a, b, c, d = ca, ua - ca, cb, ub - cb
-        den = (a + b) * (c + d) * (a + c) * (b + d)
-        chi2 = (1_000_000 * 10 * (a * d - b * c) ** 2) // den if den else 0
-        assert int(out["chi2_ppm"].iloc[0]) == chi2
 
 
 class TestJlDistortion:

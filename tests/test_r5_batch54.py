@@ -9,15 +9,11 @@ while unique docs show ~0.
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.dedupsketch_ops import (
     CDC_DEDUP_RATIO_SQL,

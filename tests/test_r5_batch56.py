@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import re
-import sys
 
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.focusedcrawl_ops import (
     HARVEST_WAVES,

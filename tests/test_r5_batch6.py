@@ -6,15 +6,10 @@ min-window search on hand-built inputs."""
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo/tools")
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.corpus_ops import (
     MARKOV_ROUNDS,

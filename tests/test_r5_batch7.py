@@ -1,15 +1,12 @@
 """Tests for the round-5 batch-7 operators: spearman_drift, kendall_tau,
-hill_tail (webtext_ops) and cusum_drift (corpus_ops) — DuckDB-oracle
-parity plus brute-force checks: naive dict-counted Spearman, itertools
-pair-counted Kendall, direct-math.log Hill, and the textbook
-max(0, S + x - k) CUSUM recursion against the prefix-minus-running-min
-identity the operator uses."""
+hill_tail (webtext_ops) — DuckDB-oracle parity plus brute-force
+checks: naive dict-counted Spearman, itertools pair-counted Kendall
+and direct-math.log Hill."""
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 
 import duckdb
 import numpy as np
@@ -17,12 +14,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-sys.path.insert(0, "/root/repo")
-
-from europarl_crawler_ray.pipelines.corpus_ops import (
-    CUSUM_DRIFT_SQL,
-    q_cusum_drift,
-)
 from europarl_crawler_ray.pipelines.webtext_ops import (
     HILL_K,
     HILL_TAIL_SQL,
@@ -54,27 +45,6 @@ def _write_docs(d, rows):
             }
         ),
         str(d / "documents.parquet"),
-    )
-
-
-def _write_event_days(d, day_counts: dict[int, int]):
-    """day_counts: {epoch_day: n_events}."""
-    rows = []
-    for day, n in day_counts.items():
-        for i in range(n):
-            rows.append(day * 86_400_000_000 + i)
-    pq.write_table(
-        pa.table(
-            {
-                "event_id": pa.array(range(len(rows)), pa.int64()),
-                "ts": pa.array(rows, pa.timestamp("us")),
-                "user_id": pa.array([1] * len(rows), pa.int64()),
-                "event_type": pa.array(["view"] * len(rows), pa.string()),
-                "value": pa.array([0.0] * len(rows), pa.float64()),
-                "props": pa.array(["{}"] * len(rows), pa.string()),
-            }
-        ),
-        str(d / "events.parquet"),
     )
 
 
@@ -237,39 +207,3 @@ def test_hill_prune_keeps_topk_plus_one(ray_session, tmp_path):
     _parity(got, _oracle(tmp_path, HILL_TAIL_SQL))
 
 
-# --------------------------------------------------------- cusum_drift
-
-
-def test_cusum_recursion_identity_and_parity(ray_session, tmp_path):
-    # A level shift at day 107: the textbook recursion
-    # S_t = max(0, S_{t-1} + (n*x_t - T)) must equal the operator's
-    # prefix-minus-running-min form, and the max-S day must be in the
-    # shifted regime.
-    day_counts = {100 + i: 5 for i in range(7)}
-    day_counts.update({107 + i: 25 for i in range(5)})
-    _write_event_days(tmp_path, day_counts)
-    got = q_cusum_drift(str(tmp_path))
-    got = got.to_pandas() if hasattr(got, "to_pandas") else got
-    got = got.sort_values("day").reset_index(drop=True)
-
-    days = sorted(day_counts)
-    x = [day_counts[d] for d in days]
-    n, t = len(x), sum(x)
-    s, expect = 0, []
-    for v in x:
-        s = max(0, s + (n * v - t))
-        expect.append(s)
-    assert list(got["day"]) == days
-    assert list(got["n_events"]) == x
-    assert list(got["cusum"]) == expect
-    assert int(got.loc[got["cusum"].idxmax(), "day"]) >= 107
-
-    _parity(got, _oracle(tmp_path, CUSUM_DRIFT_SQL, tables=("events",)))
-
-
-def test_cusum_flat_series_is_zero(ray_session, tmp_path):
-    _write_event_days(tmp_path, {200 + i: 4 for i in range(6)})
-    got = q_cusum_drift(str(tmp_path))
-    got = got.to_pandas() if hasattr(got, "to_pandas") else got
-    assert (got["cusum"] == 0).all()
-    _parity(got, _oracle(tmp_path, CUSUM_DRIFT_SQL, tables=("events",)))

@@ -1,26 +1,18 @@
 """Tests for the round-5 batch-9 operators: js_token_drift
-(webtext_ops), transition_entropy (corpus_ops), coverage_maxcover
-(selection_ops) — DuckDB-oracle parity plus brute-force checks: a
-direct quantized-KL JS computation, per-state dict-counted entropy,
+(webtext_ops) and coverage_maxcover (selection_ops) — DuckDB-oracle
+parity plus brute-force checks: a direct quantized-KL JS computation
 and a hand-run greedy max-coverage including the zero-gain stop."""
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 
 import duckdb
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-sys.path.insert(0, "/root/repo")
-
-from europarl_crawler_ray.pipelines.corpus_ops import (
-    TRANSITION_ENTROPY_SQL,
-    q_transition_entropy,
-)
 from europarl_crawler_ray.pipelines.selection_ops import (
     MC_N,
     MC_R,
@@ -47,27 +39,6 @@ def _write_docs(d, texts):
             }
         ),
         str(d / "documents.parquet"),
-    )
-
-
-def _write_events(d, rows):
-    """rows: list of (user_id, event_type), timestamps in list order."""
-    pq.write_table(
-        pa.table(
-            {
-                "event_id": pa.array(range(len(rows)), pa.int64()),
-                "ts": pa.array(
-                    [1_700_000_000_000_000 + i * 1_000_000 for i in
-                     range(len(rows))],
-                    pa.timestamp("us"),
-                ),
-                "user_id": pa.array([r[0] for r in rows], pa.int64()),
-                "event_type": pa.array([r[1] for r in rows], pa.string()),
-                "value": pa.array([0.0] * len(rows), pa.float64()),
-                "props": pa.array(["{}"] * len(rows), pa.string()),
-            }
-        ),
-        str(d / "events.parquet"),
     )
 
 
@@ -156,33 +127,6 @@ def test_js_disjoint_halves_near_ln2(ray_session, tmp_path):
     got = _unwrap(q_js_token_drift(str(tmp_path)))
     assert abs(int(got["js_unats"].iloc[0]) - 693147) <= 5
     _parity(got, _oracle(tmp_path, JS_TOKEN_DRIFT_SQL, ("documents",)))
-
-
-# -------------------------------------------------- transition_entropy
-
-
-def test_transition_entropy_brute_force_and_parity(ray_session, tmp_path):
-    # user 1: a->b, b->a, a->b  (a always goes to b: H(a)=0 ... after
-    # counting, a->b twice, b->a once); user 2: a->c once.
-    rows = [(1, "a"), (1, "b"), (1, "a"), (1, "b"), (2, "a"), (2, "c")]
-    _write_events(tmp_path, rows)
-    got = _unwrap(q_transition_entropy(str(tmp_path)))
-
-    # transitions: a->b (x2), b->a (x1), a->c (x1)
-    def h(cnts):
-        n = sum(cnts)
-        ln = math.floor(1e6 * math.log(n))
-        sc = sum(v * math.floor(1e6 * math.log(v)) for v in cnts)
-        return (n * ln - sc) // n
-
-    g = got.set_index("prev_type")
-    assert int(g.loc["a", "n_transitions"]) == 3
-    assert int(g.loc["a", "n_next_types"]) == 2
-    assert int(g.loc["a", "entropy_unats"]) == h([2, 1])
-    assert int(g.loc["b", "n_transitions"]) == 1
-    assert int(g.loc["b", "entropy_unats"]) == 0
-
-    _parity(got, _oracle(tmp_path, TRANSITION_ENTROPY_SQL, ("events",)))
 
 
 # --------------------------------------------------- coverage_maxcover

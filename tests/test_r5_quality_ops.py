@@ -7,15 +7,11 @@ corpora."""
 from __future__ import annotations
 
 import math
-import sys
 
 import duckdb
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo/tools")
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.corpus_ops import (
     PMI_COLLOCATIONS_SQL,
@@ -189,10 +185,7 @@ class TestPmiCollocations:
 
 from europarl_crawler_ray.pipelines.validation_ops import (  # noqa: E402
     EMBEDDING_MOMENTS_SQL,
-    L_DIVERSITY_SQL,
-    LDIV_L,
     q_embedding_moments,
-    q_l_diversity,
 )
 from europarl_crawler_ray.pipelines.webgraph_ops import (  # noqa: E402
     MODULARITY_SCORE_SQL,
@@ -210,7 +203,6 @@ class TestOracleParityBatch2:
         for name, fn, sql in [
             ("modularity_score", q_modularity_score, MODULARITY_SCORE_SQL),
             ("embedding_moments", q_embedding_moments, EMBEDDING_MOMENTS_SQL),
-            ("l_diversity", q_l_diversity, L_DIVERSITY_SQL),
         ]:
             ray_df = to_pandas(fn(sf_dir))
             sql_df = con.execute(sql).fetchdf()
@@ -253,37 +245,6 @@ class TestEmbeddingMoments:
             assert out.loc[d, "s2"] == (col * col).sum()
             assert out.loc[d, "var_n2"] == 3 * (col * col).sum() - col.sum() ** 2
             assert out.loc[d, "var_n2"] >= 0
-
-
-class TestLDiversity:
-    def test_brute_force(self, ray_session, tmp_path):
-        # group (1, A): 3 members, all same balance → NOT diverse;
-        # group (2, B): 3 members, 3 distinct balances → diverse (L=3)
-        nk = [1, 1, 1, 2, 2, 2]
-        seg = ["A"] * 3 + ["B"] * 3
-        bal = [10.0, 10.0, 10.0, 1.0, 2.0, 3.0]
-        pq.write_table(
-            pa.table(
-                {
-                    "c_custkey": pa.array(range(6), pa.int64()),
-                    "c_name": pa.array([f"c{i}" for i in range(6)], pa.string()),
-                    "c_nationkey": pa.array(nk, pa.int32()),
-                    "c_acctbal": pa.array(bal, pa.float64()),
-                    "c_mktsegment": pa.array(seg, pa.string()),
-                }
-            ),
-            str(tmp_path / "customer.parquet"),
-        )
-        out = (
-            q_l_diversity(str(tmp_path))
-            .to_pandas()
-            .set_index(["c_nationkey", "c_mktsegment"])
-        )
-        assert LDIV_L == 3
-        assert out.loc[(1, "A"), "l_distinct"] == 1
-        assert out.loc[(1, "A"), "diverse"] == 0
-        assert out.loc[(2, "B"), "l_distinct"] == 3
-        assert out.loc[(2, "B"), "diverse"] == 1
 
 
 from europarl_crawler_ray.pipelines.validation_ops import (  # noqa: E402

@@ -3,15 +3,10 @@ positional phrase query, and ExactSubstr duplicated-span extraction."""
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import numpy as np
 import pandas as pd
 import pytest
-
-sys.path.insert(0, "/root/repo/tools")
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.selection_ops import (
     KCENTER_K,

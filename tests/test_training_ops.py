@@ -206,7 +206,7 @@ def test_orc_and_ipc_write_real_shard_files(ray_session, tmp_path):
     assert n_orc == n_ipc == 32
 
 
-# ------------------------------------- rollup + decay (one-pass aggregates)
+# ------------------------------------------- rollup (one-pass aggregate)
 
 
 def test_rollup_levels_consistent(ray_session, sf_dir):
@@ -223,44 +223,6 @@ def test_rollup_levels_consistent(ray_session, sf_dir):
     for flag, g in fine.groupby("l_returnflag"):
         row = sub[sub["l_returnflag"] == flag]
         assert row["sum_qty_cents"].iloc[0] == g["sum_qty_cents"].sum()
-
-
-def test_decay_weights_and_horizon(ray_session, tmp_path):
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from europarl_crawler_ray.pipelines.corpus_ops import (
-        DECAY_HORIZON_DAYS,
-        q_decayed_counts,
-    )
-
-    # user 1: 1.00 on the anchor day, 1.00 one day earlier (half weight),
-    # 1.00 outside the horizon (weight 0, not counted as recent)
-    rows = [
-        (1, "2024-03-31 12:00:00", 1.0),
-        (1, "2024-03-30 01:00:00", 1.0),
-        (1, "2024-01-01 00:00:00", 1.0),
-        (2, "2024-03-31 23:59:59", 2.5),
-    ]
-    pq.write_table(
-        pa.table(
-            {
-                "event_id": pa.array(range(len(rows)), pa.int64()),
-                "ts": pa.array([pd.Timestamp(r[1]) for r in rows], pa.timestamp("us")),
-                "user_id": pa.array([r[0] for r in rows], pa.int64()),
-                "event_type": pa.array(["view"] * len(rows)),
-                "value": pa.array([r[2] for r in rows]),
-                "props": pa.array(["{}"] * len(rows)),
-            }
-        ),
-        tmp_path / "events.parquet",
-    )
-    df = q_decayed_counts(str(tmp_path)).to_pandas().set_index("user_id")
-    top = 1 << (DECAY_HORIZON_DAYS - 1)
-    assert df.loc[1, "decayed_cents"] == 100 * top + 100 * (top // 2)
-    assert df.loc[1, "n_recent"] == 2
-    assert df.loc[2, "decayed_cents"] == 250 * top and df.loc[2, "n_recent"] == 1
 
 
 # ----------------------------------------------------- sequence packing

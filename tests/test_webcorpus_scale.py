@@ -26,7 +26,6 @@ def test_driver_collects_are_exactly_the_bounded_reduces(
 ):
     from europarl_crawler_ray.pipelines.webcorpus_ops import (
         q_infer_types,
-        q_props_stats,
         q_quantile_map,
         q_radix_quantiles,
         q_rank_normalize,
@@ -39,9 +38,6 @@ def test_driver_collects_are_exactly_the_bounded_reduces(
         ).fetchone()[0],
         "q_quantile_map": con.sql(
             f"SELECT COUNT(*) FROM (SELECT DISTINCT source, n_chars FROM read_parquet('{sf_dir}/documents.parquet'))"
-        ).fetchone()[0],
-        "q_props_stats": con.sql(
-            f"SELECT COUNT(*) FROM (SELECT DISTINCT event_type, json_extract_string(props, '$.k') FROM read_parquet('{sf_dir}/events.parquet'))"
         ).fetchone()[0],
         "q_radix_quantiles": con.sql(
             f"SELECT COUNT(DISTINCT strlen(bin(GREATEST(CAST(FLOOR(value*100+0.5) AS BIGINT), 1)))) FROM read_parquet('{sf_dir}/events.parquet')"
@@ -58,7 +54,6 @@ def test_driver_collects_are_exactly_the_bounded_reduces(
     for q, rows in [
         (q_rank_normalize, n_docs),
         (q_quantile_map, n_docs),
-        (q_props_stats, n_events),
         (q_radix_quantiles, n_events),
         (q_infer_types, n_docs),
     ]:
@@ -123,43 +118,6 @@ def test_md5_sample_collects_are_block_count_independent(
     collected = _spy_collects(monkeypatch)
     q_contamination_check(sf_dir)
     assert collected == [BENCH_DOCS], collected
-    monkeypatch.undo()
-
-
-def test_sampling_ops_collects_are_bounded(ray_session, sf_dir, monkeypatch):
-    """Round-4 sampling batch: weighted_sample's driver collect is O(k)
-    via global_prune; winsorize/mad_outliers collect exactly their
-    value-domain histograms (never row-scaled)."""
-    import duckdb
-
-    from europarl_crawler_ray.pipelines.sampling_ops import (
-        WEIGHTED_SAMPLE_K,
-        q_mad_outliers,
-        q_weighted_sample,
-        q_winsorize,
-    )
-
-    con = duckdb.connect()
-    n_hist_ev = con.sql(
-        f"SELECT COUNT(*) FROM (SELECT DISTINCT event_type, CAST(floor(value*100+0.5) AS BIGINT) FROM read_parquet('{sf_dir}/events.parquet'))"
-    ).fetchone()[0]
-    n_hist_doc = con.sql(
-        f"SELECT COUNT(*) FROM (SELECT DISTINCT source, n_chars FROM read_parquet('{sf_dir}/documents.parquet'))"
-    ).fetchone()[0]
-
-    collected = _spy_collects(monkeypatch)
-    q_weighted_sample(sf_dir)
-    assert collected == [WEIGHTED_SAMPLE_K], collected
-    monkeypatch.undo()
-
-    collected = _spy_collects(monkeypatch)
-    q_winsorize(sf_dir)
-    assert collected == [n_hist_ev], collected
-    monkeypatch.undo()
-
-    collected = _spy_collects(monkeypatch)
-    q_mad_outliers(sf_dir)
-    assert collected == [n_hist_doc], collected
     monkeypatch.undo()
 
 

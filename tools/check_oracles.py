@@ -7,6 +7,7 @@ Usage: python tools/check_oracles.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 
 import duckdb
@@ -123,15 +124,19 @@ def main():
 
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # the registry of the checkout this script lives in
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entry
 
     qs, sqls = entry.queries(), entry.oracle_sql()
+    failures = 0
+    for name in sorted(only - set(qs)):
+        print(f"FAIL {name}: unknown query")
+        failures += 1
     con = duckdb.connect()
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
 
-    failures = 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
