@@ -35,6 +35,8 @@ _TABLES = [
     ("validation_ops", "VALIDATION_SQL_QUERIES"),
     ("linkrank_ops", "LINKRANK_SQL_QUERIES"),
     ("selection_ops", "SELECTION_SQL_QUERIES"),
+    ("timeseries_ops", "TIMESERIES_SQL_QUERIES"),
+    ("corpusstat_ops", "CORPUSSTAT_SQL_QUERIES"),
     ("webstructure_ops", "WEBSTRUCTURE_SQL_QUERIES"),
     ("centrality_ops", "CENTRALITY_SQL_QUERIES"),
     ("sitegraph_ops", "SITEGRAPH_SQL_QUERIES"),
@@ -45,6 +47,7 @@ _TABLES = [
     ("bpetrain_ops", "BPETRAIN_SQL_QUERIES"),
     ("setsim_ops", "SETSIM_SQL_QUERIES"),
     ("lexstat_ops", "LEXSTAT_SQL_QUERIES"),
+    ("postings_ops", "POSTINGS_SQL_QUERIES"),
     ("assignment_ops", "ASSIGNMENT_SQL_QUERIES"),
     ("coreset_ops", "CORESET_SQL_QUERIES"),
     ("dedupsketch_ops", "DEDUPSKETCH_SQL_QUERIES"),

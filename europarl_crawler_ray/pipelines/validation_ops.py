@@ -2,8 +2,8 @@
 
 A crawl corpus feeding a training pipeline needs mixture control
 (temperature-scaled language sampling, NLLB / mT5-style), readability
-scoring, link-prediction scores over the crawl graph, and small-file
-compaction planning.
+scoring, link-prediction scores over the crawl graph, small-file
+compaction planning, and a first-digit (Benford) audit of numeric feeds.
 
 Reference parity: the reference's quality gates are the downloader's
 status/content checks (europarl-crawler downloader/postprocessor); the
@@ -299,6 +299,107 @@ SELECT source, doc_id, CAST(n_chars AS BIGINT) AS size_bytes,
                 ROWS UNBOUNDED PRECEDING) - n_chars)
             // {COMPACT_TARGET_BYTES} AS BIGINT) AS bin
 FROM documents
+"""
+
+
+# ===================================================== benford_audit
+#
+# First-digit (Benford's law) audit over order totals — the classic
+# forensic data-quality screen for fabricated or re-keyed numeric
+# feeds (Nigrini 1996). Expected frequencies are the standard
+# log10(1 + 1/d) values rounded to parts-per-million; the nine
+# constants are hardcoded IDENTICALLY on both sides (they sum to
+# exactly 1,000,000), so the only arithmetic is integer. The per-digit
+# deviation statistic is a 10^6-scaled chi-square contribution:
+# chi2_scaled = floor((n_obs·10^6 − exp_ppm·N)^2 / (exp_ppm·N))
+#             = floor(10^6 · (obs − exp)^2 / exp).
+# The square can exceed 2^63 (N=150k ⇒ dev^2 ≈ 10^22), so the SQL
+# computes it in HUGEINT and the Python side in arbitrary-precision
+# int — both floor-divide, the final quotient fits int64.
+
+BENFORD_PPM = (
+    (1, 301030), (2, 176091), (3, 124939), (4, 96910), (5, 79181),
+    (6, 66947), (7, 57992), (8, 51153), (9, 45757),
+)
+
+
+def q_benford_audit(sf_dir: str):
+    """(digit, n_obs, exp_ppm, chi2_scaled) for digits 1-9.
+
+    Scale shape: per-block first-digit bincount (9-column partial row)
+    → ONE global_prune sum → 9-row driver solve. The scan is
+    embarrassingly parallel; nothing data-scaled leaves the tasks."""
+    orders = _read(sf_dir, "orders", columns=["o_totalprice"])
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        cents = _cents(df["o_totalprice"].to_numpy())
+        cents = cents[cents > 0]  # guard: SQL filters cents > 0 too
+        # exact first digit via decimal string (float log10 flips at
+        # powers of ten — the repo's integer-exactness rule applies)
+        first = (
+            pd.Series(cents).astype(str).str[0].astype(np.int64)
+            if len(cents)
+            else np.array([], np.int64)
+        )
+        counts = np.bincount(first, minlength=10)[1:10]
+        return pd.DataFrame(
+            {f"d{i}": [int(counts[i - 1])] for i in range(1, 10)}
+        ).astype(np.int64)
+
+    def sum_partials(df: pd.DataFrame) -> pd.DataFrame:
+        if not len(df):
+            return df
+        return df.sum(axis=0).to_frame().T.astype(np.int64)
+
+    counts = global_prune(orders.map_batches(partial, batch_format="pandas"), sum_partials)
+    empty = pd.DataFrame(
+        {
+            "digit": pd.Series([], dtype=np.int64),
+            "n_obs": pd.Series([], dtype=np.int64),
+            "exp_ppm": pd.Series([], dtype=np.int64),
+            "chi2_scaled": pd.Series([], dtype=np.int64),
+        }
+    )
+    if not len(counts):
+        return empty
+    obs = {i: int(counts[f"d{i}"].iloc[0]) for i in range(1, 10)}
+    n = sum(obs.values())
+    if n == 0:
+        return empty
+    rows = []
+    for d, exp_ppm in BENFORD_PPM:
+        dev = obs[d] * 1_000_000 - exp_ppm * n  # Python int: no overflow
+        rows.append((d, obs[d], exp_ppm, (dev * dev) // (exp_ppm * n)))
+    return pd.DataFrame(
+        rows, columns=["digit", "n_obs", "exp_ppm", "chi2_scaled"]
+    ).astype(np.int64)
+
+
+BENFORD_AUDIT_SQL = f"""
+WITH c AS (
+  SELECT CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS cents FROM orders
+),
+d AS (
+  SELECT CAST(substr(CAST(cents AS VARCHAR), 1, 1) AS BIGINT) AS digit
+  FROM c WHERE cents > 0
+),
+obs AS (SELECT digit, CAST(COUNT(*) AS BIGINT) AS n_obs FROM d GROUP BY 1),
+bexp(digit, exp_ppm) AS (
+  VALUES {", ".join(f"({d}, {p})" for d, p in BENFORD_PPM)}
+),
+tot AS (SELECT CAST(COUNT(*) AS BIGINT) AS n FROM d)
+SELECT CAST(e.digit AS BIGINT) AS digit,
+       CAST(COALESCE(o.n_obs, 0) AS BIGINT) AS n_obs,
+       CAST(e.exp_ppm AS BIGINT) AS exp_ppm,
+       CAST(
+         (CAST(COALESCE(o.n_obs, 0) AS HUGEINT) * 1000000
+            - CAST(e.exp_ppm AS HUGEINT) * t.n)
+         * (CAST(COALESCE(o.n_obs, 0) AS HUGEINT) * 1000000
+            - CAST(e.exp_ppm AS HUGEINT) * t.n)
+         // (CAST(e.exp_ppm AS HUGEINT) * t.n)
+       AS BIGINT) AS chi2_scaled
+FROM bexp e LEFT JOIN obs o ON o.digit = e.digit CROSS JOIN tot t
+WHERE t.n > 0
 """
 
 
@@ -1599,6 +1700,7 @@ VALIDATION_SQL_QUERIES: dict[str, tuple] = {
     "adamic_adar": (q_adamic_adar, ADAMIC_ADAR_SQL),
     "readability": (q_readability, READABILITY_SQL),
     "compaction_plan": (q_compaction_plan, COMPACTION_PLAN_SQL),
+    "benford_audit": (q_benford_audit, BENFORD_AUDIT_SQL),
     "auc_eval": (q_auc_eval, AUC_EVAL_SQL),
     "ks_drift": (q_ks_drift, KS_DRIFT_SQL),
     "ndcg_eval": (q_ndcg_eval, _ndcg_sql()),

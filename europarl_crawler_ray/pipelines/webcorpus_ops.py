@@ -781,6 +781,105 @@ FROM c
 """
 
 
+# ========================================== prefix-preserving IP anonymization
+#
+# Crypto-PAn-style pseudonymization (Xu et al., ICNP 2002 — public
+# scheme, md5 standing in for the AES PRF): output bit i = input bit i
+# XOR prf(input bits 0..i-1), which preserves prefix relationships
+# EXACTLY — two IPs share a k-bit anonymized prefix iff they shared a
+# k-bit original prefix — the property that keeps subnet-level analytics
+# valid over scrubbed crawl telemetry (complements pii_scrub's content
+# redaction with structure-preserving field redaction).
+
+
+_U32 = 1 << 32
+
+
+def _ip32(user_ids: np.ndarray) -> np.ndarray:
+    return np.array(
+        [
+            int(hashlib.md5(f"ip|{int(u)}".encode("utf-8")).hexdigest()[:16], 16)
+            % _U32
+            for u in user_ids
+        ],
+        dtype=np.int64,
+    )
+
+
+def anonymize_ip(ip: int) -> int:
+    bits = format(ip, "032b")
+    out = 0
+    for i in range(32):
+        f = (
+            int(hashlib.md5(("pan|" + bits[:i]).encode("utf-8")).hexdigest()[:16], 16)
+            % 2
+        )
+        out = (out << 1) | ((ip >> (31 - i)) & 1) ^ f
+    return out
+
+
+def _dotted(ip: int) -> str:
+    return ".".join(str((ip >> s) & 255) for s in (24, 16, 8, 0))
+
+
+def q_ip_anonymize(sf_dir: str):
+    """(user_id, ip, ip_anon): each distinct user's deterministic IPv4
+    and its prefix-preserving pseudonym, both dotted-quad.
+
+    Scale shape: distinct users via per-batch dedup + ONE coarse
+    exchange (the seen-set shape); the 32-round PRF walk is per distinct
+    user, not per event."""
+    ev = _read(sf_dir, "events", columns=["user_id"])
+
+    def distinct_part(df: pd.DataFrame) -> pd.DataFrame:
+        return df.drop_duplicates("user_id").astype({"user_id": np.int64})
+
+    kd = _with_coarse_group(
+        ev.map_batches(distinct_part, batch_format="pandas"), "user_id"
+    )
+
+    def anon(g: pd.DataFrame) -> pd.DataFrame:
+        users = np.unique(g["user_id"].to_numpy(np.int64))
+        ips = _ip32(users)
+        return pd.DataFrame(
+            {
+                "user_id": users,
+                "ip": [_dotted(int(p)) for p in ips],
+                "ip_anon": [_dotted(anonymize_ip(int(p))) for p in ips],
+            }
+        )
+
+    return kd.groupby("_g").map_groups(anon, batch_format="pandas")
+
+
+def _ip_anonymize_sql() -> str:
+    dotted = (
+        lambda col: f"CAST(({col} >> 24) & 255 AS VARCHAR) || '.' || "
+        f"CAST(({col} >> 16) & 255 AS VARCHAR) || '.' || "
+        f"CAST(({col} >> 8) & 255 AS VARCHAR) || '.' || "
+        f"CAST({col} & 255 AS VARCHAR)"
+    )
+    return f"""
+WITH u AS (
+  SELECT DISTINCT user_id FROM events
+), ips AS (
+  SELECT user_id,
+         CAST({_md5u("'ip|' || CAST(user_id AS VARCHAR)")} % 4294967296 AS BIGINT) AS ip
+  FROM u
+), bits AS (
+  SELECT user_id, ip, i,
+    xor((ip >> (31 - CAST(i AS INTEGER))) & 1,
+        CAST({_md5u("'pan|' || substr(lpad(bin(ip), 32, '0'), 1, CAST(i AS INTEGER))")} % 2 AS BIGINT)) AS ob
+  FROM ips, unnest(range(32)) t(i)
+), anon AS (
+  SELECT user_id, ip,
+         CAST(SUM(ob << (31 - CAST(i AS INTEGER))) AS BIGINT) AS ipa
+  FROM bits GROUP BY user_id, ip
+)
+SELECT user_id, {dotted('ip')} AS ip, {dotted('ipa')} AS ip_anon FROM anon
+"""
+
+
 # ====================================================== politeness audit
 #
 # The compliance check a crawl operator runs after the fact: per host
@@ -1430,6 +1529,7 @@ WEBCORPUS_SQL_QUERIES: dict[str, tuple] = {
     "crawl_trap_filter": (q_crawl_trap_filter, _crawl_trap_sql()),
     "consistent_hash_assign": (q_consistent_hash_assign, CONSISTENT_HASH_SQL),
     "distribution_resample": (q_distribution_resample, _distribution_resample_sql()),
+    "ip_anonymize": (q_ip_anonymize, _ip_anonymize_sql()),
     "politeness_audit": (q_politeness_audit, POLITENESS_AUDIT_SQL),
     "langid_confusion": (q_langid_confusion, _langid_confusion_sql()),
     "rank_normalize": (q_rank_normalize, RANK_NORMALIZE_SQL),

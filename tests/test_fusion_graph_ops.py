@@ -1,14 +1,19 @@
 """Brute-force pins for the round-4 third-session operators:
-butterfly_count (bipartite 4-cycle census) and closeness_pivots. Each
-is checked against a straight-line pandas/python reimplementation on
-the real sf0.001 tables — independent of the SQL oracle, so a shared
-misconception in both engines would still be caught here.
+benford_audit (first-digit law audit), butterfly_count (bipartite
+4-cycle census) and closeness_pivots. Each is checked against a
+straight-line pandas/python reimplementation on the real sf0.001
+tables — independent of the SQL oracle, so a shared misconception
+in both engines would still be caught here.
 DuckDB-oracle parity runs in TestLastBatchOracleParity."""
 
 import numpy as np
 import pandas as pd
 import pytest
 
+from europarl_crawler_ray.pipelines.validation_ops import (
+    BENFORD_PPM,
+    q_benford_audit,
+)
 from europarl_crawler_ray.pipelines.webgraph_ops import q_butterfly_count
 
 
@@ -21,6 +26,42 @@ def _pdf(res):
     if isinstance(res, pa.Table):
         return res.to_pandas()
     return res
+
+
+class TestBenford:
+    def test_ppm_constants_sum_to_one_million(self):
+        assert sum(p for _d, p in BENFORD_PPM) == 1_000_000
+
+    def test_ppm_constants_are_rounded_log10(self):
+        import math
+
+        for d, p in BENFORD_PPM:
+            assert p == round(math.log10(1 + 1 / d) * 1_000_000)
+
+    def test_brute_force(self, ray_session, sf_dir):
+        got = _pdf(q_benford_audit(sf_dir)).sort_values("digit").reset_index(drop=True)
+        orders = pd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
+        cents = np.floor(orders["o_totalprice"].to_numpy() * 100.0 + 0.5).astype(
+            np.int64
+        )
+        cents = cents[cents > 0]
+        first = pd.Series(cents).astype(str).str[0].astype(int)
+        n = len(first)
+        assert n > 0
+        exp_rows = []
+        for d, ppm in BENFORD_PPM:
+            obs = int((first == d).sum())
+            dev = obs * 1_000_000 - ppm * n
+            exp_rows.append((d, obs, ppm, (dev * dev) // (ppm * n)))
+        exp = pd.DataFrame(
+            exp_rows, columns=["digit", "n_obs", "exp_ppm", "chi2_scaled"]
+        )
+        pd.testing.assert_frame_equal(got.astype(np.int64), exp.astype(np.int64))
+
+    def test_counts_cover_all_rows(self, ray_session, sf_dir):
+        got = _pdf(q_benford_audit(sf_dir))
+        orders = pd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
+        assert int(got["n_obs"].sum()) == len(orders)
 
 
 class TestButterfly:

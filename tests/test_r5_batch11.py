@@ -7,14 +7,11 @@ sf testdata lacks, and hand-partitioned virtual row groups."""
 from __future__ import annotations
 
 import math
-import sys
 
 import duckdb
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-sys.path.insert(0, "/root/repo")
 
 from europarl_crawler_ray.pipelines.corpusstat_ops import (
     CHAR_COND_ENTROPY_SQL,

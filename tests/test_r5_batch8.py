@@ -1,6 +1,9 @@
-"""Tests for the round-5 batch-8 operators: chi2_token_drift and
-composition_entropy (webtext_ops) — DuckDB-oracle parity plus
-brute-force checks: a scipy-free 2×K chi-square and a direct-math.log
+"""Tests for the round-5 batch-8 operators: acf_daily,
+sigma_outlier_days, seasonality_index (timeseries_ops) and
+chi2_token_drift, composition_entropy (webtext_ops) — DuckDB-oracle
+parity plus brute-force checks: direct O(n·k) ACF sums, the float
+3-sigma rule against the cross-multiplied integer rule, hand-counted
+weekday shares, a scipy-free 2×K chi-square, and a direct-math.log
 entropy."""
 
 from __future__ import annotations
@@ -14,6 +17,15 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from europarl_crawler_ray.pipelines.timeseries_ops import (
+    ACF_DAILY_SQL,
+    ACF_MAX_LAG,
+    SEASONALITY_INDEX_SQL,
+    SIGMA_OUTLIER_DAYS_SQL,
+    q_acf_daily,
+    q_seasonality_index,
+    q_sigma_outlier_days,
+)
 from europarl_crawler_ray.pipelines.webtext_ops import (
     CHI2_TOKEN_DRIFT_SQL,
     COMPOSITION_ENTROPY_SQL,
@@ -23,6 +35,26 @@ from europarl_crawler_ray.pipelines.webtext_ops import (
 )
 
 _WS = re.compile(r"[^ \t\n\r\f]+")
+
+
+def _write_event_days(d, day_counts: dict[int, int]):
+    rows = []
+    for day, n in day_counts.items():
+        for i in range(n):
+            rows.append(day * 86_400_000_000 + i)
+    pq.write_table(
+        pa.table(
+            {
+                "event_id": pa.array(range(len(rows)), pa.int64()),
+                "ts": pa.array(rows, pa.timestamp("us")),
+                "user_id": pa.array([1] * len(rows), pa.int64()),
+                "event_type": pa.array(["view"] * len(rows), pa.string()),
+                "value": pa.array([0.0] * len(rows), pa.float64()),
+                "props": pa.array(["{}"] * len(rows), pa.string()),
+            }
+        ),
+        str(d / "events.parquet"),
+    )
 
 
 def _write_docs(d, rows):
@@ -69,6 +101,81 @@ def _parity(ray_df, sql_df):
 
 def _unwrap(res):
     return res.to_pandas() if hasattr(res, "to_pandas") else res
+
+
+# ------------------------------------------------------------ acf_daily
+
+
+def test_acf_brute_force_and_parity(ray_session, tmp_path):
+    # Period-2 series: strong negative lag-1, strong positive lag-2.
+    counts = [10, 30, 12, 28, 11, 31, 9, 29]
+    day_counts = {300 + i: c for i, c in enumerate(counts)}
+    _write_event_days(tmp_path, day_counts)
+    got = _unwrap(q_acf_daily(str(tmp_path))).sort_values("lag").reset_index(
+        drop=True
+    )
+
+    n, t = len(counts), sum(counts)
+    a = [n * v - t for v in counts]
+    den = sum(v * v for v in a)
+    for k in range(1, min(ACF_MAX_LAG, n - 1) + 1):
+        num = sum(a[i] * a[i + k] for i in range(n - k))
+        expect = float(num) / float(den)
+        assert got.loc[got["lag"] == k, "acf"].iloc[0] == expect
+    assert got.loc[got["lag"] == 1, "acf"].iloc[0] < 0
+    assert got.loc[got["lag"] == 2, "acf"].iloc[0] > 0
+
+    _parity(got, _oracle(tmp_path, ACF_DAILY_SQL, ("events",)))
+
+
+def test_acf_constant_series_is_zero(ray_session, tmp_path):
+    _write_event_days(tmp_path, {10 + i: 7 for i in range(5)})
+    got = _unwrap(q_acf_daily(str(tmp_path)))
+    assert (got["acf"] == 0.0).all()
+    assert set(got["lag"]) == set(range(1, 5))  # lags >= n dropped
+    _parity(got, _oracle(tmp_path, ACF_DAILY_SQL, ("events",)))
+
+
+# --------------------------------------------------- sigma_outlier_days
+
+
+def test_sigma_outliers_match_float_rule_and_parity(ray_session, tmp_path):
+    # 30 quiet days +-2 around 20, one 40-event spike: with the long
+    # baseline the spike's own contribution no longer masks it.
+    counts = [20 + (i % 5) - 2 for i in range(30)]
+    counts.insert(15, 40)
+    day_counts = {50 + i: c for i, c in enumerate(counts)}
+    _write_event_days(tmp_path, day_counts)
+    got = _unwrap(q_sigma_outlier_days(str(tmp_path))).sort_values(
+        "day"
+    ).reset_index(drop=True)
+
+    mean = sum(counts) / len(counts)
+    var = sum((v - mean) ** 2 for v in counts) / len(counts)
+    expect = [1 if (v - mean) ** 2 > 9 * var else 0 for v in counts]
+    assert list(got["is_outlier"]) == expect
+    assert expect[15] == 1 and sum(expect) == 1
+
+    _parity(got, _oracle(tmp_path, SIGMA_OUTLIER_DAYS_SQL, ("events",)))
+
+
+# ---------------------------------------------------- seasonality_index
+
+
+def test_seasonality_hand_counts_and_parity(ray_session, tmp_path):
+    # Two full weeks: dow d gets 10+d events each week.
+    day_counts = {d: 10 + d % 7 for d in range(700, 714)}
+    _write_event_days(tmp_path, day_counts)
+    got = _unwrap(q_seasonality_index(str(tmp_path))).sort_values(
+        "dow"
+    ).reset_index(drop=True)
+    total = sum(day_counts.values())
+    for dow in range(7):
+        n = 2 * (10 + dow)
+        row = got[got["dow"] == dow]
+        assert int(row["n_events"].iloc[0]) == n
+        assert int(row["share_bp"].iloc[0]) == n * 10000 // total
+    _parity(got, _oracle(tmp_path, SEASONALITY_INDEX_SQL, ("events",)))
 
 
 # ---------------------------------------------------- chi2_token_drift

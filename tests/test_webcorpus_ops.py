@@ -250,6 +250,26 @@ class TestWebcorpusProperties:
 
         check()
 
+    def test_ip_anonymize_prefix_lengths_preserved(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from europarl_crawler_ray.pipelines.webcorpus_ops import anonymize_ip
+
+        @settings(max_examples=100, deadline=None)
+        @given(
+            st.integers(min_value=0, max_value=(1 << 32) - 1),
+            st.integers(min_value=0, max_value=(1 << 32) - 1),
+        )
+        def check(a, b):
+            def shared(x, y):
+                d = x ^ y
+                return 32 - d.bit_length() if d else 32
+
+            assert shared(anonymize_ip(a), anonymize_ip(b)) == shared(a, b)
+
+        check()
+
 
 class TestRecordLinkage:
     def test_levenshtein_dp(self):
@@ -449,6 +469,29 @@ class TestDistributionResample:
         for _, r in df[df["lang"] == "en"].iterrows():
             kh = int(h.md5(f"rs|{int(r.doc_id)}".encode()).hexdigest()[:16], 16)
             assert (kh < thr) == bool(r.kept)
+
+
+class TestIpAnonymize:
+    def test_prefix_preservation_exact(self):
+        from europarl_crawler_ray.pipelines.webcorpus_ops import anonymize_ip
+
+        a = 0b11000000_10101000_00000001_00000001  # 192.168.1.1
+        b = 0b11000000_10101000_00000001_11111110  # 192.168.1.254 (24-bit shared)
+        c = 0b00001010_00000000_00000000_00000001  # 10.0.0.1 (0-bit shared)
+        aa, ab, ac = anonymize_ip(a), anonymize_ip(b), anonymize_ip(c)
+
+        def shared(x, y):
+            d = x ^ y
+            return 32 - d.bit_length() if d else 32
+
+        assert shared(aa, ab) == shared(a, b) == 24
+        assert shared(aa, ac) == shared(a, c)
+        assert aa != a or ab != b  # actually pseudonymized
+
+    def test_deterministic(self):
+        from europarl_crawler_ray.pipelines.webcorpus_ops import anonymize_ip
+
+        assert anonymize_ip(3232235777) == anonymize_ip(3232235777)
 
 
 class TestPolitenessAudit:
@@ -899,6 +942,7 @@ class TestLastBatchOracleParity:
         "mis_luby",
         "mmr_rerank",
         # round-4 third-session batch
+        "benford_audit",
         "butterfly_count",
         "label_prop",
     ]
