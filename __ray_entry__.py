@@ -20,7 +20,16 @@ from collections.abc import Callable, Iterable
 from typing import Any
 
 # Every operator table, as (module under europarl_crawler_ray.pipelines,
-# name of its ``{name: (fn, sql)}`` dict), in merge order.
+# name of its dict), in merge order. A table lives in the module that
+# defines its functions and maps ``name: (fn, sql, keep)``:
+# - ``sql`` is the DuckDB oracle, or None for a rows-only check;
+# - ``keep`` is why the query stays: a COVERAGE.md §2 ID whose row names
+#   it, one of the nine operator families of VERDICT.md's r5 table
+#   (dedup, ann, selection, text, graph, sketch, training, multimodal,
+#   frontier) whose row names it or its module, ``engine`` (run by
+#   entry(), bench.py's headline queries, crawlbench or tools/), or
+#   ``backlog`` (none of these: the next queries to delete).
+# tests/test_registry.py checks every tag against those documents.
 _TABLES = [
     ("queries", "SQL_QUERIES"),
     ("ml_queries", "ML_SQL_QUERIES"),
@@ -31,25 +40,20 @@ _TABLES = [
     ("webtext_ops", "WEBTEXT_SQL_QUERIES"),
     ("curation_ops", "CURATION_SQL_QUERIES"),
     ("webcorpus_ops", "WEBCORPUS_SQL_QUERIES"),
+    ("webgraph_ops", "WEBGRAPH_SQL_QUERIES"),
+    ("sketcheval_ops", "SKETCHEVAL_SQL_QUERIES"),
+    ("weblinkage_ops", "WEBLINKAGE_SQL_QUERIES"),
     ("mining_ops", "MINING_SQL_QUERIES"),
     ("validation_ops", "VALIDATION_SQL_QUERIES"),
     ("linkrank_ops", "LINKRANK_SQL_QUERIES"),
     ("selection_ops", "SELECTION_SQL_QUERIES"),
-    ("timeseries_ops", "TIMESERIES_SQL_QUERIES"),
-    ("corpusstat_ops", "CORPUSSTAT_SQL_QUERIES"),
-    ("webstructure_ops", "WEBSTRUCTURE_SQL_QUERIES"),
     ("centrality_ops", "CENTRALITY_SQL_QUERIES"),
     ("sitegraph_ops", "SITEGRAPH_SQL_QUERIES"),
     ("diagnostics_ops", "DIAGNOSTICS_SQL_QUERIES"),
     ("crawlyield_ops", "CRAWLYIELD_SQL_QUERIES"),
-    ("sourceaudit_ops", "SOURCEAUDIT_SQL_QUERIES"),
     ("vectoraudit_ops", "VECTORAUDIT_SQL_QUERIES"),
-    ("bpetrain_ops", "BPETRAIN_SQL_QUERIES"),
-    ("setsim_ops", "SETSIM_SQL_QUERIES"),
     ("lexstat_ops", "LEXSTAT_SQL_QUERIES"),
-    ("postings_ops", "POSTINGS_SQL_QUERIES"),
     ("assignment_ops", "ASSIGNMENT_SQL_QUERIES"),
-    ("coreset_ops", "CORESET_SQL_QUERIES"),
     ("dedupsketch_ops", "DEDUPSKETCH_SQL_QUERIES"),
     ("focusedcrawl_ops", "FOCUSEDCRAWL_SQL_QUERIES"),
 ]
@@ -97,16 +101,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     returns a Dataset / pandas DataFrame / pyarrow Table. Name every
     computed/aggregate column so names match ``oracle_sql``.
     """
-    from europarl_crawler_ray.pipelines.ml_queries import ML_QUERIES
-    from europarl_crawler_ray.pipelines.webcorpus_ops import q_compression_ratio
-
-    entries = [
-        (src, name, fn) for src, table in _tables() for name, (fn, _sql) in table.items()
-    ]
-    entries += [("ml_queries.ML_QUERIES", name, fn) for name, fn in ML_QUERIES.items()]
-    # rows-only: DuckDB has no zlib to recompute the compressed size
-    entries.append(("webcorpus_ops", "compression_ratio", q_compression_ratio))
-    return _merge(entries)
+    return _merge(
+        (src, name, fn) for src, table in _tables() for name, (fn, _sql, _keep) in table.items()
+    )
 
 
 def oracle_sql() -> dict[str, str]:
@@ -119,6 +116,6 @@ def oracle_sql() -> dict[str, str]:
     return _merge(
         (src, name, sql)
         for src, table in _tables()
-        for name, (_fn, sql) in table.items()
+        for name, (_fn, sql, _keep) in table.items()
         if sql is not None
     )

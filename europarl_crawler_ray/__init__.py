@@ -8,7 +8,6 @@ and explicit partitioning for the wide steps.
 
 Layout
 ------
-- ``schema``     pyarrow schemas for pages / frontier / fetch_log
 - ``functions``  stateless vectorized kernels (url rules, html→text
                  extraction, canonicalization, text analysis, dedup sketches)
 - ``sources``    synthetic page generator + mock HTTP resolver + parquet io

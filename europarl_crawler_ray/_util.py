@@ -8,10 +8,6 @@ import shutil
 import ray.data
 
 
-def repo_root() -> str:
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
 def read_table(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
     """The ``{table}.parquet`` file of a scale-factor directory as a
     Dataset; every op table reads its inputs through this."""

@@ -27,7 +27,7 @@ _WORD_RE = re.compile(r"[^ \t\n\r\f]+")
 # MinHash parameters: 128 permutations → 32 bands × 4 rows (t ≈ 0.42)
 N_PERM = 128
 N_BANDS = 32
-ROWS_PER_BAND = N_PERM // N_BANDS
+
 
 def _perm_params(n_perm: int = N_PERM, seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
@@ -146,17 +146,6 @@ def md5_hash31(strings: list[str]) -> np.ndarray:
     """uint64 hashes mod p = 2^31-1 (for exact mod-p permutation
     arithmetic in both numpy uint64 and DuckDB UBIGINT)."""
     return md5_hash64(strings) % np.uint64(P31)
-
-
-def batch_minhash_sigs_p(texts: list[str], k: int = 3, n_perm: int = N_PERM) -> np.ndarray:
-    """(n_docs, n_perm) uint64 MinHash signatures for a whole batch in one
-    vectorized pass: all shingle hashes concatenated, one (total_shingles,
-    n_perm) permutation matmul, then ``np.minimum.reduceat`` over per-doc
-    segment boundaries. Empty docs get the sentinel signature p (one more
-    than any attainable hash)."""
-    return minhash_sigs_from_hashes(
-        [md5_hash31(shingle_strings(t, k)) for t in texts], n_perm
-    )
 
 
 def minhash_sigs_from_hashes(per_doc: list[np.ndarray], n_perm: int = N_PERM) -> np.ndarray:

@@ -396,14 +396,6 @@ def html_to_text(html_bytes: bytes | None, encoding: str = "utf-8") -> str | Non
         return None
 
 
-def filesize(html_bytes: bytes | None) -> int | None:
-    """Byte length of the stored blob (reference extraction.py:9-24 uses
-    os.path.getsize on the file the bytes were written to)."""
-    if html_bytes is None:
-        return None
-    return len(html_bytes)
-
-
 class LinkExtractor(HTMLParser):
     """Collect anchor hrefs the way a DOM walk would (crawl-frontier
     outlink discovery). Built on the same stdlib parser as the

@@ -30,16 +30,10 @@ verbatim instead of dropped, and implied-end-tag rules (e.g. ``<p>``
 closed by block elements) are not applied. The reference golden assert
 (``/root/reference/tests/downloader/test_downloader.py:6-18``) passes
 verbatim — see tests/test_rewrite.py.
-
-``rewrite_links_inplace`` keeps the previous behavior — attribute values
-edited in place, every other byte untouched — for callers that want a
-minimal diff instead of the reference's reserialization contract.
 """
 
 from __future__ import annotations
 
-import html as _html
-import re
 import urllib.parse
 from html.parser import HTMLParser
 
@@ -258,78 +252,4 @@ def rewrite_links(html: str, base_url: str) -> str:
 
 # ------------------------------------------------- minimal-diff variant
 
-# attribute spans inside a raw start-tag: name = "dq" | 'sq' | unquoted
-_ATTR_SPAN_RE = re.compile(
-    r"""([a-zA-Z_:][-.a-zA-Z0-9_:]*)\s*=\s*("([^"]*)"|'([^']*)'|([^\s>]+))"""
-)
 
-
-class _LinkScanner(HTMLParser):
-    def __init__(self, base_url: str):
-        super().__init__(convert_charrefs=False)
-        self.base_url = base_url
-        self.edits: list[tuple[int, int, str]] = []  # (start, end, replacement)
-
-    def _scan_tag(self, tag: str, attrs) -> None:
-        # locate attribute VALUE spans inside the raw tag text by parsing
-        # the tag's own attribute syntax (quoted, single-quoted, unquoted,
-        # and entity-escaped values all resolve), then edit in place
-        start = self.getpos()
-        raw = self.get_starttag_text() or ""
-        offset = self._line_offsets[start[0] - 1] + start[1]
-        wanted = {}
-        for attr, value in attrs:
-            new = _rewrite_value(self.base_url, tag, attr, value)
-            if new is not None:
-                wanted.setdefault((attr.lower(), value), new)
-        if not wanted:
-            return
-        used: set[int] = set()
-        for m in _ATTR_SPAN_RE.finditer(raw):
-            name = m.group(1).lower()
-            if m.group(3) is not None:
-                vraw, g = m.group(3), 3
-            elif m.group(4) is not None:
-                vraw, g = m.group(4), 4
-            else:
-                vraw, g = m.group(5), 5
-            key = (name, _html.unescape(vraw))
-            if key in wanted and m.start(g) not in used:
-                used.add(m.start(g))
-                vstart = offset + m.start(g)
-                new = wanted.pop(key)
-                if vraw != key[1]:
-                    # source value was entity-escaped — keep that style
-                    new = new.replace("&", "&amp;")
-                self.edits.append((vstart, vstart + len(vraw), new))
-            if not wanted:
-                return
-
-    def handle_starttag(self, tag, attrs):
-        self._scan_tag(tag, attrs)
-
-    def handle_startendtag(self, tag, attrs):
-        self._scan_tag(tag, attrs)
-
-    def rewrite(self, html: str) -> str:
-        lines = html.split("\n")
-        self._line_offsets = [0]
-        for ln in lines[:-1]:
-            self._line_offsets.append(self._line_offsets[-1] + len(ln) + 1)
-        self.feed(html)
-        self.close()
-        out = []
-        last = 0
-        for s, e, repl in sorted(self.edits):
-            out.append(html[last:s])
-            out.append(repl)
-            last = e
-        out.append(html[last:])
-        return "".join(out)
-
-
-def rewrite_links_inplace(html: str, base_url: str) -> str:
-    """Absolutize relative links against base_url, editing only the
-    attribute values — every other byte of the document is untouched
-    (unlike the reference's full bs4 reserialization)."""
-    return _LinkScanner(base_url).rewrite(html)

@@ -46,9 +46,6 @@ def get_term(day: date) -> str:
     return "0"
 
 
-_EPOCH = np.datetime64("1970-01-01", "D")
-
-
 def _as_day64(dates: np.ndarray) -> np.ndarray:
     return np.asarray(dates, dtype="datetime64[D]")
 
@@ -153,13 +150,6 @@ SESSION_DAY_RULE = RULES_BY_NAME["session_day"]
 # (everything except the probe rule itself — reference url.py:94-137 cross
 # joins ALL active rules; session_day urls are created by the checker).
 DOCUMENT_RULES: list[UrlRule] = [r for r in RULES if r.name != "session_day"]
-
-
-def active_rules(names: list[str] | None = None) -> list[UrlRule]:
-    """Activation gate (reference rules table `active` bool, rules.py:29-39)."""
-    if names is None:
-        return [r for r in DOCUMENT_RULES if r.active]
-    return [RULES_BY_NAME[n] for n in names]
 
 
 def spaced_out_dates(start: date) -> list[date]:

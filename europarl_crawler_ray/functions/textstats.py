@@ -143,20 +143,3 @@ def bigram_stats(texts: pd.Series) -> tuple[np.ndarray, np.ndarray]:
     return n_bg, top
 
 
-def rolling_hashes(text: str, window: int = 8, base: int = 257, mod: int = (1 << 61) - 1) -> np.ndarray:
-    """Rabin-Karp rolling hashes over characters (document fingerprinting /
-    winnowing building block). Vector of len(text)-window+1 hashes."""
-    n = len(text)
-    if n < window:
-        return np.zeros(0, dtype=np.uint64)
-    vals = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
-    out = np.zeros(n - window + 1, dtype=np.uint64)
-    h = 0
-    power = pow(base, window - 1, mod)
-    for i in range(window):
-        h = (h * base + int(vals[i])) % mod
-    out[0] = h
-    for i in range(1, n - window + 1):
-        h = ((h - int(vals[i - 1]) * power) * base + int(vals[i + window - 1])) % mod
-        out[i] = h
-    return out

@@ -1,16 +1,11 @@
-"""Assignment audit operators (round-5 batch 39): the
-Mercator back-queue politeness assignment audit (Heydon & Najork
-1999 — the host→queue mapping every polite crawler runs) and HNSW
-layer assignment (Malkov & Yashunin 2016 — the geometric level draw
-that shapes the graph-index hierarchy), determinized md5-style.
+"""Assignment audit operator (round-5 batch 39): the Mercator
+back-queue politeness assignment audit (Heydon & Najork 1999 — the
+host→queue mapping every polite crawler runs).
 
-Scale idioms: both are bounded-domain reduces. Mercator requests
-flow as per-batch (queue, host) count partials → ONE coarse host
-exchange → B-row output (per-queue host counts, request counts, and
-the largest-host share — the head-of-line-blocking number); HNSW
-levels are a pure per-batch map into a ≤9-row histogram (level =
-trailing base-4 zeros of the node hash — the geometric p=1/4 draw
-made deterministic).
+Scale idiom: a bounded-domain reduce. Requests flow as per-batch
+(queue, host) count partials → ONE coarse host exchange → B-row output
+(per-queue host counts, request counts, and the largest-host share —
+the head-of-line-blocking number).
 
 Reference parity: the reference's politeness is per-host token
 buckets (europarl/workers/tokenbucket.py, mirrored in
@@ -139,84 +134,6 @@ FROM agg
 """
 
 
-# ========================================================= hnsw_levels
-#
-# HNSW layer assignment, determinized: a node's level is the number
-# of trailing base-4 zeros of md5_64('hnsw:42:<vec_id>') capped at 8
-# — exactly the geometric p = 1/4 level draw (mL = 1/ln 4) the paper
-# prescribes, made reproducible. Output: (level, n_nodes) histogram —
-# the shape that fixes the index's memory plan and entry-point depth.
-#
-# Scale shape: pure per-batch map → ≤9-row histogram reduce.
-
-HNSW_MAX_LEVEL = 8
-
-
-def q_hnsw_levels(sf_dir: str):
-    empty = pd.DataFrame(
-        {
-            "level": pd.Series(dtype=np.int64),
-            "n_nodes": pd.Series(dtype=np.int64),
-        }
-    )
-    if _n_rows(sf_dir, "embeddings") == 0:
-        return empty
-    e = _read(sf_dir, "embeddings", columns=["vec_id"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["vec_id"].to_numpy(np.int64)
-        lv = np.zeros(len(ids), np.int64)
-        for j, i in enumerate(ids):
-            h = _md5_64(f"hnsw:42:{int(i)}")
-            k = 0
-            while k < HNSW_MAX_LEVEL and h % 4 == 0:
-                h //= 4
-                k += 1
-            lv[j] = k
-        s = pd.Series(lv).value_counts()
-        return pd.DataFrame(
-            {
-                "level": s.index.to_numpy(np.int64),
-                "n": s.to_numpy(np.int64),
-            }
-        )
-
-    agg = (
-        e.map_batches(partial, batch_format="pandas")
-        .groupby("level")
-        .sum("n")
-        .to_pandas()  # <= 9 rows
-    )
-    if not len(agg):
-        return empty
-    col = "sum(n)" if "sum(n)" in agg.columns else "n"
-    out = pd.DataFrame(
-        {
-            "level": agg["level"].astype(np.int64),
-            "n_nodes": agg[col].astype(np.int64),
-        }
-    )
-    return out.sort_values("level").reset_index(drop=True)
-
-
-def _hnsw_sql() -> str:
-    h = _md5u("'hnsw:42:' || CAST(vec_id AS VARCHAR)")
-    # level = trailing base-4 zeros, capped: nested CASE over k
-    conds = []
-    for k in range(HNSW_MAX_LEVEL, 0, -1):
-        conds.append(
-            f"WHEN {h} % {4**k} = 0 THEN {k}"
-        )
-    case = "CASE " + " ".join(conds) + " ELSE 0 END"
-    return f"""
-WITH l AS (
-  SELECT CAST({case} AS BIGINT) AS level FROM embeddings)
-SELECT level, CAST(COUNT(*) AS BIGINT) AS n_nodes
-FROM l GROUP BY 1
-"""
-
-
 ASSIGNMENT_SQL_QUERIES: dict[str, tuple] = {
-    "mercator_queues": (q_mercator_queues, MERCATOR_QUEUES_SQL),
-    "hnsw_levels": (q_hnsw_levels, _hnsw_sql()),
+    "mercator_queues": (q_mercator_queues, MERCATOR_QUEUES_SQL, "frontier"),
 }

@@ -1363,19 +1363,19 @@ FROM st LEFT JOIN {prev} ON {prev}.s = st.s
 
 
 CORPUS_SQL_QUERIES: dict[str, tuple] = {
-    "stratified_sample": (q_stratified_sample, STRATIFIED_SAMPLE_SQL),
-    "group_quantiles": (q_group_quantiles, GROUP_QUANTILES_SQL),
-    "snapshot_diff": (q_snapshot_diff, SNAPSHOT_DIFF_SQL),
-    "jsonl_roundtrip": (q_jsonl_roundtrip, JSONL_ROUNDTRIP_SQL),
-    "hive_partition_scan": (q_hive_partition_scan, HIVE_PARTITION_SCAN_SQL),
-    "markov_stationary": (q_markov_stationary, _markov_sql()),
-    "inverted_index": (q_inverted_index, INVERTED_INDEX_SQL),
-    "dup_ngram_coverage": (q_dup_ngram_coverage, DUP_NGRAM_COVERAGE_SQL),
-    "contamination_check": (q_contamination_check, CONTAMINATION_CHECK_SQL),
-    "normalize_text": (q_normalize_text, NORMALIZE_TEXT_SQL),
-    "ngram_novelty": (q_ngram_novelty, NGRAM_NOVELTY_SQL),
-    "zipf_slope": (q_zipf_slope, ZIPF_SLOPE_SQL),
-    "vocab_growth": (q_vocab_growth, VOCAB_GROWTH_SQL),
-    "pmi_collocations": (q_pmi_collocations, PMI_COLLOCATIONS_SQL),
-    "token_burstiness": (q_token_burstiness, TOKEN_BURSTINESS_SQL),
+    "stratified_sample": (q_stratified_sample, STRATIFIED_SAMPLE_SQL, "backlog"),
+    "group_quantiles": (q_group_quantiles, GROUP_QUANTILES_SQL, "backlog"),
+    "snapshot_diff": (q_snapshot_diff, SNAPSHOT_DIFF_SQL, "backlog"),
+    "jsonl_roundtrip": (q_jsonl_roundtrip, JSONL_ROUNDTRIP_SQL, "training"),
+    "hive_partition_scan": (q_hive_partition_scan, HIVE_PARTITION_SCAN_SQL, "backlog"),
+    "markov_stationary": (q_markov_stationary, _markov_sql(), "graph"),
+    "inverted_index": (q_inverted_index, INVERTED_INDEX_SQL, "backlog"),
+    "dup_ngram_coverage": (q_dup_ngram_coverage, DUP_NGRAM_COVERAGE_SQL, "backlog"),
+    "contamination_check": (q_contamination_check, CONTAMINATION_CHECK_SQL, "selection"),
+    "normalize_text": (q_normalize_text, NORMALIZE_TEXT_SQL, "backlog"),
+    "ngram_novelty": (q_ngram_novelty, NGRAM_NOVELTY_SQL, "selection"),
+    "zipf_slope": (q_zipf_slope, ZIPF_SLOPE_SQL, "text"),
+    "vocab_growth": (q_vocab_growth, VOCAB_GROWTH_SQL, "backlog"),
+    "pmi_collocations": (q_pmi_collocations, PMI_COLLOCATIONS_SQL, "text"),
+    "token_burstiness": (q_token_burstiness, TOKEN_BURSTINESS_SQL, "backlog"),
 }

@@ -421,7 +421,6 @@ class CrawlDriver:
         probe_dir = os.path.join(cfg.output_dir, "probes")
 
         def probe_expand(batch: pa.Table) -> pa.Table:
-            import time as _time
             import zlib as _z
 
             import pyarrow.parquet as pq
@@ -437,16 +436,6 @@ class CrawlDriver:
             coord = gate._coord(host)
             n_fetches = 0
 
-            def _token() -> None:
-                # real politeness: block until a token is granted before
-                # EVERY attempt (mirrors Fetcher._lease_all); simulated
-                # mode records stats in one batched lease after the loop
-                if coord is None or simulated:
-                    return
-                while ray.get(coord.lease.remote(host, 1)) < 1:
-                    w = ray.get(coord.wait_time.remote(host, 1))
-                    _time.sleep(min(w, 30.0))
-
             # robots.txt gates the probes as Fetcher gates wave mode's: a
             # disallowed day is logged once as ROBOTS_BLOCKED, never fetched
             urls = [SESSION_DAY_RULE.url(day) for day in days_]
@@ -454,7 +443,10 @@ class CrawlDriver:
             for day, url, ok in zip(days_, urls, allowed):
                 attempt, status, redir = 0, ROBOTS_BLOCKED, url
                 while ok:  # until {200, 404} or the retry cap
-                    _token()
+                    # real politeness blocks for a token before EVERY
+                    # attempt; simulated mode leases once after the loop
+                    if not simulated:
+                        gate._lease_all(host, 1)
                     n_fetches += 1
                     status, _body, redir = http.fetch(url, attempt, SESSION_DAY_RULE.name)
                     if status in OK_PROBE or attempt > 8:
@@ -470,8 +462,8 @@ class CrawlDriver:
                         d_dates.append(day)
                         d_rules.append(r.name)
                         d_urls.append(r.url(day))
-            if coord is not None and simulated and n_fetches:
-                ray.get(coord.lease.remote(host, n_fetches))
+            if simulated and n_fetches:
+                gate._lease_all(host, n_fetches)
             fetched = [s for s, ok in zip(p_status, allowed) if ok]
             if coord is not None and fetched:
                 ray.get(coord.report.remote(host, fetched))
@@ -506,7 +498,11 @@ class CrawlDriver:
                 )
                 os.makedirs(probe_dir, exist_ok=True)
                 key = _z.crc32(",".join(d.isoformat() for d in days_).encode())
-                pq.write_table(probes, os.path.join(probe_dir, f"streamed_{key:08x}.parquet"))
+                path = os.path.join(probe_dir, f"streamed_{key:08x}.parquet")
+                # the driver reads every streamed_*.parquet whenever it
+                # commits a partition: a file appears only once complete
+                pq.write_table(probes, path + ".tmp")
+                os.replace(path + ".tmp", path)
             return frontier_table(d_urls, d_rules, d_dates, wave).filter(
                 pa.array(keep, pa.bool_())
             )

@@ -335,7 +335,7 @@ SELECT
 
 
 CRAWLYIELD_SQL_QUERIES: dict[str, tuple] = {
-    "host_discovery_curve": (q_host_discovery_curve, HOST_DISCOVERY_CURVE_SQL),
-    "effective_corpus_size": (q_effective_corpus_size, _effective_size_sql()),
-    "directed_3cycles": (q_directed_3cycles, DIRECTED_3CYCLES_SQL),
+    "host_discovery_curve": (q_host_discovery_curve, HOST_DISCOVERY_CURVE_SQL, "frontier"),
+    "effective_corpus_size": (q_effective_corpus_size, _effective_size_sql(), "frontier"),
+    "directed_3cycles": (q_directed_3cycles, DIRECTED_3CYCLES_SQL, "frontier"),
 }

@@ -460,9 +460,9 @@ FROM h
 
 
 CURATION_SQL_QUERIES: dict[str, tuple] = {
-    "quarantine_extract": (q_quarantine_extract, QUARANTINE_EXTRACT_SQL),
-    "mix_interleave": (q_mix_interleave, MIX_INTERLEAVE_SQL),
-    "oov_rate": (q_oov_rate, OOV_RATE_SQL),
-    "leakage_safe_split": (q_leakage_safe_split, _leakage_safe_split_sql()),
-    "schema_evolution": (q_schema_evolution, SCHEMA_EVOLUTION_SQL),
+    "quarantine_extract": (q_quarantine_extract, QUARANTINE_EXTRACT_SQL, "selection"),
+    "mix_interleave": (q_mix_interleave, MIX_INTERLEAVE_SQL, "selection"),
+    "oov_rate": (q_oov_rate, OOV_RATE_SQL, "selection"),
+    "leakage_safe_split": (q_leakage_safe_split, _leakage_safe_split_sql(), "selection"),
+    "schema_evolution": (q_schema_evolution, SCHEMA_EVOLUTION_SQL, "backlog"),
 }

@@ -28,7 +28,6 @@ import hashlib
 
 import numpy as np
 import pandas as pd
-from ray.data.aggregate import Sum
 
 from .._util import read_table as _read, table_rows as _n_rows
 from ..stages.multimodal import _md5_64
@@ -428,7 +427,7 @@ FROM chunks
 
 
 DEDUPSKETCH_SQL_QUERIES: dict[str, tuple] = {
-    "supershingle_pairs": (q_supershingle_pairs, _supershingle_sql()),
-    "qgram_distance": (q_qgram_distance, QGRAM_DISTANCE_SQL),
-    "cdc_dedup_ratio": (q_cdc_dedup_ratio, CDC_DEDUP_RATIO_SQL),
+    "supershingle_pairs": (q_supershingle_pairs, _supershingle_sql(), "dedup"),
+    "qgram_distance": (q_qgram_distance, QGRAM_DISTANCE_SQL, "dedup"),
+    "cdc_dedup_ratio": (q_cdc_dedup_ratio, CDC_DEDUP_RATIO_SQL, "dedup"),
 }

@@ -2,8 +2,8 @@
 
 Runs the full wave engine (discovery → probe → expand → dedup → politeness
 fetch → byte-identical extract) against the deterministic synthetic web and
-returns the crawled pages as a ``ray.data.Dataset`` with PAGES_SCHEMA
-columns. This is what ``__ray_entry__.entry()`` and bench.py run.
+returns the crawled pages as a ``ray.data.Dataset`` with the BASELINE.json
+input_hint columns (url, warc_ts, html, text, lang). This is what ``__ray_entry__.entry()`` and bench.py run.
 """
 
 from __future__ import annotations

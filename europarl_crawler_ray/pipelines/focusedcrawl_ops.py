@@ -443,7 +443,7 @@ FROM w
 
 
 FOCUSEDCRAWL_SQL_QUERIES: dict[str, tuple] = {
-    "shark_search": (q_shark_search, _shark_sql()),
-    "fish_search": (q_fish_search, _fish_sql()),
-    "harvest_rate": (q_harvest_rate, _harvest_sql()),
+    "shark_search": (q_shark_search, _shark_sql(), "frontier"),
+    "fish_search": (q_fish_search, _fish_sql(), "frontier"),
+    "harvest_rate": (q_harvest_rate, _harvest_sql(), "frontier"),
 }

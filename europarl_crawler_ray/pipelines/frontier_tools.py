@@ -910,11 +910,11 @@ FROM c CROSS JOIN params p LEFT JOIN ranked r ON r.host = c.host
 
 
 FRONTIER_SQL_QUERIES: dict[str, tuple] = {
-    "crawl_budget_waterfill": (q_crawl_budget_waterfill, CRAWL_BUDGET_WATERFILL_SQL),
-    "registrable_domain": (q_registrable_domain, REGISTRABLE_DOMAIN_SQL),
-    "robots_filter": (q_robots_filter, ROBOTS_FILTER_SQL),
-    "sitemap_frontier": (q_sitemap_frontier, SITEMAP_FRONTIER_SQL),
-    "url_canonicalize": (q_url_canonicalize, URL_CANONICALIZE_SQL),
-    "revalidate_plan": (q_revalidate_plan, REVALIDATE_PLAN_SQL),
-    "recrawl_intervals": (q_recrawl_intervals, _recrawl_intervals_sql()),
+    "crawl_budget_waterfill": (q_crawl_budget_waterfill, CRAWL_BUDGET_WATERFILL_SQL, "backlog"),
+    "registrable_domain": (q_registrable_domain, REGISTRABLE_DOMAIN_SQL, "backlog"),
+    "robots_filter": (q_robots_filter, ROBOTS_FILTER_SQL, "backlog"),
+    "sitemap_frontier": (q_sitemap_frontier, SITEMAP_FRONTIER_SQL, "backlog"),
+    "url_canonicalize": (q_url_canonicalize, URL_CANONICALIZE_SQL, "backlog"),
+    "revalidate_plan": (q_revalidate_plan, REVALIDATE_PLAN_SQL, "backlog"),
+    "recrawl_intervals": (q_recrawl_intervals, _recrawl_intervals_sql(), "backlog"),
 }

@@ -392,7 +392,7 @@ FROM g
 
 
 LEXSTAT_SQL_QUERIES: dict[str, tuple] = {
-    "yule_k": (q_yule_k, YULE_K_SQL),
-    "gries_dp": (q_gries_dp, GRIES_DP_SQL),
-    "mcnemar_filters": (q_mcnemar_filters, MCNEMAR_FILTERS_SQL),
+    "yule_k": (q_yule_k, YULE_K_SQL, "text"),
+    "gries_dp": (q_gries_dp, GRIES_DP_SQL, "text"),
+    "mcnemar_filters": (q_mcnemar_filters, MCNEMAR_FILTERS_SQL, "text"),
 }

@@ -1067,10 +1067,10 @@ SELECT doc_id, CAST(pr AS BIGINT) AS ppr FROM {prev}
 
 
 LINKRANK_SQL_QUERIES = {
-    "hits_scores": (q_hits_scores, _hits_sql()),
-    "random_walks": (q_random_walks, _random_walks_sql()),
-    "scc_pivot": (q_scc_pivot, _SCC_PIVOT_SQL),
-    "mis_luby": (q_mis_luby, _mis_luby_sql()),
-    "label_prop": (q_label_prop, _label_prop_sql()),
-    "pagerank_personalized": (q_pagerank_personalized, _ppr_sql()),
+    "hits_scores": (q_hits_scores, _hits_sql(), "graph"),
+    "random_walks": (q_random_walks, _random_walks_sql(), "graph"),
+    "scc_pivot": (q_scc_pivot, _SCC_PIVOT_SQL, "graph"),
+    "mis_luby": (q_mis_luby, _mis_luby_sql(), "graph"),
+    "label_prop": (q_label_prop, _label_prop_sql(), "graph"),
+    "pagerank_personalized": (q_pagerank_personalized, _ppr_sql(), "graph"),
 }

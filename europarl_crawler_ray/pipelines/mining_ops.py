@@ -1519,12 +1519,12 @@ FROM p
 
 
 MINING_SQL_QUERIES: dict[str, tuple] = {
-    "editdist_verify": (q_editdist_verify, EDITDIST_VERIFY_SQL),
-    "redirect_resolve": (q_redirect_resolve, REDIRECT_RESOLVE_SQL),
-    "dsir_score": (q_dsir_score, DSIR_SCORE_SQL),
-    "heavy_hitters": (q_heavy_hitters, HEAVY_HITTERS_SQL),
-    "semdedup": (q_semdedup, SEMDEDUP_SQL),
-    "mmr_rerank": (q_mmr_rerank, _mmr_rerank_sql()),
-    "dedup_cascade": (q_dedup_cascade, _dedup_cascade_sql()),
-    "hard_negatives": (q_hard_negatives, HARD_NEGATIVES_SQL),
+    "editdist_verify": (q_editdist_verify, EDITDIST_VERIFY_SQL, "dedup"),
+    "redirect_resolve": (q_redirect_resolve, REDIRECT_RESOLVE_SQL, "backlog"),
+    "dsir_score": (q_dsir_score, DSIR_SCORE_SQL, "selection"),
+    "heavy_hitters": (q_heavy_hitters, HEAVY_HITTERS_SQL, "sketch"),
+    "semdedup": (q_semdedup, SEMDEDUP_SQL, "dedup"),
+    "mmr_rerank": (q_mmr_rerank, _mmr_rerank_sql(), "ann"),
+    "dedup_cascade": (q_dedup_cascade, _dedup_cascade_sql(), "dedup"),
+    "hard_negatives": (q_hard_negatives, HARD_NEGATIVES_SQL, "ann"),
 }

@@ -34,9 +34,7 @@ from ..functions.dedup import (
     PERM31_A,
     PERM31_B,
     band_key_bytes,
-    batch_minhash_sigs_p,
     batch_simhash_p,
-    simhash_band_keys,
 )
 from ..functions.textstats import _STOPWORDS, predict_lang
 from .grouping import with_coarse_group as _with_coarse_group
@@ -2465,35 +2463,32 @@ FROM best WHERE rn = 1
 
 
 ML_SQL_QUERIES: dict = {
-    "knn_label": (q_knn_label, KNN_LABEL_SQL),
-    "incremental_neardup": (q_incremental_neardup, _incremental_neardup_sql()),
-    "vector_quantize": (q_vector_quantize, VECTOR_QUANTIZE_SQL),
-    "dedup_minhash": (q_dedup_minhash, DEDUP_MINHASH_SQL),
-    "dedup_simhash": (q_dedup_simhash, DEDUP_SIMHASH_SQL),
-    "langid_predict": (q_langid, LANGID_SQL),
-    "cosine_nn": (q_cosine_nn, COSINE_NN_SQL),
-    "multimodal_meta": (q_multimodal_meta, MULTIMODAL_META_SQL),
-    "multimodal_audio": (q_multimodal_audio, MULTIMODAL_AUDIO_SQL),
-    "multimodal_video": (q_multimodal_video, MULTIMODAL_VIDEO_SQL),
-    "ann_lsh": (q_ann_lsh, ANN_LSH_SQL),
-    "dedup_verify": (q_dedup_verify, DEDUP_VERIFY_SQL),
-    "shingle_containment": (q_shingle_containment, SHINGLE_CONTAINMENT_SQL),
-    "lsh_bucket_stats": (q_lsh_bucket_stats, LSH_BUCKET_STATS_SQL),
-    "minhash_pr_curve": (q_minhash_pr_curve, _minhash_pr_sql()),
-    "dedup_ngram": (q_dedup_ngram, DEDUP_NGRAM_SQL),
-    "dedup_embedding": (q_dedup_embedding, DEDUP_EMBEDDING_SQL),
-    "dedup_clusters": (q_dedup_clusters, DEDUP_CLUSTERS_SQL),
-    "dedup_keep_canonical": (q_dedup_keep_canonical, DEDUP_KEEP_CANONICAL_SQL),
-    "ann_ivf": (q_ann_ivf, ANN_IVF_SQL),
-}
-
-# rows-only (semantics not expressible in ANSI SQL: RNG-seeded LSH planes /
-# k-means, crawl engine state, filesystem ledgers, binary decode)
-ML_QUERIES: dict = {
-    "cc_skew_fetch": q_cc_skew_fetch,
-    "backfill": q_backfill,
-    "content_stats": q_content_stats,
-    "ann_ivf_kmeans": q_ann_ivf_kmeans,
-    "crawl_sim": q_crawl_sim,
-    "rewrite_links": q_rewrite_links,
+    "knn_label": (q_knn_label, KNN_LABEL_SQL, "ann"),
+    "incremental_neardup": (q_incremental_neardup, _incremental_neardup_sql(), "dedup"),
+    "vector_quantize": (q_vector_quantize, VECTOR_QUANTIZE_SQL, "ann"),
+    "dedup_minhash": (q_dedup_minhash, DEDUP_MINHASH_SQL, "engine"),
+    "dedup_simhash": (q_dedup_simhash, DEDUP_SIMHASH_SQL, "dedup"),
+    "langid_predict": (q_langid, LANGID_SQL, "text"),
+    "cosine_nn": (q_cosine_nn, COSINE_NN_SQL, "ann"),
+    "multimodal_meta": (q_multimodal_meta, MULTIMODAL_META_SQL, "multimodal"),
+    "multimodal_audio": (q_multimodal_audio, MULTIMODAL_AUDIO_SQL, "multimodal"),
+    "multimodal_video": (q_multimodal_video, MULTIMODAL_VIDEO_SQL, "multimodal"),
+    "ann_lsh": (q_ann_lsh, ANN_LSH_SQL, "ann"),
+    "dedup_verify": (q_dedup_verify, DEDUP_VERIFY_SQL, "engine"),
+    "shingle_containment": (q_shingle_containment, SHINGLE_CONTAINMENT_SQL, "dedup"),
+    "lsh_bucket_stats": (q_lsh_bucket_stats, LSH_BUCKET_STATS_SQL, "dedup"),
+    "minhash_pr_curve": (q_minhash_pr_curve, _minhash_pr_sql(), "dedup"),
+    "dedup_ngram": (q_dedup_ngram, DEDUP_NGRAM_SQL, "dedup"),
+    "dedup_embedding": (q_dedup_embedding, DEDUP_EMBEDDING_SQL, "dedup"),
+    "dedup_clusters": (q_dedup_clusters, DEDUP_CLUSTERS_SQL, "dedup"),
+    "dedup_keep_canonical": (q_dedup_keep_canonical, DEDUP_KEEP_CANONICAL_SQL, "dedup"),
+    "ann_ivf": (q_ann_ivf, ANN_IVF_SQL, "engine"),
+    # rows-only (semantics not expressible in ANSI SQL: RNG-seeded LSH
+    # planes / k-means, crawl engine state, filesystem ledgers)
+    "cc_skew_fetch": (q_cc_skew_fetch, None, "backlog"),
+    "backfill": (q_backfill, None, "S5"),
+    "content_stats": (q_content_stats, None, "A3"),
+    "ann_ivf_kmeans": (q_ann_ivf_kmeans, None, "ann"),
+    "crawl_sim": (q_crawl_sim, None, "W4"),
+    "rewrite_links": (q_rewrite_links, None, "M11"),
 }

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc

@@ -1,124 +1,37 @@
 """Shared Pregel-style round loop for the iterative graph operators.
 
-``q_dedup_clusters`` (min-label components), ``q_link_depth`` (BFS) and
-``q_kcore_peel`` (degeneracy peeling) all iterate the same skeleton: a
-bucketed state+message stream, one ``groupby(bucket).map_groups(step)``
-exchange per round, a materialize so the next round reads blocks instead
-of re-running the chain, and a convergence scalar. Before this helper
-each loop paid a SECOND executor pass per round (``stream.sum(col)``
-over the whole materialized stream) just to read that scalar
-(VERDICT r3 #3).
-
-Here the convergence count rides OUT of the exchange itself: the group
-fn's output already carries the change flags, so a wrapper sums the flag
-column per task and reports it to a zero-CPU counter actor with a
-BLOCKING ``ray.get`` — when ``materialize()`` returns, every task's count
-has been applied and the driver reads one actor scalar instead of
-launching a scan. Retry safety: map tasks are at-least-once, so a
-retried task can only ADD to a round's count — it can never turn a
-truly-converged round (every task reports 0) into a nonzero one, and the
-loop only ever compares the count to zero.
-
-The residual partitioning assumption is the same as before: one bucket's
-state must fit a task (buckets are coarse, ``n_buckets`` ≥ core count).
+``q_dedup_clusters`` (min-label components), ``q_link_depth`` (BFS),
+``q_kcore_peel`` (degeneracy peeling) and the other iterative graph
+queries run on ``pregel_actor_loop``: each bucket's state lives in one
+actor, and per round only the messages move.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
 
 
-@ray.remote(num_cpus=0)
-class _RoundCounter:
-    """Per-round change-count accumulator (driver-read once per round)."""
-
-    def __init__(self):
-        self.counts: dict[int, int] = {}
-
-    def add(self, round_idx: int, n: int) -> None:
-        self.counts[round_idx] = self.counts.get(round_idx, 0) + int(n)
-
-    def get(self, round_idx: int) -> int:
-        return self.counts.get(round_idx, 0)
-
-
-def pregel_loop(
-    stream: ray.data.Dataset,
-    make_step,
-    *,
-    key: str = "bucket",
-    changed_col: str,
-    max_iters: int,
-    batch_format: str = "pandas",
-):
-    """Run ``stream`` through up to ``max_iters`` bucket-exchange rounds.
-
-    ``make_step(i)`` returns the round's group fn (pandas DataFrame or
-    pyarrow Table out); the fn's output must carry ``changed_col`` whose
-    global sum is the round's convergence scalar (0 = fixed point).
-    Returns ``(stream, converged, last_count)`` — callers own the
-    not-converged warning (each has an operator-specific message).
-
-    STATUS: the restartable FALLBACK engine. Every shipped iterative
-    operator runs on ``pregel_actor_loop`` below (edges resident, only
-    messages move); this Dataset-round loop is kept because each of its
-    rounds is lineage-backed (a lost task replays instead of failing the
-    query) — the trade a long unattended run may prefer. Its contract is
-    pinned by tests/test_pregel.py.
-    """
-    counter = _RoundCounter.remote()
-    converged = False
-    last = 0
-    for i in range(max_iters):
-        fn = make_step(i)
-
-        def wrapped(g, _fn=fn, _i=i):
-            out = _fn(g)
-            if isinstance(out, pa.Table):
-                n = pc.sum(out.column(changed_col)).as_py() or 0
-            else:
-                n = out[changed_col].sum()
-                n = 0 if pd.isna(n) else int(n)
-            # blocking: the task only finishes after the actor applied the
-            # count, so post-materialize the round total is complete
-            ray.get(counter.add.remote(_i, int(n)))
-            return out
-
-        stream = (
-            stream.groupby(key)
-            .map_groups(wrapped, batch_format=batch_format)
-            .materialize()
-        )
-        last = ray.get(counter.get.remote(i))
-        if last == 0:
-            converged = True
-            break
-    return stream, converged, last
-
-
 # ===================== actor-resident engine (edges never re-shuffled)
 #
-# The Dataset-based pregel_loop above re-exchanges the WHOLE state
-# stream (edges + labels + messages) through a groupby sort every
-# round; at bench scale each round pays ~1-2 s of executor/sort fixed
-# cost, and at 100 TB the edge set — which never changes — crosses the
-# wire rounds× times. This engine loads each bucket's state into a
-# persistent actor ONCE; per round only MESSAGES move, as pyarrow
-# tables through the object store (zero-copy reads), and the round
-# barrier is a plain ray.get over the step futures. Message routing is
+# A Dataset round loop would re-exchange the WHOLE state stream (edges
+# + labels + messages) through a groupby sort every round; at bench
+# scale each round pays ~1-2 s of executor/sort fixed cost, and at
+# 100 TB the edge set — which never changes — crosses the wire rounds×
+# times. This engine loads each bucket's state into a persistent actor
+# ONCE; per round only MESSAGES move, as pyarrow tables through the
+# object store (zero-copy reads), and the round barrier is a plain
+# ray.get over the step futures. Message routing is
 # SENDER-side: each actor splits its outbox by destination owner and
 # publishes one object per destination, so per-round bytes read equal
 # the message volume — not n_actors × volume as a scan-all-outboxes
 # scheme would cost on a many-node cluster (VERDICT r4 #1).
 #
-# Partitioning assumption (same as the Dataset path, now explicit
-# memory-wise): one actor's bucket share of the state must fit its
-# heap. Fault story: without a checkpoint_dir a lost actor fails the
+# Partitioning assumption: one actor's bucket share of the state must
+# fit its heap. Fault story: without a checkpoint_dir a lost actor fails the
 # query and the caller re-runs; WITH one, every round commits each
 # actor's (state, outbox) pair as parquet — the outbox is part of the
 # BSP state, a post-step snapshot without it would drop the in-flight

@@ -33,7 +33,7 @@ from ..functions.textstats import fingerprints, quality_stats, token_counts
 
 # shared coarse-group shuffle infrastructure — see pipelines/grouping.py
 # for the measured rationale (Ray groupby cost ~0.1 ms per GROUP)
-from .grouping import N_COARSE_GROUPS, with_coarse_group as _with_coarse_group  # noqa: E402,F401
+from .grouping import with_coarse_group as _with_coarse_group  # noqa: E402
 
 
 # Derived per-event HTTP-ish status (deterministic from event_id) — used to
@@ -2564,43 +2564,43 @@ FROM documents d LEFT JOIN best b ON b.v = d.doc_id
 
 
 SQL_QUERIES: dict[str, tuple] = {
-    "link_depth": (q_link_depth, _link_depth_sql()),
-    "rollup_stats": (q_rollup_stats, ROLLUP_STATS_SQL),
-    "repetition_stats": (q_repetition_stats, REPETITION_STATS_SQL),
-    "length_quantiles": (q_length_quantiles, LENGTH_QUANTILES_SQL),
-    "distinct_tokens_kmv": (q_distinct_tokens_kmv, DISTINCT_TOKENS_KMV_SQL),
-    "warc_roundtrip": (q_warc_roundtrip, WARC_ROUNDTRIP_SQL),
-    "cdx_index": (q_cdx_index, CDX_INDEX_SQL),
-    "pushdown_scan": (q_pushdown_scan, PUSHDOWN_SCAN_SQL),
-    "url_generation": (q_url_generation, _urlgen_sql()),
-    "unchecked_days": (q_unchecked_days, UNCHECKED_DAYS_SQL),
-    "retry_pairs": (q_retry_pairs, RETRY_PAIRS_SQL),
-    "todo_combos": (q_todo_combos, TODO_COMBOS_SQL),
-    "status_summary": (q_status_summary, STATUS_SUMMARY_SQL),
-    "top_k_recent": (q_top_k_recent, TOP_K_RECENT_SQL),
-    "uncrawled_orders": (q_uncrawled_orders, UNCRAWLED_ORDERS_SQL),
-    "unprocessed_documents": (q_unprocessed_documents, UNPROCESSED_DOCUMENTS_SQL),
-    "nation_order_stats": (q_nation_order_stats, NATION_ORDER_STATS_SQL),
-    "partitioned_join": (q_partitioned_join, PARTITIONED_JOIN_SQL),
-    "dedup_exact": (q_dedup_exact, DEDUP_EXACT_SQL),
-    "pdf_roundtrip": (q_pdf_roundtrip, PDF_ROUNDTRIP_SQL),
-    "html_roundtrip": (q_html_roundtrip, HTML_ROUNDTRIP_SQL),
-    "dedup_keep_first": (q_dedup_keep_first, DEDUP_KEEP_FIRST_SQL),
-    "rewrite_absolutize": (q_rewrite_absolutize, REWRITE_ABSOLUTIZE_SQL),
-    "sample_per_group": (q_sample_per_group, SAMPLE_PER_GROUP_SQL),
-    "token_stats": (q_token_stats, TOKEN_STATS_SQL),
-    "token_topk": (q_token_topk, TOKEN_TOPK_SQL),
-    "tfidf_topk": (q_tfidf_topk, TFIDF_TOPK_SQL),
-    "bpe_token_stats": (q_bpe_token_stats, BPE_TOKEN_STATS_SQL),
-    "stopword_stats": (q_stopword_stats, _stopword_sql()),
-    "text_quality": (q_text_quality, TEXT_QUALITY_SQL),
-    "quality_filter": (q_quality_filter, _quality_filter_sql()),
-    "link_graph": (q_link_graph, _link_graph_sql()),
-    "anchor_texts": (q_anchor_texts, _anchor_texts_sql()),
-    "pagerank": (q_pagerank, _pagerank_sql()),
-    "triangle_count": (q_triangle_count, _triangle_count_sql()),
-    "fingerprint_docs": (q_fingerprint_docs, FINGERPRINT_DOCS_SQL),
-    "ann_topk": (q_ann_topk, ANN_TOPK_SQL),
-    "spaced_out_dates": (q_spaced_out_dates, SPACED_OUT_DATES_SQL),
-    "lang_summary": (q_lang_summary, LANG_SUMMARY_SQL),
+    "link_depth": (q_link_depth, _link_depth_sql(), "graph"),
+    "rollup_stats": (q_rollup_stats, ROLLUP_STATS_SQL, "backlog"),
+    "repetition_stats": (q_repetition_stats, REPETITION_STATS_SQL, "text"),
+    "length_quantiles": (q_length_quantiles, LENGTH_QUANTILES_SQL, "backlog"),
+    "distinct_tokens_kmv": (q_distinct_tokens_kmv, DISTINCT_TOKENS_KMV_SQL, "backlog"),
+    "warc_roundtrip": (q_warc_roundtrip, WARC_ROUNDTRIP_SQL, "training"),
+    "cdx_index": (q_cdx_index, CDX_INDEX_SQL, "training"),
+    "pushdown_scan": (q_pushdown_scan, PUSHDOWN_SCAN_SQL, "backlog"),
+    "url_generation": (q_url_generation, _urlgen_sql(), "M1"),
+    "unchecked_days": (q_unchecked_days, UNCHECKED_DAYS_SQL, "F3"),
+    "retry_pairs": (q_retry_pairs, RETRY_PAIRS_SQL, "F3"),
+    "todo_combos": (q_todo_combos, TODO_COMBOS_SQL, "F2"),
+    "status_summary": (q_status_summary, STATUS_SUMMARY_SQL, "A1"),
+    "top_k_recent": (q_top_k_recent, TOP_K_RECENT_SQL, "O1"),
+    "uncrawled_orders": (q_uncrawled_orders, UNCRAWLED_ORDERS_SQL, "F4"),
+    "unprocessed_documents": (q_unprocessed_documents, UNPROCESSED_DOCUMENTS_SQL, "F5"),
+    "nation_order_stats": (q_nation_order_stats, NATION_ORDER_STATS_SQL, "E5"),
+    "partitioned_join": (q_partitioned_join, PARTITIONED_JOIN_SQL, "E5"),
+    "dedup_exact": (q_dedup_exact, DEDUP_EXACT_SQL, "F1"),
+    "pdf_roundtrip": (q_pdf_roundtrip, PDF_ROUNDTRIP_SQL, "E3"),
+    "html_roundtrip": (q_html_roundtrip, HTML_ROUNDTRIP_SQL, "engine"),
+    "dedup_keep_first": (q_dedup_keep_first, DEDUP_KEEP_FIRST_SQL, "dedup"),
+    "rewrite_absolutize": (q_rewrite_absolutize, REWRITE_ABSOLUTIZE_SQL, "M11"),
+    "sample_per_group": (q_sample_per_group, SAMPLE_PER_GROUP_SQL, "backlog"),
+    "token_stats": (q_token_stats, TOKEN_STATS_SQL, "text"),
+    "token_topk": (q_token_topk, TOKEN_TOPK_SQL, "engine"),
+    "tfidf_topk": (q_tfidf_topk, TFIDF_TOPK_SQL, "backlog"),
+    "bpe_token_stats": (q_bpe_token_stats, BPE_TOKEN_STATS_SQL, "text"),
+    "stopword_stats": (q_stopword_stats, _stopword_sql(), "text"),
+    "text_quality": (q_text_quality, TEXT_QUALITY_SQL, "text"),
+    "quality_filter": (q_quality_filter, _quality_filter_sql(), "text"),
+    "link_graph": (q_link_graph, _link_graph_sql(), "backlog"),
+    "anchor_texts": (q_anchor_texts, _anchor_texts_sql(), "backlog"),
+    "pagerank": (q_pagerank, _pagerank_sql(), "engine"),
+    "triangle_count": (q_triangle_count, _triangle_count_sql(), "graph"),
+    "fingerprint_docs": (q_fingerprint_docs, FINGERPRINT_DOCS_SQL, "backlog"),
+    "ann_topk": (q_ann_topk, ANN_TOPK_SQL, "ann"),
+    "spaced_out_dates": (q_spaced_out_dates, SPACED_OUT_DATES_SQL, "M10"),
+    "lang_summary": (q_lang_summary, LANG_SUMMARY_SQL, "backlog"),
 }

@@ -575,9 +575,9 @@ FROM ({body})
 
 
 SELECTION_SQL_QUERIES: dict[str, tuple] = {
-    "coverage_maxcover": (q_coverage_maxcover, _maxcover_sql()),
-    "coreset_kcenter": (q_coreset_kcenter, _kcenter_sql()),
-    "phrase_query": (q_phrase_query, PHRASE_QUERY_SQL),
-    "exact_substr_spans": (q_exact_substr_spans, EXACT_SUBSTR_SPANS_SQL),
-    "embedding_gram": (q_embedding_gram, EMBEDDING_GRAM_SQL),
+    "coverage_maxcover": (q_coverage_maxcover, _maxcover_sql(), "backlog"),
+    "coreset_kcenter": (q_coreset_kcenter, _kcenter_sql(), "ann"),
+    "phrase_query": (q_phrase_query, PHRASE_QUERY_SQL, "backlog"),
+    "exact_substr_spans": (q_exact_substr_spans, EXACT_SUBSTR_SPANS_SQL, "dedup"),
+    "embedding_gram": (q_embedding_gram, EMBEDDING_GRAM_SQL, "ann"),
 }

@@ -38,7 +38,6 @@ import re
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
@@ -705,9 +704,9 @@ FROM med
 
 
 SKETCH_SQL_QUERIES: dict[str, tuple] = {
-    "hll_distinct": (q_hll_distinct, HLL_DISTINCT_SQL),
-    "cms_sketch": (q_cms_sketch, CMS_SKETCH_SQL),
-    "equidepth_hist": (q_equidepth_hist, _equidepth_sql()),
-    "topk_threshold": (q_topk_threshold, TOPK_THRESHOLD_SQL),
-    "count_sketch": (q_count_sketch, COUNT_SKETCH_SQL),
+    "hll_distinct": (q_hll_distinct, HLL_DISTINCT_SQL, "sketch"),
+    "cms_sketch": (q_cms_sketch, CMS_SKETCH_SQL, "sketch"),
+    "equidepth_hist": (q_equidepth_hist, _equidepth_sql(), "sketch"),
+    "topk_threshold": (q_topk_threshold, TOPK_THRESHOLD_SQL, "sketch"),
+    "count_sketch": (q_count_sketch, COUNT_SKETCH_SQL, "sketch"),
 }

@@ -17,7 +17,6 @@ import ray
 import ray.data
 
 from .._util import read_table as _read
-from .grouping import partitioned_anti_join  # noqa: F401 (family modules share the helper set)
 from .grouping import with_coarse_group as _with_coarse_group  # noqa: F401
 from .ml_queries import _md5u  # noqa: F401 — the shared md5-uint64 SQL hash family
 
@@ -1876,3 +1875,28 @@ SELECT CAST((SELECT COUNT(*) FROM p) AS BIGINT) AS n_pairs,
 FROM cl
 """
     )
+
+
+SKETCHEVAL_SQL_QUERIES: dict[str, tuple] = {
+    "dup_transitivity": (q_dup_transitivity, _dup_transitivity_sql(), "dedup"),
+    "radix_quantiles": (
+        q_radix_quantiles,
+        _radix_sql(_RADIX_CENTS_CTE, "est_cents"),
+        "sketch",
+    ),
+    "minhash_error": (q_minhash_error, _minhash_error_sql(), "dedup"),
+    "cdc_chunks": (q_cdc_chunks, CDC_CHUNKS_SQL, "backlog"),
+    "product_quantize": (q_product_quantize, PRODUCT_QUANTIZE_SQL, "ann"),
+    "kmv_error": (q_kmv_error, _kmv_error_sql(), "backlog"),
+    "theta_intersect": (q_theta_intersect, _theta_intersect_sql(), "sketch"),
+    "bloom_fpr": (q_bloom_fpr, _bloom_fpr_sql(), "sketch"),
+    "pq_recall": (q_pq_recall, _pq_recall_sql(), "ann"),
+    "infer_types": (q_infer_types, INFER_TYPES_SQL, "backlog"),
+    "mrl_recall": (q_mrl_recall, _mrl_recall_sql(), "ann"),
+    "vocab_drift": (q_vocab_drift, _vocab_drift_sql(), "backlog"),
+    "postings_roundtrip": (q_postings_roundtrip, _postings_roundtrip_sql(), "backlog"),
+    "jl_distortion": (q_jl_distortion, JL_DISTORTION_SQL, "backlog"),
+    "quantile_map": (q_quantile_map, QUANTILE_MAP_SQL, "backlog"),
+    # rows-only: DuckDB has no zlib to recompute the compressed size
+    "compression_ratio": (q_compression_ratio, None, "backlog"),
+}

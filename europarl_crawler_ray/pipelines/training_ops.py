@@ -1488,19 +1488,19 @@ FROM nt GROUP BY 1, 2
 
 
 TRAINING_SQL_QUERIES: dict[str, tuple] = {
-    "perplexity_buckets": (q_perplexity_buckets, PERPLEXITY_BUCKETS_SQL),
-    "webdataset_roundtrip": (q_webdataset_roundtrip, WEBDATASET_ROUNDTRIP_SQL),
-    "token_budget_sample": (q_token_budget_sample, TOKEN_BUDGET_SAMPLE_SQL),
-    "corpus_to_shards": (q_corpus_to_shards, _corpus_to_shards_sql()),
-    "bigram_lm_score": (q_bigram_lm_score, BIGRAM_LM_SCORE_SQL),
-    "chunk_docs": (q_chunk_docs, CHUNK_DOCS_SQL),
-    "train_shards": (q_train_shards, TRAIN_SHARDS_SQL),
-    "upsert_merge": (q_upsert_merge, UPSERT_MERGE_SQL),
-    "csv_roundtrip": (q_csv_roundtrip, CSV_ROUNDTRIP_SQL),
-    "avro_roundtrip": (q_avro_roundtrip, AVRO_ROUNDTRIP_SQL),
-    "orc_roundtrip": (q_orc_roundtrip, ORC_ROUNDTRIP_SQL),
-    "ipc_roundtrip": (q_ipc_roundtrip, IPC_ROUNDTRIP_SQL),
-    "sequence_pack": (q_sequence_pack, SEQUENCE_PACK_SQL),
-    "span_mask_stats": (q_span_mask_stats, SPAN_MASK_STATS_SQL),
-    "lm_removal_curve": (q_lm_removal_curve, _lm_removal_sql()),
+    "perplexity_buckets": (q_perplexity_buckets, PERPLEXITY_BUCKETS_SQL, "selection"),
+    "webdataset_roundtrip": (q_webdataset_roundtrip, WEBDATASET_ROUNDTRIP_SQL, "training"),
+    "token_budget_sample": (q_token_budget_sample, TOKEN_BUDGET_SAMPLE_SQL, "selection"),
+    "corpus_to_shards": (q_corpus_to_shards, _corpus_to_shards_sql(), "engine"),
+    "bigram_lm_score": (q_bigram_lm_score, BIGRAM_LM_SCORE_SQL, "training"),
+    "chunk_docs": (q_chunk_docs, CHUNK_DOCS_SQL, "training"),
+    "train_shards": (q_train_shards, TRAIN_SHARDS_SQL, "training"),
+    "upsert_merge": (q_upsert_merge, UPSERT_MERGE_SQL, "training"),
+    "csv_roundtrip": (q_csv_roundtrip, CSV_ROUNDTRIP_SQL, "training"),
+    "avro_roundtrip": (q_avro_roundtrip, AVRO_ROUNDTRIP_SQL, "training"),
+    "orc_roundtrip": (q_orc_roundtrip, ORC_ROUNDTRIP_SQL, "training"),
+    "ipc_roundtrip": (q_ipc_roundtrip, IPC_ROUNDTRIP_SQL, "training"),
+    "sequence_pack": (q_sequence_pack, SEQUENCE_PACK_SQL, "training"),
+    "span_mask_stats": (q_span_mask_stats, SPAN_MASK_STATS_SQL, "training"),
+    "lm_removal_curve": (q_lm_removal_curve, _lm_removal_sql(), "selection"),
 }

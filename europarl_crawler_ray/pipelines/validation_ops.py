@@ -2,13 +2,13 @@
 
 A crawl corpus feeding a training pipeline needs mixture control
 (temperature-scaled language sampling, NLLB / mT5-style), readability
-scoring, link-prediction scores over the crawl graph, small-file
-compaction planning, and a first-digit (Benford) audit of numeric feeds.
+scoring, and the evaluation metrics (KS drift, NDCG, MRR / MAP, ROC-AUC)
+and embedding-outlier audit of the curation loop.
 
 Reference parity: the reference's quality gates are the downloader's
 status/content checks (europarl-crawler downloader/postprocessor); the
 rest are training-data additions (temperature sampling: Arivazhagan et
-al. 2019 §3; Adamic-Adar 2003; Flesch 1948). All oracled exactly:
+al. 2019 §3; Flesch 1948). All oracled exactly:
 every score is either pure integer arithmetic or a single
 correctly-rounded division of exact integers, so DuckDB and numpy
 agree bit-for-bit (repo convention, see queries.q_pagerank's
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 from .._util import read_table as _read
 from ..functions.dedup import md5_hash64
@@ -126,90 +125,6 @@ SELECT r.doc_id, r.lang FROM r JOIN tgt USING (lang) WHERE rn <= target
 """
 
 
-# ================================================= adamic_adar
-#
-# Link-prediction scores over the synthetic crawl graph: for each
-# co-cited page pair, AA = Σ_{src→both} 1/ln(outdeg(src)). The
-# out-degree cap (≤4 distinct) lets 1/ln(d) be inlined as scaled-int
-# literals (×1e6) on BOTH sides — no libm ln() in either engine, so
-# the sum is pure integer arithmetic and exact.
-
-_AA_W = {2: 1442695, 3: 910239, 4: 721348}  # round(1e6 / ln(d))
-AA_MIN_SUPPORT = 2
-
-
-def q_adamic_adar(sf_dir: str):
-    """Same shape as q_cocitation_pairs (bounded per-src pair fan-out →
-    ONE coarse exchange on the unordered pair key → in-task sum), with
-    the per-src degree weight attached before the exchange so the
-    reduce is a plain groupby-sum."""
-    import pyarrow.parquet as _pq
-
-    from .queries import internal_edges_np
-
-    n_docs = _pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-    d = _read(sf_dir, "documents", columns=["doc_id"])
-    empty = pd.DataFrame(
-        {
-            "dst_a": pd.Series([], dtype=np.int64),
-            "dst_b": pd.Series([], dtype=np.int64),
-            "n_common": pd.Series([], dtype=np.int64),
-            "aa_micro": pd.Series([], dtype=np.int64),
-        }
-    )
-    if n_docs == 0:
-        return empty
-
-    def pairs(t: pa.Table) -> pd.DataFrame:
-        src, dst = internal_edges_np(
-            t.column("doc_id").to_numpy(), n_docs, drop_self=True
-        )
-        e = pd.DataFrame(
-            {"src": pd.Series(src, dtype=np.int64), "dst": pd.Series(dst, dtype=np.int64)}
-        ).drop_duplicates()
-        deg = e.groupby("src")["dst"].transform("size")
-        e = e.assign(w=deg.map(_AA_W).fillna(0).astype(np.int64))
-        m = e.merge(e[["src", "dst"]], on="src", suffixes=("_a", "_b"))
-        m = m[m["dst_a"] < m["dst_b"]]
-        out = m[["dst_a", "dst_b", "w"]].reset_index(drop=True)
-        out["pair"] = out["dst_a"] * np.int64(n_docs) + out["dst_b"]
-        return out
-
-    kd = _with_coarse_group(d.map_batches(pairs, batch_format="pyarrow"), "pair")
-
-    def reduce_(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["dst_a", "dst_b"], as_index=False).agg(
-            n_common=("w", "size"), aa_micro=("w", "sum")
-        )
-        out = out[out["n_common"] >= AA_MIN_SUPPORT]
-        return out.astype(np.int64)
-
-    return kd.groupby("_g").map_groups(reduce_, batch_format="pandas")
-
-
-ADAMIC_ADAR_SQL = f"""
-WITH n AS (SELECT COUNT(*) AS cnt FROM documents),
-kk AS (
-  SELECT doc_id,
-    CAST(1 + CAST(concat('0x', substr(md5('lnkk:42:' || CAST(doc_id AS VARCHAR)), 1, 16)) AS UBIGINT) % 4 AS BIGINT) AS k
-  FROM documents),
-e AS (
-  SELECT DISTINCT doc_id AS src, (doc_id * 37 + j * 101) % cnt AS dst
-  FROM (SELECT doc_id, unnest(range(1, k + 1)) AS j FROM kk), n
-  WHERE (doc_id * 37 + j * 101) % cnt <> doc_id),
-wt AS (
-  SELECT src, CASE COUNT(*) WHEN 2 THEN {_AA_W[2]} WHEN 3 THEN {_AA_W[3]}
-                            WHEN 4 THEN {_AA_W[4]} ELSE 0 END AS w
-  FROM e GROUP BY 1)
-SELECT a.dst AS dst_a, b.dst AS dst_b,
-       CAST(COUNT(*) AS BIGINT) AS n_common, CAST(SUM(w) AS BIGINT) AS aa_micro
-FROM e a JOIN e b ON a.src = b.src AND a.dst < b.dst
-JOIN wt ON wt.src = a.src
-GROUP BY 1, 2
-HAVING COUNT(*) >= {AA_MIN_SUPPORT}
-"""
-
-
 # ================================================= readability
 #
 # Flesch reading-ease in milli-units from integer token counts: words
@@ -253,153 +168,6 @@ SELECT doc_id, n_words, n_syllables, n_sentences,
        CAST(206835 - (1015 * n_words) // n_sentences
                    - (84600 * n_syllables) // GREATEST(n_words, 1) AS BIGINT) AS flesch_milli
 FROM c
-"""
-
-
-# ================================================= compaction_plan
-#
-# Small-file compaction planning per table partition (source): files
-# (docs, size = n_chars) packed size-DESC into target-size bins by a
-# running prefix sum — the standard sorted sequential packing used by
-# lakehouse OPTIMIZE jobs. Per-partition plans, so the exchange is one
-# coarse group on source and the packing runs vectorized in-task.
-
-COMPACT_TARGET_BYTES = 4096
-
-
-def q_compaction_plan(sf_dir: str):
-    d = _read(sf_dir, "documents", columns=["doc_id", "source", "n_chars"])
-
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_g"]).sort_values(
-            ["source", "n_chars", "doc_id"], ascending=[True, False, True], kind="mergesort"
-        )
-        sizes = g["n_chars"].to_numpy().astype(np.int64)
-        cum = g.assign(_s=sizes).groupby("source")["_s"].cumsum().to_numpy()
-        return pd.DataFrame(
-            {
-                "source": g["source"].to_numpy(),
-                "doc_id": g["doc_id"].to_numpy().astype(np.int64),
-                "size_bytes": sizes,
-                "bin": ((cum - sizes) // COMPACT_TARGET_BYTES).astype(np.int64),
-            }
-        )
-
-    return (
-        _with_coarse_group(d, "source")
-        .groupby("_g")
-        .map_groups(pack, batch_format="pandas")
-    )
-
-
-COMPACTION_PLAN_SQL = f"""
-SELECT source, doc_id, CAST(n_chars AS BIGINT) AS size_bytes,
-       CAST((SUM(n_chars) OVER (PARTITION BY source
-                ORDER BY n_chars DESC, doc_id
-                ROWS UNBOUNDED PRECEDING) - n_chars)
-            // {COMPACT_TARGET_BYTES} AS BIGINT) AS bin
-FROM documents
-"""
-
-
-# ===================================================== benford_audit
-#
-# First-digit (Benford's law) audit over order totals — the classic
-# forensic data-quality screen for fabricated or re-keyed numeric
-# feeds (Nigrini 1996). Expected frequencies are the standard
-# log10(1 + 1/d) values rounded to parts-per-million; the nine
-# constants are hardcoded IDENTICALLY on both sides (they sum to
-# exactly 1,000,000), so the only arithmetic is integer. The per-digit
-# deviation statistic is a 10^6-scaled chi-square contribution:
-# chi2_scaled = floor((n_obs·10^6 − exp_ppm·N)^2 / (exp_ppm·N))
-#             = floor(10^6 · (obs − exp)^2 / exp).
-# The square can exceed 2^63 (N=150k ⇒ dev^2 ≈ 10^22), so the SQL
-# computes it in HUGEINT and the Python side in arbitrary-precision
-# int — both floor-divide, the final quotient fits int64.
-
-BENFORD_PPM = (
-    (1, 301030), (2, 176091), (3, 124939), (4, 96910), (5, 79181),
-    (6, 66947), (7, 57992), (8, 51153), (9, 45757),
-)
-
-
-def q_benford_audit(sf_dir: str):
-    """(digit, n_obs, exp_ppm, chi2_scaled) for digits 1-9.
-
-    Scale shape: per-block first-digit bincount (9-column partial row)
-    → ONE global_prune sum → 9-row driver solve. The scan is
-    embarrassingly parallel; nothing data-scaled leaves the tasks."""
-    orders = _read(sf_dir, "orders", columns=["o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        cents = _cents(df["o_totalprice"].to_numpy())
-        cents = cents[cents > 0]  # guard: SQL filters cents > 0 too
-        # exact first digit via decimal string (float log10 flips at
-        # powers of ten — the repo's integer-exactness rule applies)
-        first = (
-            pd.Series(cents).astype(str).str[0].astype(np.int64)
-            if len(cents)
-            else np.array([], np.int64)
-        )
-        counts = np.bincount(first, minlength=10)[1:10]
-        return pd.DataFrame(
-            {f"d{i}": [int(counts[i - 1])] for i in range(1, 10)}
-        ).astype(np.int64)
-
-    def sum_partials(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
-        return df.sum(axis=0).to_frame().T.astype(np.int64)
-
-    counts = global_prune(orders.map_batches(partial, batch_format="pandas"), sum_partials)
-    empty = pd.DataFrame(
-        {
-            "digit": pd.Series([], dtype=np.int64),
-            "n_obs": pd.Series([], dtype=np.int64),
-            "exp_ppm": pd.Series([], dtype=np.int64),
-            "chi2_scaled": pd.Series([], dtype=np.int64),
-        }
-    )
-    if not len(counts):
-        return empty
-    obs = {i: int(counts[f"d{i}"].iloc[0]) for i in range(1, 10)}
-    n = sum(obs.values())
-    if n == 0:
-        return empty
-    rows = []
-    for d, exp_ppm in BENFORD_PPM:
-        dev = obs[d] * 1_000_000 - exp_ppm * n  # Python int: no overflow
-        rows.append((d, obs[d], exp_ppm, (dev * dev) // (exp_ppm * n)))
-    return pd.DataFrame(
-        rows, columns=["digit", "n_obs", "exp_ppm", "chi2_scaled"]
-    ).astype(np.int64)
-
-
-BENFORD_AUDIT_SQL = f"""
-WITH c AS (
-  SELECT CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS cents FROM orders
-),
-d AS (
-  SELECT CAST(substr(CAST(cents AS VARCHAR), 1, 1) AS BIGINT) AS digit
-  FROM c WHERE cents > 0
-),
-obs AS (SELECT digit, CAST(COUNT(*) AS BIGINT) AS n_obs FROM d GROUP BY 1),
-bexp(digit, exp_ppm) AS (
-  VALUES {", ".join(f"({d}, {p})" for d, p in BENFORD_PPM)}
-),
-tot AS (SELECT CAST(COUNT(*) AS BIGINT) AS n FROM d)
-SELECT CAST(e.digit AS BIGINT) AS digit,
-       CAST(COALESCE(o.n_obs, 0) AS BIGINT) AS n_obs,
-       CAST(e.exp_ppm AS BIGINT) AS exp_ppm,
-       CAST(
-         (CAST(COALESCE(o.n_obs, 0) AS HUGEINT) * 1000000
-            - CAST(e.exp_ppm AS HUGEINT) * t.n)
-         * (CAST(COALESCE(o.n_obs, 0) AS HUGEINT) * 1000000
-            - CAST(e.exp_ppm AS HUGEINT) * t.n)
-         // (CAST(e.exp_ppm AS HUGEINT) * t.n)
-       AS BIGINT) AS chi2_scaled
-FROM bexp e LEFT JOIN obs o ON o.digit = e.digit CROSS JOIN tot t
-WHERE t.n > 0
 """
 
 
@@ -489,8 +257,8 @@ FROM cum, tot GROUP BY na, nb
 # ranked by the integer-quantized dot product (the auc_eval coordinate
 # rule), md5-derived relevance grades 0-3 per (query, candidate), gain
 # 2^rel − 1, and rank discounts 1/log2(i+1) inlined as the SAME
-# round(1e9/log2(i+1)) integer literals on both engines (the
-# adamic_adar no-libm convention). ndcg_bp = 10000·DCG // IDCG, all
+# round(1e9/log2(i+1)) integer literals on both engines (no libm call
+# on either side). ndcg_bp = 10000·DCG // IDCG, all
 # integer.
 #
 # Scale shape: queries broadcast (global_prune, 8 rows); scoring is one
@@ -1027,390 +795,6 @@ FROM u WHERE np IS NOT NULL
 """
 
 
-# ==================================================== ece_calibration
-#
-# Expected-calibration-error table of the integer linear scorer against
-# the embedding labels: scores are min-max normalized to basis points,
-# bucketed into 10 confidence bins, and each bin reports mean predicted
-# confidence vs observed positive rate — the reliability-diagram
-# primitive a quality-classifier pipeline runs beside auc_eval. Fully
-# integer (same floor(1000·x) coordinates, md5 weights, and
-# integer-division normalization), so parity is exact by construction.
-#
-# Scale shape: identical to auc_eval — per-batch (score, n_pos, n)
-# histogram partials → one coarse exchange on score → distinct-score-
-# bounded driver reduce; min/max and binning run over the collapsed
-# histogram, never the corpus.
-
-ECE_BINS = 10
-
-
-def _ece_weights() -> np.ndarray:
-    import hashlib
-
-    return np.array(
-        [
-            int(hashlib.md5(f"ece:{i}".encode()).hexdigest()[:16], 16) % 19 - 9
-            for i in range(1, AUC_DIM + 1)
-        ],
-        dtype=np.int64,
-    )
-
-
-def q_ece_calibration(sf_dir: str):
-    emb = _read(sf_dir, "embeddings", columns=["embedding", "label"])
-    w = _ece_weights()
-
-    def score_hist(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "s": pd.Series(dtype=np.int64),
-                    "part_pos": pd.Series(dtype=np.int64),
-                    "part_n": pd.Series(dtype=np.int64),
-                }
-            )
-        mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
-        q = np.floor(mat * 1000.0).astype(np.int64)
-        s = q @ w
-        pos = (df["label"].to_numpy(np.int64) == AUC_POS_LABEL).astype(np.int64)
-        out = pd.DataFrame({"s": s, "part_pos": pos, "part_n": 1})
-        return out.groupby("s", as_index=False)[["part_pos", "part_n"]].sum()
-
-    parts = emb.map_batches(score_hist, batch_format="pandas")
-
-    def reduce_hist(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("s", as_index=False)[["part_pos", "part_n"]].sum()
-
-    hist = (
-        _with_coarse_group(parts, "s")
-        .groupby("_g")
-        .map_groups(lambda g: reduce_hist(g.drop(columns=["_g"])),
-                    batch_format="pandas")
-        .to_pandas()  # distinct-score-bounded (see auc_eval note)
-    )
-    cols = ["bin", "n", "conf_bp", "acc_bp", "gap_bp"]
-    if hist.empty or "s" not in hist.columns:
-        return pd.DataFrame({c: pd.Series(dtype="int64") for c in cols})
-    s = hist["s"].to_numpy(np.int64)
-    n = hist["part_n"].to_numpy(np.int64)
-    npos = hist["part_pos"].to_numpy(np.int64)
-    smin, smax = int(s.min()), int(s.max())
-    span = smax - smin
-    pbp = ((s - smin) * 10000) // span if span else np.zeros_like(s)
-    bins = np.minimum(pbp // 1000, ECE_BINS - 1)
-    agg = pd.DataFrame(
-        {"bin": bins, "n": n, "sp": pbp * n, "npos": npos}
-    ).groupby("bin", as_index=False).sum()
-    return pd.DataFrame(
-        {
-            "bin": agg["bin"].to_numpy(np.int64),
-            "n": agg["n"].to_numpy(np.int64),
-            "conf_bp": (agg["sp"].to_numpy(np.int64) // agg["n"].to_numpy(np.int64)),
-            "acc_bp": (agg["npos"].to_numpy(np.int64) * 10000 // agg["n"].to_numpy(np.int64)),
-            "gap_bp": np.abs(
-                agg["sp"].to_numpy(np.int64) // agg["n"].to_numpy(np.int64)
-                - agg["npos"].to_numpy(np.int64) * 10000 // agg["n"].to_numpy(np.int64)
-            ),
-        }
-    ).astype("int64")
-
-
-ECE_CALIBRATION_SQL = f"""
-WITH e AS (
-  SELECT vec_id, CAST(embedding AS DOUBLE[]) AS e,
-         CASE WHEN label = {AUC_POS_LABEL} THEN 1 ELSE 0 END AS pos
-  FROM embeddings),
-w AS (
-  SELECT i,
-         CAST(CAST(concat('0x', substr(md5('ece:' || CAST(i AS VARCHAR)),
-              1, 16)) AS UBIGINT) % 19 AS BIGINT) - 9 AS wt
-  FROM (SELECT unnest(range(1, {AUC_DIM} + 1)) AS i)),
-q AS (
-  SELECT e.vec_id, MAX(e.pos) AS pos,
-         SUM(CAST(floor(e.e[w.i] * 1000) AS BIGINT) * w.wt) AS s
-  FROM e, w GROUP BY e.vec_id),
-mm AS (SELECT MIN(s) AS smin, MAX(s) AS smax FROM q),
-p AS (SELECT q.pos,
-             CASE WHEN mm.smax > mm.smin
-                  THEN (q.s - mm.smin) * 10000 // (mm.smax - mm.smin)
-                  ELSE 0 END AS pbp
-      FROM q, mm),
-b AS (SELECT LEAST(pbp // 1000, {ECE_BINS} - 1) AS bin,
-             COUNT(*) AS n, SUM(pbp) AS sp, SUM(pos) AS npos
-      FROM p GROUP BY 1)
-SELECT CAST(bin AS BIGINT) AS bin, CAST(n AS BIGINT) AS n,
-       CAST(sp // n AS BIGINT) AS conf_bp,
-       CAST(npos * 10000 // n AS BIGINT) AS acc_bp,
-       CAST(abs(sp // n - npos * 10000 // n) AS BIGINT) AS gap_bp
-FROM b
-"""
-
-
-# ==================================================== silhouette_eval
-#
-# Simplified (centroid-based) silhouette over the embedding table —
-# the cluster-quality score a curation pipeline reads before trusting
-# a clustering for SemDeDup / mixture balancing. Centroids are the
-# SIL_CELLS md5-smallest vectors ('sil:{vec_id}', the repo's
-# deterministic-sample device); every vector and centroid quantizes to
-# floor(1000·x) int64, so squared euclidean distances are EXACT
-# integers via the a·a − 2a·b + b·b expansion (same identity
-# _kcenter_sql uses). a2 = d² to the assigned (nearest, ties → smaller
-# cid) centroid, b2 = min d² over the others, sil_bp =
-# (b2−a2)·10000 // max(a2,b2,1) — non-negative by construction since
-# the assignment minimizes d², so // is plain integer division on both
-# engines.
-#
-# Scale shape: centroid pick via global_prune (O(SIL_CELLS) driver
-# rows regardless of block count); the scoring pass is one integer
-# matmul per batch against the broadcast SIL_CELLS×D centroid matrix —
-# NO shuffle, one narrow output row per vector.
-
-SIL_CELLS = 12
-
-
-def _sil_centroids(sf_dir: str):
-    """The md5('sil:{vec_id}')-smallest SIL_CELLS vectors, quantized —
-    the shared clustering q_silhouette_eval and q_cluster_purity both
-    grade (same cells, two quality views). Returns (cids, cmat) sorted
-    by vec_id, or (None, None) on an empty table."""
-    import hashlib
-
-    emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def prune_c(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "vec_id" not in df.columns:
-            return df
-        md5s = np.array(
-            [hashlib.md5(f"sil:{int(v)}".encode()).hexdigest() for v in df["vec_id"]]
-        )
-        keep = np.argsort(md5s)[:SIL_CELLS]
-        return df.iloc[np.sort(keep)]
-
-    cdf = global_prune(emb, prune_c)
-    if cdf.empty or "vec_id" not in cdf.columns:
-        return None, None
-    md5s = np.array(
-        [hashlib.md5(f"sil:{int(v)}".encode()).hexdigest() for v in cdf["vec_id"]]
-    )
-    cdf = cdf.iloc[np.argsort(md5s)[:SIL_CELLS]].sort_values("vec_id")
-    cids = cdf["vec_id"].to_numpy(np.int64)
-    cmat = np.floor(
-        np.stack(cdf["embedding"].to_numpy()).astype(np.float64) * 1000.0
-    ).astype(np.int64)
-    return cids, cmat
-
-
-def q_silhouette_eval(sf_dir: str):
-    emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    cols = ["vec_id", "cell", "a2", "b2", "sil_bp"]
-    cids, cmat = _sil_centroids(sf_dir)
-    if cids is None:
-        return pd.DataFrame({c: pd.Series(dtype="int64") for c in cols})
-    cnorm = (cmat * cmat).sum(axis=1)
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in cols})
-        ids = df["vec_id"].to_numpy(np.int64)
-        mat = np.floor(
-            np.stack(df["embedding"].to_numpy()).astype(np.float64) * 1000.0
-        ).astype(np.int64)
-        d2 = (mat * mat).sum(axis=1)[:, None] - 2 * (mat @ cmat.T) + cnorm[None, :]
-        # cids are ascending and argmin takes the FIRST minimum, so
-        # distance ties resolve to the smaller centroid id (oracle rule)
-        own = np.argmin(d2, axis=1)
-        rows = np.arange(len(ids))
-        a2 = d2[rows, own]
-        masked = d2.copy()
-        masked[rows, own] = np.iinfo(np.int64).max
-        b2 = masked.min(axis=1)
-        sil = (b2 - a2) * 10000 // np.maximum(np.maximum(a2, b2), 1)
-        return pd.DataFrame(
-            {"vec_id": ids, "cell": cids[own], "a2": a2, "b2": b2, "sil_bp": sil}
-        )
-
-    return emb.map_batches(score, batch_format="pandas")
-
-
-SILHOUETTE_EVAL_SQL = f"""
-WITH e AS (
-  SELECT vec_id,
-         list_transform(CAST(embedding AS DOUBLE[]),
-                        x -> CAST(floor(x * 1000) AS BIGINT)) AS q
-  FROM embeddings),
-cent AS (SELECT vec_id AS cid, q AS cq FROM e
-         ORDER BY md5('sil:' || CAST(vec_id AS VARCHAR)) LIMIT {SIL_CELLS}),
-d AS (
-  SELECT e.vec_id, c.cid,
-         CAST(list_inner_product(e.q, e.q)
-              - 2 * list_inner_product(e.q, c.cq)
-              + list_inner_product(c.cq, c.cq) AS BIGINT) AS d2
-  FROM e CROSS JOIN cent c),
-own AS (
-  SELECT vec_id, cid, d2,
-         ROW_NUMBER() OVER (PARTITION BY vec_id ORDER BY d2, cid) AS rn
-  FROM d),
-a AS (SELECT vec_id, cid AS cell, d2 AS a2 FROM own WHERE rn = 1),
-b AS (SELECT d.vec_id, MIN(d.d2) AS b2
-      FROM d JOIN a ON a.vec_id = d.vec_id AND d.cid <> a.cell GROUP BY 1)
-SELECT CAST(a.vec_id AS BIGINT) AS vec_id,
-       CAST(a.cell AS BIGINT) AS cell,
-       CAST(a.a2 AS BIGINT) AS a2,
-       CAST(b.b2 AS BIGINT) AS b2,
-       CAST((b.b2 - a.a2) * 10000
-            // GREATEST(a.a2, b.b2, 1) AS BIGINT) AS sil_bp
-FROM a JOIN b USING (vec_id)
-"""
-
-
-# ================================================== embedding_moments
-#
-# Per-dimension first/second moments of the quantized embedding matrix
-# — the feature-health audit (dead dims, scale outliers) an embedding
-# pipeline runs before ANN indexing or whitening. Coordinates quantize
-# to floor(1000·x) int64 (the repo's vector convention), so s1 = Σq and
-# s2 = Σq² are exact integers and n²·var = n·s2 − s1² is exact too
-# (HUGEINT on the SQL side; Python ints never overflow).
-#
-# Scale shape: one per-batch D-row partial (n, s1, s2 per dimension) →
-# ONE global_prune combine → a D-row driver table. NO shuffle; D is the
-# fixed embedding width.
-
-def q_embedding_moments(sf_dir: str):
-    emb = _read(sf_dir, "embeddings", columns=["embedding"])
-    cols = ["dim", "n", "s1", "s2", "var_n2"]
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in
-                                 ("dim", "n", "s1", "s2")})
-        mat = np.floor(
-            np.stack(df["embedding"].to_numpy()).astype(np.float64) * 1000.0
-        ).astype(np.int64)
-        return pd.DataFrame(
-            {
-                "dim": np.arange(1, mat.shape[1] + 1, dtype=np.int64),
-                "n": np.full(mat.shape[1], mat.shape[0], np.int64),
-                "s1": mat.sum(axis=0),
-                "s2": (mat * mat).sum(axis=0),
-            }
-        )
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df) or "dim" not in df.columns:
-            return df
-        return df.groupby("dim", as_index=False)[["n", "s1", "s2"]].sum()
-
-    m = global_prune(emb.map_batches(partial, batch_format="pandas"), combine)
-    if not len(m) or "dim" not in m.columns:
-        return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in cols})
-    # Python big ints: n·s2 − s1² can exceed int64 at corpus scale
-    var = [int(n) * int(s2) - int(s1) * int(s1)
-           for n, s1, s2 in zip(m["n"], m["s1"], m["s2"])]
-    out = m.sort_values("dim").reset_index(drop=True)
-    out["var_n2"] = np.array(var, dtype=np.int64)
-    return out[cols].astype({c: np.int64 for c in cols})
-
-
-EMBEDDING_MOMENTS_SQL = """
-WITH e AS (
-  SELECT list_transform(CAST(embedding AS DOUBLE[]),
-                        x -> CAST(floor(x * 1000) AS BIGINT)) AS q
-  FROM embeddings),
-idx AS (SELECT q, unnest(range(1, len(q) + 1)) AS dim FROM e),
-per AS (
-  SELECT CAST(dim AS BIGINT) AS dim,
-         CAST(COUNT(*) AS BIGINT) AS n,
-         CAST(SUM(q[dim]) AS BIGINT) AS s1,
-         CAST(SUM(q[dim] * q[dim]) AS BIGINT) AS s2
-  FROM idx GROUP BY 1)
-SELECT dim, n, s1, s2,
-       CAST(CAST(n AS HUGEINT) * s2
-            - CAST(s1 AS HUGEINT) * s1 AS BIGINT) AS var_n2
-FROM per
-"""
-
-
-# ====================================================== cluster_purity
-#
-# Label purity of the SAME deterministic clustering silhouette_eval
-# grades (md5-picked centroids, min-d² assignment): per cell, member
-# count, distinct labels, and purity_bp = top-label count·10⁴ // n —
-# the external cluster-quality view (geometric cohesion is
-# silhouette's). All counting, no floats.
-#
-# Scale shape: assignment is the broadcast-centroid matvec; per-batch
-# (cell, label) count partials (≤ cells×labels rows per block) → ONE
-# global_prune combine → driver purity over the bounded grid.
-
-def q_cluster_purity(sf_dir: str):
-    emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding", "label"])
-    cols = ["cell", "n", "n_labels", "top_count", "purity_bp"]
-    cids, cmat = _sil_centroids(sf_dir)
-    if cids is None:
-        return pd.DataFrame({c: pd.Series(dtype="int64") for c in cols})
-    cnorm = (cmat * cmat).sum(axis=1)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {c: pd.Series(dtype=np.int64) for c in ("cell", "label", "cnt")}
-            )
-        mat = np.floor(
-            np.stack(df["embedding"].to_numpy()).astype(np.float64) * 1000.0
-        ).astype(np.int64)
-        d2 = (mat * mat).sum(axis=1)[:, None] - 2 * (mat @ cmat.T) + cnorm[None, :]
-        own = np.argmin(d2, axis=1)  # ties → smaller centroid id (cids asc)
-        out = pd.DataFrame(
-            {"cell": cids[own], "label": df["label"].to_numpy(np.int64), "cnt": 1}
-        )
-        return out.groupby(["cell", "label"], as_index=False)["cnt"].sum()
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df) or "cell" not in df.columns:
-            return df
-        return df.groupby(["cell", "label"], as_index=False)["cnt"].sum()
-
-    m = global_prune(emb.map_batches(partial, batch_format="pandas"), combine)
-    if not len(m) or "cell" not in m.columns:
-        return pd.DataFrame({c: pd.Series(dtype="int64") for c in cols})
-    rows = []
-    for cell, g in m.groupby("cell", sort=True):
-        n = int(g["cnt"].sum())
-        top = int(g["cnt"].max())
-        rows.append((int(cell), n, len(g), top, top * 10000 // n))
-    return pd.DataFrame(rows, columns=cols).astype({c: np.int64 for c in cols})
-
-
-CLUSTER_PURITY_SQL = f"""
-WITH e AS (
-  SELECT vec_id, label,
-         list_transform(CAST(embedding AS DOUBLE[]),
-                        x -> CAST(floor(x * 1000) AS BIGINT)) AS q
-  FROM embeddings),
-cent AS (SELECT vec_id AS cid, q AS cq FROM e
-         ORDER BY md5('sil:' || CAST(vec_id AS VARCHAR)) LIMIT {SIL_CELLS}),
-own AS (
-  SELECT vec_id, label, cid, ROW_NUMBER() OVER (
-           PARTITION BY vec_id
-           ORDER BY list_inner_product(q, q)
-                    - 2 * list_inner_product(q, cq)
-                    + list_inner_product(cq, cq), cid) AS rn
-  FROM e CROSS JOIN cent),
-a AS (SELECT vec_id, label, cid AS cell FROM own WHERE rn = 1),
-lc AS (SELECT cell, label, CAST(COUNT(*) AS BIGINT) AS cnt
-       FROM a GROUP BY 1, 2)
-SELECT CAST(cell AS BIGINT) AS cell,
-       CAST(SUM(cnt) AS BIGINT) AS n,
-       CAST(COUNT(*) AS BIGINT) AS n_labels,
-       CAST(MAX(cnt) AS BIGINT) AS top_count,
-       CAST(MAX(cnt) * 10000 // SUM(cnt) AS BIGINT) AS purity_bp
-FROM lc GROUP BY 1
-"""
-
-
 # =================================================== embedding_outliers
 #
 # The OUTLIER_TOPK vectors farthest from the corpus mean embedding —
@@ -1421,8 +805,8 @@ FROM lc GROUP BY 1
 # no division ever happens and both engines rank identical integers
 # (ties → smaller vec_id).
 #
-# Scale shape: pass 1 is embedding_moments' D-row partial (n, s1 per
-# dim) → global_prune; pass 2 broadcasts the D-vector s1 and computes
+# Scale shape: pass 1 is a D-row partial (n, s1 per dim) →
+# global_prune; pass 2 broadcasts the D-vector s1 and computes
 # dist_n2 per batch (one vectorized matvec), then top-K via
 # global_prune — O(K) driver rows, NO shuffle.
 
@@ -1508,209 +892,13 @@ FROM d ORDER BY dist DESC, vec_id LIMIT {OUTLIER_TOPK}
 """
 
 
-# ====================================================== bootstrap_means
-#
-# Deterministic multiplier bootstrap of the mean document length: B
-# resample replicas where doc i's multiplicity in replica b is
-# md5('boot:{b}:{doc_id}') % 3 ∈ {0,1,2} (mean 1 — a discrete stand-in
-# for Poisson(1), the standard streaming-bootstrap trick), giving the
-# spread a data buyer quotes as the CI of a corpus statistic without a
-# second pass over the data. mean_ppm = 1e6·Σ(m·x) // Σm is exact
-# integer arithmetic; the md5 device is the multimodal_meta convention
-# so DuckDB recomputes identical multiplicities.
-#
-# Scale shape: each batch contributes one B-row partial (replica,
-# n_eff, sx) — B is fixed, so partials are metadata-sized; ONE
-# global_prune combine → B driver rows. NO shuffle; cost is B md5s per
-# row (the documented price of B replicas in one pass).
-
-BOOT_B = 32
-
-
-def q_bootstrap_means(sf_dir: str):
-    from ..stages.multimodal import _md5_64
-
-    d = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
-    cols = ["replica", "n_eff", "sx", "mean_ppm"]
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {c: pd.Series(dtype=np.int64) for c in ("replica", "n_eff", "sx")}
-            )
-        ids = df["doc_id"].to_numpy(np.int64)
-        x = df["n_chars"].to_numpy(np.int64)
-        rows = []
-        for b in range(BOOT_B):
-            m = np.fromiter(
-                (_md5_64(f"boot:{b}:{int(i)}") % 3 for i in ids),
-                np.int64,
-                len(ids),
-            )
-            rows.append((b, int(m.sum()), int((m * x).sum())))
-        return pd.DataFrame(rows, columns=["replica", "n_eff", "sx"])
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df) or "replica" not in df.columns:
-            return df
-        return df.groupby("replica", as_index=False)[["n_eff", "sx"]].sum()
-
-    m = global_prune(d.map_batches(partial, batch_format="pandas"), combine)
-    if not len(m) or "replica" not in m.columns:
-        return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in cols})
-    m = m.sort_values("replica").reset_index(drop=True)
-    ne = m["n_eff"].to_numpy(np.int64)
-    sx = m["sx"].to_numpy(np.int64)
-    m["mean_ppm"] = np.where(ne > 0, (1_000_000 * sx) // np.maximum(ne, 1), 0)
-    return m[cols].astype({c: np.int64 for c in cols})
-
-
-BOOTSTRAP_MEANS_SQL = f"""
-WITH reps AS (SELECT unnest(range(0, {BOOT_B})) AS replica),
-m AS (
-  SELECT reps.replica, d.n_chars,
-         CAST(CAST(concat('0x', substr(md5('boot:' || CAST(reps.replica AS VARCHAR)
-              || ':' || CAST(d.doc_id AS VARCHAR)), 1, 16)) AS UBIGINT) % 3
-              AS BIGINT) AS mult
-  FROM reps CROSS JOIN documents d)
-SELECT CAST(replica AS BIGINT) AS replica,
-       CAST(COALESCE(SUM(mult), 0) AS BIGINT) AS n_eff,
-       CAST(COALESCE(SUM(mult * n_chars), 0) AS BIGINT) AS sx,
-       CAST(CASE WHEN COALESCE(SUM(mult), 0) > 0
-            THEN (1000000 * SUM(mult * n_chars)) // SUM(mult)
-            ELSE 0 END AS BIGINT) AS mean_ppm
-FROM m GROUP BY 1
-"""
-
-
-# ================================================== conformal_coverage
-#
-# Split-conformal audit of a corpus statistic (Vovk et al. 2005;
-# Angelopoulos & Bates 2023): a deterministic md5 split assigns ~1/5 of
-# docs to a CALIBRATION set; the conformal threshold is the
-# ⌈(n_cal+1)·(1−α)⌉-th smallest calibration score (α = 0.1, score =
-# n_chars — a calibrated 90% upper bound on document length), and
-# coverage is the share of TEST docs at or under it. A data buyer runs
-# this gate to check that a quantile promised on a sample actually
-# holds on the rest of the corpus. All integer-exact: the threshold is
-# an order statistic of an integer multiset, coverage_bp an integer
-# division.
-#
-# Scale shape: ONE streaming pass emits per-batch (split, score, cnt)
-# histogram partials — the score domain is bounded by max doc length,
-# so partials are metadata-sized — then ONE global_prune combine; the
-# driver takes the order statistic from the cumulative histogram
-# (O(|score domain|) rows) and reads coverage off the same histogram.
-# NO shuffle, no second pass.
-
-CONF_ALPHA_BP = 1000  # α = 0.1 in basis points
-CONF_CAL_MOD = 5      # md5 % 5 == 0 → calibration split
-
-
-def q_conformal_coverage(sf_dir: str):
-    from ..stages.multimodal import _md5_64
-
-    d = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
-    cols = ["n_cal", "n_test", "threshold", "n_covered", "coverage_bp"]
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {c: pd.Series(dtype=np.int64) for c in ("split", "score", "cnt")}
-            )
-        ids = df["doc_id"].to_numpy(np.int64)
-        cal = np.fromiter(
-            (_md5_64(f"conf:42:{int(i)}") % CONF_CAL_MOD == 0 for i in ids),
-            bool,
-            len(ids),
-        )
-        out = pd.DataFrame(
-            {"split": cal.astype(np.int64), "score": df["n_chars"].to_numpy(np.int64)}
-        )
-        return out.groupby(["split", "score"], as_index=False).size().rename(
-            columns={"size": "cnt"}
-        )
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df) or "split" not in df.columns:
-            return df
-        return df.groupby(["split", "score"], as_index=False)["cnt"].sum()
-
-    h = global_prune(d.map_batches(partial, batch_format="pandas"), combine)
-    if not len(h) or "split" not in h.columns:
-        return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in cols})
-    h = h.sort_values(["split", "score"]).reset_index(drop=True)
-    cal = h[h["split"] == 1]
-    test = h[h["split"] == 0]
-    n_cal = int(cal["cnt"].sum())
-    n_test = int(test["cnt"].sum())
-    # k-th smallest calibration score, k = ⌈(n_cal+1)(1−α)⌉ clamped to n_cal
-    k = min(n_cal, -(-((n_cal + 1) * (10000 - CONF_ALPHA_BP)) // 10000))
-    if n_cal == 0:
-        thr = 0
-    else:
-        cum = cal["cnt"].cumsum().to_numpy(np.int64)
-        thr = int(cal["score"].to_numpy(np.int64)[np.searchsorted(cum, k)])
-    n_cov = int(test.loc[test["score"] <= thr, "cnt"].sum())
-    cov_bp = 10000 * n_cov // n_test if n_test else 0
-    return pd.DataFrame(
-        {
-            "n_cal": [n_cal],
-            "n_test": [n_test],
-            "threshold": [thr],
-            "n_covered": [n_cov],
-            "coverage_bp": [cov_bp],
-        }
-    ).astype({c: np.int64 for c in cols})
-
-
-CONFORMAL_COVERAGE_SQL = f"""
-WITH d AS (
-  SELECT n_chars AS score,
-         CASE WHEN CAST(concat('0x', substr(md5('conf:42:' ||
-              CAST(doc_id AS VARCHAR)), 1, 16)) AS UBIGINT)
-              % {CONF_CAL_MOD} = 0 THEN 1 ELSE 0 END AS split
-  FROM documents),
-nc AS (SELECT COUNT(*) AS n_cal FROM d WHERE split = 1),
-kk AS (
-  SELECT CASE WHEN n_cal < ((n_cal + 1) * {10000 - CONF_ALPHA_BP} + 9999) // 10000
-         THEN n_cal
-         ELSE ((n_cal + 1) * {10000 - CONF_ALPHA_BP} + 9999) // 10000 END AS k,
-         n_cal
-  FROM nc),
-thr AS (
-  SELECT COALESCE(
-    (SELECT score FROM d WHERE split = 1 ORDER BY score
-     LIMIT 1 OFFSET (SELECT k - 1 FROM kk WHERE k > 0)), 0) AS threshold)
-SELECT CAST((SELECT n_cal FROM nc) AS BIGINT) AS n_cal,
-       CAST(COUNT(*) AS BIGINT) AS n_test,
-       CAST((SELECT threshold FROM thr) AS BIGINT) AS threshold,
-       CAST(COALESCE(SUM(CASE WHEN score <= (SELECT threshold FROM thr)
-                         THEN 1 ELSE 0 END), 0) AS BIGINT) AS n_covered,
-       CAST(CASE WHEN COUNT(*) > 0
-            THEN 10000 * COALESCE(SUM(CASE WHEN score <=
-                 (SELECT threshold FROM thr) THEN 1 ELSE 0 END), 0) // COUNT(*)
-            ELSE 0 END AS BIGINT) AS coverage_bp
-FROM d WHERE split = 0
-"""
-
-
 VALIDATION_SQL_QUERIES: dict[str, tuple] = {
-    "temperature_mix": (q_temperature_mix, TEMPERATURE_MIX_SQL),
-    "adamic_adar": (q_adamic_adar, ADAMIC_ADAR_SQL),
-    "readability": (q_readability, READABILITY_SQL),
-    "compaction_plan": (q_compaction_plan, COMPACTION_PLAN_SQL),
-    "benford_audit": (q_benford_audit, BENFORD_AUDIT_SQL),
-    "auc_eval": (q_auc_eval, AUC_EVAL_SQL),
-    "ks_drift": (q_ks_drift, KS_DRIFT_SQL),
-    "ndcg_eval": (q_ndcg_eval, _ndcg_sql()),
-    "mrr_eval": (q_mrr_eval, MRR_EVAL_SQL),
-    "map_eval": (q_map_eval, MAP_EVAL_SQL),
-    "ece_calibration": (q_ece_calibration, ECE_CALIBRATION_SQL),
-    "silhouette_eval": (q_silhouette_eval, SILHOUETTE_EVAL_SQL),
-    "embedding_moments": (q_embedding_moments, EMBEDDING_MOMENTS_SQL),
-    "embedding_outliers": (q_embedding_outliers, EMBEDDING_OUTLIERS_SQL),
-    "cluster_purity": (q_cluster_purity, CLUSTER_PURITY_SQL),
-    "bootstrap_means": (q_bootstrap_means, BOOTSTRAP_MEANS_SQL),
-    "conformal_coverage": (q_conformal_coverage, CONFORMAL_COVERAGE_SQL),
+    "temperature_mix": (q_temperature_mix, TEMPERATURE_MIX_SQL, "selection"),
+    "readability": (q_readability, READABILITY_SQL, "text"),
+    "auc_eval": (q_auc_eval, AUC_EVAL_SQL, "sketch"),
+    "ks_drift": (q_ks_drift, KS_DRIFT_SQL, "sketch"),
+    "ndcg_eval": (q_ndcg_eval, _ndcg_sql(), "sketch"),
+    "mrr_eval": (q_mrr_eval, MRR_EVAL_SQL, "sketch"),
+    "map_eval": (q_map_eval, MAP_EVAL_SQL, "sketch"),
+    "embedding_outliers": (q_embedding_outliers, EMBEDDING_OUTLIERS_SQL, "ann"),
 }

@@ -419,7 +419,7 @@ GROUP BY bits.b, n.nd
 
 
 VECTORAUDIT_SQL_QUERIES: dict[str, tuple] = {
-    "hubness_audit": (q_hubness_audit, HUBNESS_AUDIT_SQL),
-    "knn_mutual_rate": (q_knn_mutual_rate, KNN_MUTUAL_RATE_SQL),
-    "simhash_bit_balance": (q_simhash_bit_balance, SIMHASH_BIT_BALANCE_SQL),
+    "hubness_audit": (q_hubness_audit, HUBNESS_AUDIT_SQL, "ann"),
+    "knn_mutual_rate": (q_knn_mutual_rate, KNN_MUTUAL_RATE_SQL, "ann"),
+    "simhash_bit_balance": (q_simhash_bit_balance, SIMHASH_BIT_BALANCE_SQL, "ann"),
 }

@@ -23,142 +23,8 @@ import ray
 import ray.data
 
 from .._util import read_table as _read
-from .grouping import partitioned_anti_join
 from .grouping import with_coarse_group as _with_coarse_group
 from .ml_queries import _md5u  # the shared md5-uint64 SQL hash family
-
-
-# Families split out in round 4 (VERDICT r3 #9) — explicit re-exports
-# keep every historical import path working (tests, entry, bench).
-
-from .webgraph_ops import (  # noqa: F401
-    q_clustering_coeff,
-    _clustering_coeff_sql,
-    HYPERBALL_RADIUS,
-    q_hyperball_2hop,
-    _hyperball_sql,
-    _read,
-    q_graph_reciprocity,
-    GRAPH_RECIPROCITY_SQL,
-    KCORE_K,
-    KCORE_ROUNDS,
-    _KCORE_NB,
-    q_kcore_peel,
-    _kcore_sql,
-    q_degree_assortativity,
-    DEGREE_ASSORTATIVITY_SQL,
-    COCITE_MIN_SUPPORT,
-    q_cocitation_pairs,
-    COCITATION_PAIRS_SQL,
-    q_butterfly_count,
-    BUTTERFLY_COUNT_SQL,
-    q_modularity_score,
-    MODULARITY_SCORE_SQL,
-    q_neighbor_degree,
-    NEIGHBOR_DEGREE_SQL,
-    q_rich_club,
-    RICH_CLUB_SQL,
-    q_edge_homophily,
-    EDGE_HOMOPHILY_SQL,
-    q_deg_powerlaw,
-    q_truss_support,
-    TRUSS_SUPPORT_SQL,
-    DEG_POWERLAW_SQL,
-    CP_PIVOTS,
-    CP_MAX_DEPTH,
-    q_closeness_pivots,
-    _closeness_sql,
-)
-
-from .sketcheval_ops import (  # noqa: F401
-    q_jl_distortion,
-    JL_DISTORTION_SQL,
-    POSTINGS_MIN_DF,
-    q_postings_roundtrip,
-    _postings_roundtrip_sql,
-    MRL_K,
-    MRL_QUERIES,
-    MRL_TRUNC_DIM,
-    VOCAB_DRIFT_MIN_DF,
-    q_mrl_recall,
-    _mrl_recall_sql,
-    q_vocab_drift,
-    _vocab_drift_sql,
-    _read,
-    q_quantile_map,
-    QUANTILE_MAP_SQL,
-    RADIX_QS_BP,
-    radix_hist,
-    radix_interp,
-    _merge_radix_hist,
-    q_radix_quantiles,
-    _radix_sql,
-    _RADIX_CENTS_CTE,
-    q_minhash_error,
-    _minhash_error_sql,
-    CDC_W,
-    CDC_DIV,
-    cdc_boundaries,
-    q_cdc_chunks,
-    CDC_CHUNKS_SQL,
-    PQ_SUBSPACES,
-    PQ_SUBDIM,
-    PQ_CODEWORDS,
-    _sq_l2_expansion,
-    _pq_codebook,
-    q_product_quantize,
-    PRODUCT_QUANTIZE_SQL,
-    q_compression_ratio,
-    KMV_K,
-    _KMV_2_64,
-    q_kmv_error,
-    _kmv_error_sql,
-    q_dup_transitivity,
-    _dup_transitivity_sql,
-    q_theta_intersect,
-    _theta_intersect_sql,
-    q_bloom_fpr,
-    _bloom_fpr_sql,
-    PQ_RECALL_K,
-    PQ_RECALL_QUERIES,
-    q_pq_recall,
-    _pq_recall_sql,
-    _INT_RE,
-    _FLOAT_RE,
-    _DATE_RE,
-    _virtual_cells,
-    q_infer_types,
-    INFER_TYPES_SQL,
-)
-
-from .weblinkage_ops import (  # noqa: F401
-    _read,
-    BITEXT_SESSION_SIZE,
-    BITEXT_PIVOT,
-    q_bitext_align,
-    BITEXT_ALIGN_SQL,
-    LINKAGE_MAX_DIST,
-    _typo_name,
-    levenshtein,
-    q_record_linkage,
-    RECORD_LINKAGE_SQL,
-    BADWORD_LEXICON,
-    BADWORD_FLAG_MIN,
-    BadwordScanner,
-    q_badword_filter,
-    _badword_sql,
-    WINNOW_K,
-    WINNOW_W,
-    winnow_select,
-    q_winnow_fingerprint,
-    WINNOW_FINGERPRINT_SQL,
-    q_token_simpson,
-    TOKEN_SIMPSON_SQL,
-    BM25_QUERY,
-    BM25_TOPK,
-    q_bm25_rank,
-    _bm25_sql,
-)
 
 
 # ========================================================== SURT keys
@@ -339,8 +205,6 @@ FROM documents,
 # page's bytes in one of three encodings; the detector must name the
 # charset AND round-trip the text md5-exactly.
 
-_CHARSETS = ["utf-16-le", "utf-8-sig", "utf-8"]
-
 
 def encode_page(text: str, enc_class: int) -> bytes:
     if enc_class == 0:
@@ -511,7 +375,6 @@ FROM documents
 # the decision table (the Ray side PARSES the url).
 
 TRAP_MAX_DEPTH = 8
-_DATE_RE = None  # segments checked numerically, no regex needed
 
 
 def classify_trap(url: str) -> str:
@@ -778,105 +641,6 @@ SELECT doc_id, lang,
                // (10000 * n_l))
        THEN 1 ELSE 0 END AS BIGINT) AS kept
 FROM c
-"""
-
-
-# ========================================== prefix-preserving IP anonymization
-#
-# Crypto-PAn-style pseudonymization (Xu et al., ICNP 2002 — public
-# scheme, md5 standing in for the AES PRF): output bit i = input bit i
-# XOR prf(input bits 0..i-1), which preserves prefix relationships
-# EXACTLY — two IPs share a k-bit anonymized prefix iff they shared a
-# k-bit original prefix — the property that keeps subnet-level analytics
-# valid over scrubbed crawl telemetry (complements pii_scrub's content
-# redaction with structure-preserving field redaction).
-
-
-_U32 = 1 << 32
-
-
-def _ip32(user_ids: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            int(hashlib.md5(f"ip|{int(u)}".encode("utf-8")).hexdigest()[:16], 16)
-            % _U32
-            for u in user_ids
-        ],
-        dtype=np.int64,
-    )
-
-
-def anonymize_ip(ip: int) -> int:
-    bits = format(ip, "032b")
-    out = 0
-    for i in range(32):
-        f = (
-            int(hashlib.md5(("pan|" + bits[:i]).encode("utf-8")).hexdigest()[:16], 16)
-            % 2
-        )
-        out = (out << 1) | ((ip >> (31 - i)) & 1) ^ f
-    return out
-
-
-def _dotted(ip: int) -> str:
-    return ".".join(str((ip >> s) & 255) for s in (24, 16, 8, 0))
-
-
-def q_ip_anonymize(sf_dir: str):
-    """(user_id, ip, ip_anon): each distinct user's deterministic IPv4
-    and its prefix-preserving pseudonym, both dotted-quad.
-
-    Scale shape: distinct users via per-batch dedup + ONE coarse
-    exchange (the seen-set shape); the 32-round PRF walk is per distinct
-    user, not per event."""
-    ev = _read(sf_dir, "events", columns=["user_id"])
-
-    def distinct_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates("user_id").astype({"user_id": np.int64})
-
-    kd = _with_coarse_group(
-        ev.map_batches(distinct_part, batch_format="pandas"), "user_id"
-    )
-
-    def anon(g: pd.DataFrame) -> pd.DataFrame:
-        users = np.unique(g["user_id"].to_numpy(np.int64))
-        ips = _ip32(users)
-        return pd.DataFrame(
-            {
-                "user_id": users,
-                "ip": [_dotted(int(p)) for p in ips],
-                "ip_anon": [_dotted(anonymize_ip(int(p))) for p in ips],
-            }
-        )
-
-    return kd.groupby("_g").map_groups(anon, batch_format="pandas")
-
-
-def _ip_anonymize_sql() -> str:
-    dotted = (
-        lambda col: f"CAST(({col} >> 24) & 255 AS VARCHAR) || '.' || "
-        f"CAST(({col} >> 16) & 255 AS VARCHAR) || '.' || "
-        f"CAST(({col} >> 8) & 255 AS VARCHAR) || '.' || "
-        f"CAST({col} & 255 AS VARCHAR)"
-    )
-    return f"""
-WITH u AS (
-  SELECT DISTINCT user_id FROM events
-), ips AS (
-  SELECT user_id,
-         CAST({_md5u("'ip|' || CAST(user_id AS VARCHAR)")} % 4294967296 AS BIGINT) AS ip
-  FROM u
-), bits AS (
-  SELECT user_id, ip, i,
-    xor((ip >> (31 - CAST(i AS INTEGER))) & 1,
-        CAST({_md5u("'pan|' || substr(lpad(bin(ip), 32, '0'), 1, CAST(i AS INTEGER))")} % 2 AS BIGINT)) AS ob
-  FROM ips, unnest(range(32)) t(i)
-), anon AS (
-  SELECT user_id, ip,
-         CAST(SUM(ob << (31 - CAST(i AS INTEGER))) AS BIGINT) AS ipa
-  FROM bits GROUP BY user_id, ip
-)
-SELECT user_id, {dotted('ip')} AS ip, {dotted('ipa')} AS ip_anon FROM anon
 """
 
 
@@ -1485,58 +1249,19 @@ GROUP BY 1, 2
 
 
 WEBCORPUS_SQL_QUERIES: dict[str, tuple] = {
-    "record_linkage": (q_record_linkage, RECORD_LINKAGE_SQL),
-    "closeness_pivots": (q_closeness_pivots, _closeness_sql()),
-    "dup_transitivity": (q_dup_transitivity, _dup_transitivity_sql()),
-    "ring_rebalance": (q_ring_rebalance, _ring_rebalance_sql()),
-    "kcore_peel": (q_kcore_peel, _kcore_sql()),
-    "radix_quantiles": (
-        q_radix_quantiles,
-        _radix_sql(_RADIX_CENTS_CTE, "est_cents"),
-    ),
-    "minhash_error": (q_minhash_error, _minhash_error_sql()),
-    "degree_assortativity": (q_degree_assortativity, DEGREE_ASSORTATIVITY_SQL),
-    "cdc_chunks": (q_cdc_chunks, CDC_CHUNKS_SQL),
-    "bm25_rank": (q_bm25_rank, _bm25_sql()),
-    "product_quantize": (q_product_quantize, PRODUCT_QUANTIZE_SQL),
-    "kmv_error": (q_kmv_error, _kmv_error_sql()),
-    "theta_intersect": (q_theta_intersect, _theta_intersect_sql()),
-    "bloom_fpr": (q_bloom_fpr, _bloom_fpr_sql()),
-    "pq_recall": (q_pq_recall, _pq_recall_sql()),
-    "path_templates": (q_path_templates, _path_templates_sql()),
-    "infer_types": (q_infer_types, INFER_TYPES_SQL),
-    "mrl_recall": (q_mrl_recall, _mrl_recall_sql()),
-    "vocab_drift": (q_vocab_drift, _vocab_drift_sql()),
-    "postings_roundtrip": (q_postings_roundtrip, _postings_roundtrip_sql()),
-    "hyperball_2hop": (q_hyperball_2hop, _hyperball_sql()),
-    "clustering_coeff": (q_clustering_coeff, _clustering_coeff_sql()),
-    "sentence_stats": (q_sentence_stats, SENTENCE_STATS_SQL),
-    "crosslang_links": (q_crosslang_links, CROSSLANG_LINKS_SQL),
-    "cocitation_pairs": (q_cocitation_pairs, COCITATION_PAIRS_SQL),
-    "graph_reciprocity": (q_graph_reciprocity, GRAPH_RECIPROCITY_SQL),
-    "butterfly_count": (q_butterfly_count, BUTTERFLY_COUNT_SQL),
-    "modularity_score": (q_modularity_score, MODULARITY_SCORE_SQL),
-    "neighbor_degree": (q_neighbor_degree, NEIGHBOR_DEGREE_SQL),
-    "rich_club": (q_rich_club, RICH_CLUB_SQL),
-    "edge_homophily": (q_edge_homophily, EDGE_HOMOPHILY_SQL),
-    "deg_powerlaw": (q_deg_powerlaw, DEG_POWERLAW_SQL),
-    "truss_support": (q_truss_support, TRUSS_SUPPORT_SQL),
-    "jl_distortion": (q_jl_distortion, JL_DISTORTION_SQL),
-    "token_simpson": (q_token_simpson, TOKEN_SIMPSON_SQL),
-    "quantile_map": (q_quantile_map, QUANTILE_MAP_SQL),
-    "badword_filter": (q_badword_filter, _badword_sql()),
-    "winnow_fingerprint": (q_winnow_fingerprint, WINNOW_FINGERPRINT_SQL),
-    "crawl_trap_filter": (q_crawl_trap_filter, _crawl_trap_sql()),
-    "consistent_hash_assign": (q_consistent_hash_assign, CONSISTENT_HASH_SQL),
-    "distribution_resample": (q_distribution_resample, _distribution_resample_sql()),
-    "ip_anonymize": (q_ip_anonymize, _ip_anonymize_sql()),
-    "politeness_audit": (q_politeness_audit, POLITENESS_AUDIT_SQL),
-    "langid_confusion": (q_langid_confusion, _langid_confusion_sql()),
-    "rank_normalize": (q_rank_normalize, RANK_NORMALIZE_SQL),
-    "pareto_docs": (q_pareto_docs, PARETO_DOCS_SQL),
-    "bitext_align": (q_bitext_align, BITEXT_ALIGN_SQL),
-    "surt_keys": (q_surt_keys, SURT_KEYS_SQL),
-    "table_extract": (q_table_extract, TABLE_EXTRACT_SQL),
-    "charset_normalize": (q_charset_normalize, CHARSET_NORMALIZE_SQL),
-    "mime_sniff": (q_mime_sniff, MIME_SNIFF_SQL),
+    "ring_rebalance": (q_ring_rebalance, _ring_rebalance_sql(), "backlog"),
+    "path_templates": (q_path_templates, _path_templates_sql(), "backlog"),
+    "sentence_stats": (q_sentence_stats, SENTENCE_STATS_SQL, "backlog"),
+    "crosslang_links": (q_crosslang_links, CROSSLANG_LINKS_SQL, "backlog"),
+    "crawl_trap_filter": (q_crawl_trap_filter, _crawl_trap_sql(), "backlog"),
+    "consistent_hash_assign": (q_consistent_hash_assign, CONSISTENT_HASH_SQL, "backlog"),
+    "distribution_resample": (q_distribution_resample, _distribution_resample_sql(), "selection"),
+    "politeness_audit": (q_politeness_audit, POLITENESS_AUDIT_SQL, "backlog"),
+    "langid_confusion": (q_langid_confusion, _langid_confusion_sql(), "text"),
+    "rank_normalize": (q_rank_normalize, RANK_NORMALIZE_SQL, "backlog"),
+    "pareto_docs": (q_pareto_docs, PARETO_DOCS_SQL, "backlog"),
+    "surt_keys": (q_surt_keys, SURT_KEYS_SQL, "backlog"),
+    "table_extract": (q_table_extract, TABLE_EXTRACT_SQL, "backlog"),
+    "charset_normalize": (q_charset_normalize, CHARSET_NORMALIZE_SQL, "backlog"),
+    "mime_sniff": (q_mime_sniff, MIME_SNIFF_SQL, "backlog"),
 }

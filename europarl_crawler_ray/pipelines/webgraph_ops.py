@@ -22,7 +22,6 @@ from .._util import read_table as _read
 from .grouping import global_prune  # noqa: F401 (family modules share the helper set)
 from .grouping import partitioned_anti_join  # noqa: F401
 from .grouping import with_coarse_group as _with_coarse_group  # noqa: F401
-from .ml_queries import _md5u  # noqa: F401 — the shared md5-uint64 SQL hash family
 
 
 # ==================================================== graph reciprocity
@@ -2078,3 +2077,20 @@ SELECT src_source, dst_source, n_edges,
 FROM m, tot
 """
 
+
+WEBGRAPH_SQL_QUERIES: dict[str, tuple] = {
+    "closeness_pivots": (q_closeness_pivots, _closeness_sql(), "graph"),
+    "kcore_peel": (q_kcore_peel, _kcore_sql(), "graph"),
+    "degree_assortativity": (q_degree_assortativity, DEGREE_ASSORTATIVITY_SQL, "graph"),
+    "hyperball_2hop": (q_hyperball_2hop, _hyperball_sql(), "graph"),
+    "clustering_coeff": (q_clustering_coeff, _clustering_coeff_sql(), "graph"),
+    "cocitation_pairs": (q_cocitation_pairs, COCITATION_PAIRS_SQL, "graph"),
+    "graph_reciprocity": (q_graph_reciprocity, GRAPH_RECIPROCITY_SQL, "graph"),
+    "butterfly_count": (q_butterfly_count, BUTTERFLY_COUNT_SQL, "graph"),
+    "modularity_score": (q_modularity_score, MODULARITY_SCORE_SQL, "graph"),
+    "neighbor_degree": (q_neighbor_degree, NEIGHBOR_DEGREE_SQL, "graph"),
+    "rich_club": (q_rich_club, RICH_CLUB_SQL, "graph"),
+    "edge_homophily": (q_edge_homophily, EDGE_HOMOPHILY_SQL, "graph"),
+    "deg_powerlaw": (q_deg_powerlaw, DEG_POWERLAW_SQL, "graph"),
+    "truss_support": (q_truss_support, TRUSS_SUPPORT_SQL, "graph"),
+}

@@ -16,7 +16,6 @@ import ray
 import ray.data
 
 from .._util import read_table as _read
-from .grouping import partitioned_anti_join  # noqa: F401 (family modules share the helper set)
 from .grouping import with_coarse_group as _with_coarse_group  # noqa: F401
 from .ml_queries import _md5u  # noqa: F401 — the shared md5-uint64 SQL hash family
 
@@ -659,3 +658,11 @@ LIMIT {BM25_TOPK}
 """
 
 
+WEBLINKAGE_SQL_QUERIES: dict[str, tuple] = {
+    "record_linkage": (q_record_linkage, RECORD_LINKAGE_SQL, "backlog"),
+    "bm25_rank": (q_bm25_rank, _bm25_sql(), "engine"),
+    "token_simpson": (q_token_simpson, TOKEN_SIMPSON_SQL, "backlog"),
+    "badword_filter": (q_badword_filter, _badword_sql(), "text"),
+    "winnow_fingerprint": (q_winnow_fingerprint, WINNOW_FINGERPRINT_SQL, "backlog"),
+    "bitext_align": (q_bitext_align, BITEXT_ALIGN_SQL, "backlog"),
+}

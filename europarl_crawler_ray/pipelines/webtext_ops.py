@@ -22,7 +22,6 @@ import re
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
@@ -2031,25 +2030,25 @@ FROM h, tot
 
 
 WEBTEXT_SQL_QUERIES: dict[str, tuple] = {
-    "rbo_overlap": (q_rbo_overlap, _rbo_sql()),
-    "good_turing_mass": (q_good_turing_mass, GOOD_TURING_MASS_SQL),
-    "token_length_hist": (q_token_length_hist, TOKEN_LENGTH_HIST_SQL),
-    "js_token_drift": (q_js_token_drift, JS_TOKEN_DRIFT_SQL),
-    "chi2_token_drift": (q_chi2_token_drift, CHI2_TOKEN_DRIFT_SQL),
-    "composition_entropy": (q_composition_entropy, COMPOSITION_ENTROPY_SQL),
-    "spearman_drift": (q_spearman_drift, SPEARMAN_DRIFT_SQL),
-    "kendall_tau": (q_kendall_tau, KENDALL_TAU_SQL),
-    "hill_tail": (q_hill_tail, HILL_TAIL_SQL),
-    "proximity_rank": (q_proximity_rank, PROXIMITY_RANK_SQL),
-    "tokenizer_fertility": (q_tokenizer_fertility, TOKENIZER_FERTILITY_SQL),
-    "refinery": (q_refinery, REFINERY_SQL),
-    "pii_scrub": (q_pii_scrub, PII_SCRUB_SQL),
-    "paragraph_dedup": (q_paragraph_dedup, PARAGRAPH_DEDUP_SQL),
-    "main_content_extract": (q_main_content_extract, MAIN_CONTENT_EXTRACT_SQL),
-    "epoch_shuffle": (q_epoch_shuffle, EPOCH_SHUFFLE_SQL),
-    "vocab_coverage": (q_vocab_coverage, VOCAB_COVERAGE_SQL),
-    "token_entropy": (q_token_entropy, TOKEN_ENTROPY_SQL),
-    "psi_drift": (q_psi_drift, PSI_DRIFT_SQL),
-    "mi_composition": (q_mi_composition, MI_COMPOSITION_SQL),
-    "filter_funnel": (q_filter_funnel, FILTER_FUNNEL_SQL),
+    "rbo_overlap": (q_rbo_overlap, _rbo_sql(), "backlog"),
+    "good_turing_mass": (q_good_turing_mass, GOOD_TURING_MASS_SQL, "backlog"),
+    "token_length_hist": (q_token_length_hist, TOKEN_LENGTH_HIST_SQL, "text"),
+    "js_token_drift": (q_js_token_drift, JS_TOKEN_DRIFT_SQL, "backlog"),
+    "chi2_token_drift": (q_chi2_token_drift, CHI2_TOKEN_DRIFT_SQL, "backlog"),
+    "composition_entropy": (q_composition_entropy, COMPOSITION_ENTROPY_SQL, "backlog"),
+    "spearman_drift": (q_spearman_drift, SPEARMAN_DRIFT_SQL, "backlog"),
+    "kendall_tau": (q_kendall_tau, KENDALL_TAU_SQL, "backlog"),
+    "hill_tail": (q_hill_tail, HILL_TAIL_SQL, "backlog"),
+    "proximity_rank": (q_proximity_rank, PROXIMITY_RANK_SQL, "backlog"),
+    "tokenizer_fertility": (q_tokenizer_fertility, TOKENIZER_FERTILITY_SQL, "text"),
+    "refinery": (q_refinery, REFINERY_SQL, "training"),
+    "pii_scrub": (q_pii_scrub, PII_SCRUB_SQL, "text"),
+    "paragraph_dedup": (q_paragraph_dedup, PARAGRAPH_DEDUP_SQL, "dedup"),
+    "main_content_extract": (q_main_content_extract, MAIN_CONTENT_EXTRACT_SQL, "text"),
+    "epoch_shuffle": (q_epoch_shuffle, EPOCH_SHUFFLE_SQL, "engine"),
+    "vocab_coverage": (q_vocab_coverage, VOCAB_COVERAGE_SQL, "selection"),
+    "token_entropy": (q_token_entropy, TOKEN_ENTROPY_SQL, "text"),
+    "psi_drift": (q_psi_drift, PSI_DRIFT_SQL, "backlog"),
+    "mi_composition": (q_mi_composition, MI_COMPOSITION_SQL, "backlog"),
+    "filter_funnel": (q_filter_funnel, FILTER_FUNNEL_SQL, "text"),
 }

@@ -15,13 +15,12 @@ are sessions with p≈0.42, weekends never — giving realistic gaps.
 from __future__ import annotations
 
 import zlib
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
 from ..functions.extract import html_to_text
 from ..functions.pdf import render_pdf_text
-from ..functions.rules import RULES_BY_NAME, UrlRule
 
 SEED = 42
 
@@ -33,14 +32,6 @@ def is_session_day(d: date, seed: int = SEED) -> bool:
         return False
     h = zlib.crc32(f"session:{seed}:{d.isoformat()}".encode())
     return (h % 100) < 42
-
-
-def is_session_vec(dates: np.ndarray, seed: int = SEED) -> np.ndarray:
-    days = np.asarray(dates, dtype="datetime64[D]")
-    out = np.zeros(len(days), dtype=bool)
-    for i, d in enumerate(days.tolist()):
-        out[i] = is_session_day(d, seed)
-    return out
 
 
 # ---------------------------------------------------------------- corpus text
@@ -185,7 +176,7 @@ class MockHttp:
 
     Understands the europarl URL shape produced by the rule registry; any
     other url gets a deterministic generic page (Common-Crawl-style hosts
-    for scale benches, see ``cc_url``).
+    for scale benches, see ``cc_urls``).
     """
 
     def __init__(self, seed: int = SEED, page_scale: int = 1):
@@ -238,29 +229,14 @@ class MockHttp:
 # ------------------------------------------------------- CC-style frontier
 
 
-def cc_url(i: int, n_hosts: int, zipf_a: float = 1.3, seed: int = SEED) -> str:
-    """Deterministic Common-Crawl-style url with a Zipf-skewed host
-    distribution (hot-host skew food for politeness/salting tests)."""
-    rng = np.random.default_rng(seed + i)
-    host_id = min(int(rng.zipf(zipf_a)) - 1, n_hosts - 1)
-    return f"https://host{host_id:05d}.example.org/page/{i}"
-
-
 def cc_urls(n: int, n_hosts: int = 1000, zipf_a: float = 1.3, seed: int = SEED) -> np.ndarray:
-    """Vectorized batch version of cc_url."""
+    """``n`` urls on ``n_hosts`` Common-Crawl-style hosts, host ids drawn
+    Zipf(``zipf_a``)."""
     rng = np.random.default_rng(seed)
     host_ids = np.minimum(rng.zipf(zipf_a, size=n) - 1, n_hosts - 1)
     return np.array(
         [f"https://host{h:05d}.example.org/page/{i}" for i, h in enumerate(host_ids)],
         dtype=object,
-    )
-
-
-def seed_dates_range(start: date, end: date) -> np.ndarray:
-    """All candidate dates in [start, end] as datetime64[D]."""
-    return np.arange(
-        np.datetime64(start.isoformat()), np.datetime64((end + timedelta(days=1)).isoformat()),
-        dtype="datetime64[D]",
     )
 
 

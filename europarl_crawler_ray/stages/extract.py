@@ -26,9 +26,6 @@ import pyarrow.compute as pc
 from ..functions.extract import html_to_text
 from ..functions.pdf import pdf_to_text
 
-# kept for backward compatibility: rows written by older runs carry it
-PDF_STUB_NOTE = "pdf-extraction-stub"
-
 
 def filetype_of_url(url: str) -> str:
     # strip the query BEFORE looking for the extension — a dot inside
@@ -81,7 +78,8 @@ def extract_batch(batch: pa.Table, default_filetype: str = "") -> pa.Table:
 
 
 def to_pages(batch: pa.Table) -> pa.Table:
-    """Project a fetched+extracted batch to the PAGES_SCHEMA column set."""
+    """Project a fetched+extracted batch to the BASELINE.json input_hint
+    pages columns (url, warc_ts, html, text, lang)."""
     cols = ["url", "requested_at", "html", "text", "lang"]
     t = batch.select(cols)
     return t.rename_columns(["url", "warc_ts", "html", "text", "lang"])

@@ -40,9 +40,9 @@ class HttpClientConfig:
     deterministic rotation here — no network to refresh UA lists), and
     ``timeout = RequestTimeoutFactor × StopWaitSecs``. Each request uses a
     fresh session (the reference opens ``requests.Session()`` per
-    download); MockHttp is stateless so that property holds trivially —
-    a real client would plug in at ``Fetcher.__call__``'s fetch site with
-    ``build_headers()`` and ``timeout``.
+    download); MockHttp is stateless so that property holds trivially,
+    and ``RealHttpClient`` sends ``build_headers()`` with ``timeout`` on
+    each request.
     """
 
     # documentdownloader.py:54-60 — verbatim
@@ -132,12 +132,11 @@ class RealHttpClient:
             return 460, None, url
 
 
-def make_http_client(transport: str, seed: int = 42, page_scale: int = 1,
-                     client_config: HttpClientConfig | None = None):
+def make_http_client(transport: str, seed: int = 42, page_scale: int = 1):
     """Config-selected transport: 'mock' (synthetic web, default) or
     'real' (requests)."""
     if transport == "real":
-        return RealHttpClient(client_config or HttpClientConfig(seed=seed))
+        return RealHttpClient(HttpClientConfig(seed=seed))
     if transport == "mock":
         return MockHttp(seed, page_scale=page_scale)
     raise ValueError(f"unknown transport {transport!r} (use 'mock' or 'real')")
@@ -163,11 +162,8 @@ class Fetcher:
 
     def __init__(self, coordinator=None, seed: int = 42, simulated: bool = True,
                  max_wait_s: float = 30.0, page_scale: int = 1,
-                 client_config: HttpClientConfig | None = None,
                  transport: str = "mock"):
-        self.http = make_http_client(
-            transport, seed=seed, page_scale=page_scale, client_config=client_config
-        )
+        self.http = make_http_client(transport, seed=seed, page_scale=page_scale)
         # `coordinator` is one PolitenessCoordinator handle or a LIST of
         # them — sharded by hash(host) so no single politeness actor
         # bottlenecks a large cluster (each coordinator owns a disjoint

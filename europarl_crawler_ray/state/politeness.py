@@ -11,8 +11,9 @@ doubles on bad statuses and halves on good ones
 
 The rebuild keeps those exact adaptive semantics but holds one bucket PER
 HOST inside a coordinator actor, with the sum of per-host rates capped by a
-global budget (SURVEY §7.3 item 3). Fetcher actors draw token LEASES in
-batches (one actor call per host per batch), never per-url.
+global budget (SURVEY §7.3 item 3). Fetchers, built per ``map_batches``
+task, draw token LEASES in batches (one actor call per host per batch),
+never per-url.
 
 Status classification precedence matters and is kept verbatim: rate-limit
 statuses win over server errors, which win over success (tokenbucket.py

@@ -30,7 +30,6 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
 
 import numpy as np
 import ray

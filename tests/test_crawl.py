@@ -229,6 +229,34 @@ def test_streamed_empty_window_commits_empty_pages(ray_session, tmp_path):
     assert os.path.isdir(f"{cfg.output_dir}/pages")
 
 
+def test_streamed_real_politeness_matches_simulated(ray_session, tmp_path):
+    """Real politeness leases a token from the coordinator before every
+    probe attempt and every fetch, waiting out the bucket when it is
+    empty; simulated politeness grants them without waiting. Both must
+    crawl the same pages with the same statuses into the same seen set."""
+    out = {}
+    for simulated in (True, False):
+        cfg = CrawlConfig(
+            output_dir=str(tmp_path / f"sim{int(simulated)}"),
+            start_date=date(2021, 2, 1),
+            today=date(2021, 2, 14),
+            offset_days=5,
+            num_seen_shards=2,
+            fetch_concurrency=2,
+            stream_partitions=2,
+            min_interval=0.001,
+            simulated_politeness=simulated,
+        )
+        drv = CrawlDriver(cfg, resume=False)
+        s = drv.run_streamed()
+        drv.shutdown()
+        pages = pads.dataset(f"{cfg.output_dir}/pages").to_table(columns=["url", "status_code"])
+        urls, statuses = pages.column("url").to_pylist(), pages.column("status_code").to_pylist()
+        out[simulated] = (sorted(zip(urls, statuses)), s["seen_size"])
+    assert out[True][0]
+    assert out[False] == out[True]
+
+
 def test_streamed_kill_and_resume_redoes_only_missing_partitions(crawl_run, tmp_path):
     """VERDICT r2 missing #3: the streamed crawl commits pages/part=K
     incrementally — a killed run resumes by skipping durable partitions

@@ -1,7 +1,6 @@
-"""Tests for zipf_slope / vocab_growth (corpus_ops) and ece_calibration
-(validation_ops): DuckDB-oracle parity plus brute-force checks of the
-integer-moment slope, the decile saturation counts, and the calibration
-bins on hand-built corpora."""
+"""Tests for zipf_slope / vocab_growth (corpus_ops): DuckDB-oracle
+parity plus brute-force checks of the integer-moment slope and the
+decile saturation counts on hand-built corpora."""
 
 from __future__ import annotations
 
@@ -9,7 +8,6 @@ import math
 
 import duckdb
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -19,11 +17,6 @@ from europarl_crawler_ray.pipelines.corpus_ops import (
     ZIPF_TOP_K,
     q_vocab_growth,
     q_zipf_slope,
-)
-from europarl_crawler_ray.pipelines.validation_ops import (
-    ECE_CALIBRATION_SQL,
-    _ece_weights,
-    q_ece_calibration,
 )
 from europarl_crawler_ray.pipelines.webtext_ops import (
     PSI_BIN_WIDTH,
@@ -45,7 +38,6 @@ class TestOracleParity:
         for name, fn, sql in [
             ("zipf_slope", q_zipf_slope, ZIPF_SLOPE_SQL),
             ("vocab_growth", q_vocab_growth, VOCAB_GROWTH_SQL),
-            ("ece_calibration", q_ece_calibration, ECE_CALIBRATION_SQL),
             ("token_entropy", q_token_entropy, TOKEN_ENTROPY_SQL),
             ("psi_drift", q_psi_drift, PSI_DRIFT_SQL),
         ]:
@@ -191,40 +183,3 @@ class TestPsiDrift:
         assert out.loc["s0", "psi_unats"] > 0
 
 
-class TestEceCalibration:
-    def test_brute_force(self, ray_session, tmp_path):
-        dim = 64
-        rng = np.random.default_rng(7)
-        emb = rng.uniform(-1, 1, size=(40, dim))
-        labels = rng.integers(0, 4, size=40)
-        pq.write_table(
-            pa.table(
-                {
-                    "vec_id": pa.array(range(40), pa.int64()),
-                    "embedding": pa.array([list(map(float, e)) for e in emb],
-                                          pa.list_(pa.float32())),
-                    "label": pa.array(labels, pa.int64()),
-                }
-            ),
-            str(tmp_path / "embeddings.parquet"),
-        )
-        out = q_ece_calibration(str(tmp_path)).set_index("bin")
-        # brute force in plain numpy over the float32-realized column
-        mat = np.stack(
-            pq.read_table(str(tmp_path / "embeddings.parquet"))["embedding"]
-            .to_pandas()
-            .to_numpy()
-        ).astype(np.float64)
-        q = np.floor(mat * 1000.0).astype(np.int64)
-        s = q @ _ece_weights()
-        pos = (labels == 0).astype(np.int64)
-        span = int(s.max() - s.min())
-        pbp = (s - s.min()) * 10000 // span if span else np.zeros_like(s)
-        bins = np.minimum(pbp // 1000, 9)
-        for b in np.unique(bins):
-            m = bins == b
-            n = int(m.sum())
-            assert out.loc[b, "n"] == n
-            assert out.loc[b, "conf_bp"] == int(pbp[m].sum()) // n
-            assert out.loc[b, "acc_bp"] == int(pos[m].sum()) * 10000 // n
-        assert set(out.index) == set(int(b) for b in np.unique(bins))

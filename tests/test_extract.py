@@ -10,7 +10,7 @@ character references are included/decoded.
 
 import pytest
 
-from europarl_crawler_ray.functions.extract import get_text, html_to_text, filesize
+from europarl_crawler_ray.functions.extract import get_text, html_to_text
 
 CASES = [
     # plain text passthrough
@@ -112,6 +112,3 @@ def test_html_to_text_error_paths():
     assert html_to_text(b"\xff\xfe\x00invalid \xc3") is None  # undecodable
 
 
-def test_filesize():
-    assert filesize(b"abcd") == 4
-    assert filesize(None) is None

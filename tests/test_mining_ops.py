@@ -82,7 +82,7 @@ class TestMiningOracleParity:
         con = duckdb.connect()
         for t in TABLES:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
-        for name, (fn, sql) in MINING_SQL_QUERIES.items():
+        for name, (fn, sql, _keep) in MINING_SQL_QUERIES.items():
             ray_df = to_pandas(fn(sf_dir))
             sql_df = con.execute(sql).fetchdf()
             assert compare(name, ray_df, sql_df) == [], name

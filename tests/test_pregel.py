@@ -1,59 +1,10 @@
-"""The shared Pregel round loop (pipelines/pregel.py): convergence
-scalar carried out of the exchange via the counter actor, termination on
-max_iters, and the callers' not-converged warnings."""
+"""The shared Pregel round loop (pipelines/pregel.py): actor-resident
+rounds, message routing, termination on max_iters, checkpoint resume and
+the callers' not-converged warnings."""
 
 import numpy as np
 import pandas as pd
 import pytest
-
-
-def test_pregel_loop_converges_and_reports_zero(ray_session):
-    import ray.data
-
-    from europarl_crawler_ray.pipelines.pregel import pregel_loop
-
-    # state: one row per node with a countdown; changed = countdown > 0
-    seed = ray.data.from_pandas(
-        pd.DataFrame({"bucket": [0, 1, 0, 1], "left": [2, 1, 0, 2]})
-    )
-
-    def make_step(i):
-        def step(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.copy()
-            g["left"] = np.maximum(g["left"] - 1, 0)
-            g["changed"] = (g["left"] > 0).astype(np.int8)
-            return g
-
-        return step
-
-    out, converged, last = pregel_loop(
-        seed, make_step, changed_col="changed", max_iters=10
-    )
-    assert converged and last == 0
-    assert out.to_pandas()["left"].sum() == 0
-
-
-def test_pregel_loop_terminates_on_max_iters(ray_session):
-    import ray.data
-
-    from europarl_crawler_ray.pipelines.pregel import pregel_loop
-
-    seed = ray.data.from_pandas(pd.DataFrame({"bucket": [0, 1], "x": [1, 2]}))
-    calls = {"n": 0}
-
-    def make_step(i):
-        def step(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.copy()
-            g["changed"] = np.int8(1)  # never converges
-            return g
-
-        return step
-
-    out, converged, last = pregel_loop(
-        seed, make_step, changed_col="changed", max_iters=3
-    )
-    assert not converged and last > 0
-    assert len(out.to_pandas()) == 2
 
 
 def test_dedup_clusters_warns_when_rounds_exhausted(ray_session, sf_dir, caplog):

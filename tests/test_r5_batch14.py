@@ -1,28 +1,19 @@
-"""Tests for the round-5 batch-14 centrality operators (centrality_ops):
-katz_centrality, opic_scores, bipartite_check — DuckDB-oracle parity
-plus independent dict-based brute force on a small synthetic table,
-and the OPIC cash-conservation invariant.
+"""Tests for the round-5 batch-14 operator opic_scores (centrality_ops)
+— DuckDB-oracle parity plus independent dict-based brute force on a
+small synthetic table, and the OPIC cash-conservation invariant.
 """
 
 from __future__ import annotations
 
 import duckdb
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from europarl_crawler_ray.pipelines.centrality_ops import (
-    BIPARTITE_CHECK_SQL,
-    KATZ_ATT,
-    KATZ_ROUNDS,
-    KATZ_SCALE,
     OPIC_ROUNDS,
     OPIC_SCALE,
-    q_bipartite_check,
-    q_katz_centrality,
     q_opic_scores,
-    _katz_sql,
     _opic_sql,
 )
 from europarl_crawler_ray.pipelines.queries import internal_edges_np
@@ -80,28 +71,6 @@ def _edge_multiset(n=N_DOCS, drop_self=False):
     return list(zip(src.tolist(), dst.tolist()))
 
 
-def test_katz_brute_force_and_parity(ray_session, tmp_path):
-    _write_docs(tmp_path)
-    got = _unwrap(q_katz_centrality(str(tmp_path)))
-
-    edges = _edge_multiset()
-    c = {v: KATZ_SCALE for v in range(N_DOCS)}
-    acc = dict(c)
-    for _ in range(KATZ_ROUNDS):
-        m = dict.fromkeys(range(N_DOCS), 0)
-        for u, v in edges:
-            m[v] += c[u] // KATZ_ATT
-        c = m
-        for v in range(N_DOCS):
-            acc[v] += m[v]
-    assert {int(r["doc_id"]): int(r["katz"]) for _, r in got.iterrows()} == acc
-    # truncated Katz must separate nodes (a constant answer means the
-    # propagation never ran)
-    assert len(set(acc.values())) > 1
-
-    _parity(got, _oracle(tmp_path, _katz_sql()))
-
-
 def test_opic_brute_force_conservation_and_parity(ray_session, tmp_path):
     _write_docs(tmp_path)
     got = _unwrap(q_opic_scores(str(tmp_path)))
@@ -133,35 +102,3 @@ def test_opic_brute_force_conservation_and_parity(ray_session, tmp_path):
     _parity(got, _oracle(tmp_path, _opic_sql()))
 
 
-def test_bipartite_brute_force_and_parity(ray_session, tmp_path):
-    _write_docs(tmp_path)
-    got = _unwrap(q_bipartite_check(str(tmp_path)))
-
-    und: dict[int, set] = {}
-    pairs = set()
-    for u, v in _edge_multiset(drop_self=True):
-        und.setdefault(u, set()).add(v)
-        und.setdefault(v, set()).add(u)
-        pairs.add((min(u, v), max(u, v)))
-    dist = {0: 0}
-    frontier = [0]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in und.get(v, ()):
-                if u not in dist:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    reached_edges = [(a, b) for a, b in pairs if a in dist and b in dist]
-    conf = sum(1 for a, b in reached_edges if dist[a] % 2 == dist[b] % 2)
-    assert int(got["n_reached"].iloc[0]) == len(dist)
-    assert int(got["n_edges_reached"].iloc[0]) == len(reached_edges)
-    assert int(got["n_conflicts"].iloc[0]) == conf
-    assert int(got["bipartite"].iloc[0]) == (1 if conf == 0 else 0)
-    # the synthetic graph has triangles, so the audit must find odd cycles
-    assert conf > 0
-
-    _parity(got, _oracle(tmp_path, BIPARTITE_CHECK_SQL))

@@ -1,6 +1,6 @@
-"""Tests for the round-5 batch-15 site-level operators (sitegraph_ops):
-dust_detect, domain_pagerank, hostgraph_contract — DuckDB-oracle
-parity plus independent brute force on a small synthetic table.
+"""Tests for the round-5 batch-15 site-level operator dust_detect
+(sitegraph_ops) — DuckDB-oracle parity plus independent brute force on
+a small synthetic table.
 """
 
 from __future__ import annotations
@@ -13,18 +13,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from europarl_crawler_ray.pipelines.queries import internal_edges_np
 from europarl_crawler_ray.pipelines.sitegraph_ops import (
     DUST_CAP,
     DUST_CLASSES,
-    HOSTGRAPH_CONTRACT_SQL,
-    N_SITES,
-    _domain_pagerank_sql,
     _dust_family,
     _dust_sql,
-    q_domain_pagerank,
     q_dust_detect,
-    q_hostgraph_contract,
 )
 
 N_DOCS = 60
@@ -100,40 +94,3 @@ def test_dust_brute_force_and_parity(ray_session, tmp_path):
     _parity(got, _oracle(tmp_path, _dust_sql()))
 
 
-def test_domain_pagerank_contracts_page_ranks(ray_session, tmp_path):
-    _write_docs(tmp_path)
-    got = _unwrap(q_domain_pagerank(str(tmp_path)))
-
-    from europarl_crawler_ray.pipelines.queries import q_pagerank
-
-    pr = _unwrap(q_pagerank(str(tmp_path)))
-    exp = (
-        pr.assign(site=pr["doc_id"].to_numpy(np.int64) % N_SITES)
-        .groupby("site", as_index=False)
-        .agg(pagerank_sum=("pagerank", "sum"), n_pages=("pagerank", "size"))
-    )
-    pd.testing.assert_frame_equal(
-        _canon(got), _canon(exp.astype(np.int64)), check_dtype=False
-    )
-    assert int(got["n_pages"].sum()) == N_DOCS
-
-    _parity(got, _oracle(tmp_path, _domain_pagerank_sql()))
-
-
-def test_hostgraph_brute_force_and_parity(ray_session, tmp_path):
-    _write_docs(tmp_path)
-    got = _unwrap(q_hostgraph_contract(str(tmp_path)))
-
-    src, dst = internal_edges_np(list(range(N_DOCS)), N_DOCS)
-    exp: dict[tuple, int] = {}
-    for a, b in zip(src.tolist(), dst.tolist()):
-        exp[(a % N_SITES, b % N_SITES)] = exp.get((a % N_SITES, b % N_SITES), 0) + 1
-    assert {
-        (int(r["src_site"]), int(r["dst_site"])): int(r["n_edges"])
-        for _, r in got.iterrows()
-    } == exp
-    assert int(got["n_edges"].sum()) == len(src)  # every multiset row counted
-    for _, r in got.iterrows():
-        assert int(r["intra"]) == int(r["src_site"] == r["dst_site"])
-
-    _parity(got, _oracle(tmp_path, HOSTGRAPH_CONTRACT_SQL))

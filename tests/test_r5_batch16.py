@@ -1,8 +1,7 @@
-"""Tests for the round-5 batch-16 operators: perplexity_buckets
-(training_ops), alias_canonical_share (sitegraph_ops),
-degree_joint_census (webstructure_ops) — DuckDB-oracle parity plus
-independent brute force, and a bigram_lm_score regression guard for
-the _bigram_model_df refactor.
+"""Tests for the round-5 batch-16 operator perplexity_buckets
+(training_ops) — DuckDB-oracle parity plus independent brute force —
+and a bigram_lm_score regression guard for the _bigram_model_df
+refactor.
 """
 
 from __future__ import annotations
@@ -13,23 +12,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from europarl_crawler_ray.pipelines.queries import internal_edges_np
-from europarl_crawler_ray.pipelines.sitegraph_ops import (
-    _alias_share_sql,
-    _dust_family,
-    q_alias_canonical_share,
-)
 from europarl_crawler_ray.pipelines.training_ops import (
     PB_NTILES,
     PERPLEXITY_BUCKETS_SQL,
     q_bigram_lm_score,
     q_perplexity_buckets,
 )
-from europarl_crawler_ray.pipelines.webstructure_ops import (
-    DEGREE_JOINT_CENSUS_SQL,
-    q_degree_joint_census,
-)
-from europarl_crawler_ray.stages.multimodal import _md5_64
 
 N_DOCS = 60
 
@@ -134,50 +122,3 @@ def test_perplexity_buckets_ntile_semantics_and_parity(ray_session, tmp_path):
     _parity(got, _oracle(tmp_path, PERPLEXITY_BUCKETS_SQL))
 
 
-def test_alias_canonical_share_brute_force_and_parity(ray_session, tmp_path):
-    _write_docs(tmp_path)
-    got = _unwrap(q_alias_canonical_share(str(tmp_path)))
-
-    fams = _dust_family(np.arange(N_DOCS, dtype=np.int64), N_DOCS)
-    fmin: dict[int, int] = {}
-    for i, f in enumerate(fams.tolist()):
-        fmin[f] = min(fmin.get(f, i), i)
-    exp: dict[str, list] = {}
-    for i in range(N_DOCS):
-        s = f"s{i % 3}"
-        e = exp.setdefault(s, [0, 0])
-        e[0] += 1
-        e[1] += int(fmin[fams[i]] == i)
-    assert {
-        r["source"]: (int(r["n_docs"]), int(r["n_canonical"]))
-        for _, r in got.iterrows()
-    } == {s: (n, c) for s, (n, c) in exp.items()}
-    for _, r in got.iterrows():
-        assert int(r["canonical_bp"]) == int(r["n_canonical"]) * 10000 // int(
-            r["n_docs"]
-        )
-    # families larger than one doc must exist -> shadowing observed
-    assert int(got["n_canonical"].sum()) < N_DOCS
-
-    _parity(got, _oracle(tmp_path, _alias_share_sql()))
-
-
-def test_degree_joint_census_brute_force_and_parity(ray_session, tmp_path):
-    _write_docs(tmp_path)
-    got = _unwrap(q_degree_joint_census(str(tmp_path)))
-
-    src, dst = internal_edges_np(list(range(N_DOCS)), N_DOCS)
-    indeg = dict.fromkeys(range(N_DOCS), 0)
-    for v in dst.tolist():
-        indeg[v] += 1
-    exp: dict[tuple, int] = {}
-    for v in range(N_DOCS):
-        k = 1 + _md5_64(f"lnkk:42:{v}") % 4
-        exp[(k, indeg[v])] = exp.get((k, indeg[v]), 0) + 1
-    assert {
-        (int(r["outdeg"]), int(r["indeg"])): int(r["n_nodes"])
-        for _, r in got.iterrows()
-    } == exp
-    assert int(got["n_nodes"].sum()) == N_DOCS
-
-    _parity(got, _oracle(tmp_path, DEGREE_JOINT_CENSUS_SQL))

@@ -1,9 +1,6 @@
-"""Tests for the round-5 batch-39 assignment operators
-(assignment_ops): mercator_queues and hnsw_levels — DuckDB parity
-plus independent brute force. The Mercator test pins the
-one-host-one-queue invariant; the HNSW test checks the level
-histogram against a per-node trailing-zeros computation and the
-geometric decay shape.
+"""Tests for the round-5 batch-39 assignment operator mercator_queues
+(assignment_ops) — DuckDB parity plus independent brute force; the
+test pins the one-host-one-queue invariant.
 """
 
 from __future__ import annotations
@@ -12,19 +9,15 @@ import hashlib
 from collections import Counter
 
 import duckdb
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from europarl_crawler_ray.pipelines.assignment_ops import (
-    HNSW_MAX_LEVEL,
     MERC_B,
     MERC_HOSTS,
     MERCATOR_QUEUES_SQL,
-    q_hnsw_levels,
     q_mercator_queues,
-    _hnsw_sql,
 )
 
 
@@ -100,32 +93,3 @@ def test_mercator_one_host_one_queue_and_parity(ray_session, tmp_path):
     _parity(got, _oracle(tmp_path, MERCATOR_QUEUES_SQL, ["orders"]))
 
 
-def test_hnsw_levels_brute_force_and_parity(ray_session, tmp_path):
-    n = 4000
-    pq.write_table(
-        pa.table(
-            {
-                "vec_id": pa.array(range(n), pa.int64()),
-                "embedding": pa.array(
-                    [[0.0, 1.0]] * n, pa.list_(pa.float32())
-                ),
-                "label": pa.array([0] * n, pa.int32()),
-            }
-        ),
-        str(tmp_path / "embeddings.parquet"),
-    )
-    got = _unwrap(q_hnsw_levels(str(tmp_path)))
-    exp = Counter()
-    for i in range(n):
-        h = _md5_64(f"hnsw:42:{i}")
-        k = 0
-        while k < HNSW_MAX_LEVEL and h % 4 == 0:
-            h //= 4
-            k += 1
-        exp[k] += 1
-    assert {
-        int(r["level"]): int(r["n_nodes"]) for _, r in got.iterrows()
-    } == dict(exp)
-    # geometric decay: level 0 holds ~3/4 of nodes
-    assert exp[0] > n // 2
-    _parity(got, _oracle(tmp_path, _hnsw_sql(), ["embeddings"]))

@@ -1,7 +1,6 @@
 """Tests for the round-5 batch-5 operators: truss_support
-(webgraph_ops), conformal_coverage (validation_ops), jl_distortion
-(sketcheval_ops) — DuckDB-oracle parity at sf0.001 plus brute-force
-checks of the support counts, the order statistic and the
+(webgraph_ops) and jl_distortion (sketcheval_ops) — DuckDB-oracle
+parity at sf0.001 plus brute-force checks of the support counts and the
 sign-projection arithmetic on hand-built inputs."""
 
 from __future__ import annotations
@@ -17,17 +16,10 @@ from europarl_crawler_ray.pipelines.sketcheval_ops import (
     _jl_signs,
     q_jl_distortion,
 )
-from europarl_crawler_ray.pipelines.validation_ops import (
-    CONF_ALPHA_BP,
-    CONF_CAL_MOD,
-    CONFORMAL_COVERAGE_SQL,
-    q_conformal_coverage,
-)
 from europarl_crawler_ray.pipelines.webgraph_ops import (
     TRUSS_SUPPORT_SQL,
     q_truss_support,
 )
-from europarl_crawler_ray.stages.multimodal import _md5_64
 
 
 def _write_docs(d, rows):
@@ -71,7 +63,6 @@ class TestOracleParityBatch5:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
         for name, fn, sql in [
             ("truss_support", q_truss_support, TRUSS_SUPPORT_SQL),
-            ("conformal_coverage", q_conformal_coverage, CONFORMAL_COVERAGE_SQL),
             ("jl_distortion", q_jl_distortion, JL_DISTORTION_SQL),
         ]:
             ray_df = to_pandas(fn(sf_dir))
@@ -115,26 +106,6 @@ class TestTrussSupport:
         for _, r in out.iterrows():
             u, v, s = int(r["u"]), int(r["v"]), int(r["support"])
             assert s <= min(deg[u], deg[v]) - 1 + 1  # ≤ min degree
-
-
-class TestConformalCoverage:
-    def test_order_statistic(self, ray_session, tmp_path):
-        rows = [("x" * (10 + 7 * i % 40), "en", "s0") for i in range(60)]
-        _write_docs(tmp_path, rows)
-        out = q_conformal_coverage(str(tmp_path))
-        scores = np.array([len(r[0]) for r in rows], np.int64)
-        cal = np.array(
-            [_md5_64(f"conf:42:{i}") % CONF_CAL_MOD == 0 for i in range(60)]
-        )
-        n_cal = int(cal.sum())
-        assert int(out["n_cal"].iloc[0]) == n_cal
-        assert int(out["n_test"].iloc[0]) == 60 - n_cal
-        k = min(n_cal, -(-((n_cal + 1) * (10000 - CONF_ALPHA_BP)) // 10000))
-        thr = int(np.sort(scores[cal])[k - 1])
-        assert int(out["threshold"].iloc[0]) == thr
-        n_cov = int((scores[~cal] <= thr).sum())
-        assert int(out["n_covered"].iloc[0]) == n_cov
-        assert int(out["coverage_bp"].iloc[0]) == 10000 * n_cov // (60 - n_cal)
 
 
 class TestJlDistortion:

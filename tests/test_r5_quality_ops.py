@@ -1,8 +1,7 @@
-"""Tests for the round-5 corpus-audit operators: silhouette_eval
-(validation_ops), mi_composition / filter_funnel (webtext_ops), and
-pmi_collocations (corpus_ops) — DuckDB-oracle parity plus brute-force
-checks of the integer distance, PMI, and gate arithmetic on hand-built
-corpora."""
+"""Tests for the round-5 corpus-audit operators: mi_composition /
+filter_funnel (webtext_ops) and pmi_collocations (corpus_ops) —
+DuckDB-oracle parity plus brute-force checks of the PMI and gate
+arithmetic on hand-built corpora."""
 
 from __future__ import annotations
 
@@ -17,11 +16,6 @@ from europarl_crawler_ray.pipelines.corpus_ops import (
     PMI_COLLOCATIONS_SQL,
     PMI_MIN_COUNT,
     q_pmi_collocations,
-)
-from europarl_crawler_ray.pipelines.validation_ops import (
-    SIL_CELLS,
-    SILHOUETTE_EVAL_SQL,
-    q_silhouette_eval,
 )
 from europarl_crawler_ray.pipelines.webtext_ops import (
     FILTER_FUNNEL_SQL,
@@ -40,7 +34,6 @@ class TestOracleParity:
         for t in TABLES:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
         for name, fn, sql in [
-            ("silhouette_eval", q_silhouette_eval, SILHOUETTE_EVAL_SQL),
             ("mi_composition", q_mi_composition, MI_COMPOSITION_SQL),
             ("filter_funnel", q_filter_funnel, FILTER_FUNNEL_SQL),
             ("pmi_collocations", q_pmi_collocations, PMI_COLLOCATIONS_SQL),
@@ -80,45 +73,6 @@ def _write_emb(d, vecs):
         ),
         str(d / "embeddings.parquet"),
     )
-
-
-class TestSilhouette:
-    def test_all_points_are_centroids(self, ray_session, tmp_path):
-        # fewer vectors than SIL_CELLS → every point is its own centroid:
-        # a2 == 0, b2 == d² to the nearest OTHER centroid, sil_bp == 10000
-        assert SIL_CELLS >= 4
-        vecs = [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0), (3.0, 3.0)]
-        _write_emb(tmp_path, vecs)
-        out = q_silhouette_eval(str(tmp_path)).to_pandas().set_index("vec_id")
-        q = np.floor(np.array(vecs, dtype=np.float64) * 1000.0).astype(np.int64)
-        for i in range(4):
-            d2 = ((q - q[i]) ** 2).sum(axis=1)
-            d2[i] = np.iinfo(np.int64).max
-            assert out.loc[i, "cell"] == i
-            assert out.loc[i, "a2"] == 0
-            assert out.loc[i, "b2"] == d2.min()
-            assert out.loc[i, "sil_bp"] == 10000
-
-    def test_brute_force_definition(self, ray_session, tmp_path):
-        rng = np.random.default_rng(7)
-        vecs = rng.normal(size=(40, 8)).astype(np.float64)
-        _write_emb(tmp_path, vecs)
-        out = q_silhouette_eval(str(tmp_path)).to_pandas().set_index("vec_id")
-        import hashlib
-
-        md5s = [hashlib.md5(f"sil:{i}".encode()).hexdigest() for i in range(40)]
-        cids = np.array(sorted(np.argsort(md5s)[:SIL_CELLS]))
-        q = np.floor(vecs * 1000.0).astype(np.int64)
-        for i in range(40):
-            d2 = ((q[cids] - q[i]) ** 2).sum(axis=1)
-            own = int(np.argmin(d2))
-            a2 = int(d2[own])
-            rest = np.delete(d2, own)
-            b2 = int(rest.min())
-            assert out.loc[i, "cell"] == cids[own]
-            assert out.loc[i, "a2"] == a2
-            assert out.loc[i, "b2"] == b2
-            assert out.loc[i, "sil_bp"] == (b2 - a2) * 10000 // max(a2, b2, 1)
 
 
 class TestMiComposition:
@@ -183,10 +137,6 @@ class TestPmiCollocations:
         assert ("q", "q") not in pairs
 
 
-from europarl_crawler_ray.pipelines.validation_ops import (  # noqa: E402
-    EMBEDDING_MOMENTS_SQL,
-    q_embedding_moments,
-)
 from europarl_crawler_ray.pipelines.webgraph_ops import (  # noqa: E402
     MODULARITY_SCORE_SQL,
     q_modularity_score,
@@ -202,7 +152,6 @@ class TestOracleParityBatch2:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
         for name, fn, sql in [
             ("modularity_score", q_modularity_score, MODULARITY_SCORE_SQL),
-            ("embedding_moments", q_embedding_moments, EMBEDDING_MOMENTS_SQL),
         ]:
             ray_df = to_pandas(fn(sf_dir))
             sql_df = con.execute(sql).fetchdf()
@@ -228,23 +177,6 @@ class TestModularity:
         assert len(out) == 1
         assert int(out["q_term"].iloc[0]) == 0
         assert int(out["e_in"].iloc[0]) == int(out["d_out"].iloc[0])
-
-
-class TestEmbeddingMoments:
-    def test_brute_force(self, ray_session, tmp_path):
-        vecs = [(0.5, -0.25), (1.0, 0.75), (-0.5, 0.3)]
-        _write_emb(tmp_path, vecs)
-        out = q_embedding_moments(str(tmp_path)).set_index("dim")
-        # float32 storage: quantize from the float32-rounded values
-        q = np.floor(np.array(vecs, dtype=np.float32).astype(np.float64) * 1000.0)
-        q = q.astype(np.int64)
-        for d in (1, 2):
-            col = q[:, d - 1]
-            assert out.loc[d, "n"] == 3
-            assert out.loc[d, "s1"] == col.sum()
-            assert out.loc[d, "s2"] == (col * col).sum()
-            assert out.loc[d, "var_n2"] == 3 * (col * col).sum() - col.sum() ** 2
-            assert out.loc[d, "var_n2"] >= 0
 
 
 from europarl_crawler_ray.pipelines.validation_ops import (  # noqa: E402
@@ -330,10 +262,6 @@ from europarl_crawler_ray.pipelines.corpus_ops import (  # noqa: E402
     TOKEN_BURSTINESS_SQL,
     q_token_burstiness,
 )
-from europarl_crawler_ray.pipelines.validation_ops import (  # noqa: E402
-    CLUSTER_PURITY_SQL,
-    q_cluster_purity,
-)
 
 
 class TestOracleParityBatch4:
@@ -344,25 +272,11 @@ class TestOracleParityBatch4:
         for t in TABLES:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
         for name, fn, sql in [
-            ("cluster_purity", q_cluster_purity, CLUSTER_PURITY_SQL),
             ("token_burstiness", q_token_burstiness, TOKEN_BURSTINESS_SQL),
         ]:
             ray_df = to_pandas(fn(sf_dir))
             sql_df = con.execute(sql).fetchdf()
             assert compare(name, ray_df, sql_df) == [], name
-
-
-class TestClusterPurity:
-    def test_consistent_with_silhouette_cells(self, ray_session, sf_dir):
-        sil = q_silhouette_eval(sf_dir).to_pandas()
-        pur = q_cluster_purity(sf_dir)
-        # same clustering: cell populations must agree
-        want = sil.groupby("cell").size()
-        got = pur.set_index("cell")["n"]
-        assert (want.sort_index() == got.sort_index()).all()
-        assert (pur["top_count"] <= pur["n"]).all()
-        assert (pur["purity_bp"] <= 10000).all()
-        assert (pur["purity_bp"] * pur["n"] <= pur["top_count"] * 10000).all()
 
 
 class TestTokenBurstiness:
@@ -386,38 +300,5 @@ class TestTokenBurstiness:
         assert len(out) <= BURST_TOP
 
 
-from europarl_crawler_ray.pipelines.validation_ops import (  # noqa: E402
-    BOOT_B,
-    BOOTSTRAP_MEANS_SQL,
-    q_bootstrap_means,
-)
 
 
-class TestBootstrapMeans:
-    def test_parity(self, ray_session, sf_dir):
-        from check_oracles import TABLES, compare, to_pandas
-
-        con = duckdb.connect()
-        for t in TABLES:
-            con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
-        ray_df = to_pandas(q_bootstrap_means(sf_dir))
-        sql_df = con.execute(BOOTSTRAP_MEANS_SQL).fetchdf()
-        assert compare("bootstrap_means", ray_df, sql_df) == []
-
-    def test_brute_force(self, ray_session, tmp_path):
-        from europarl_crawler_ray.stages.multimodal import _md5_64
-
-        rows = [("x" * ln, "en", "s0") for ln in (10, 20, 40)]
-        _write_docs(tmp_path, rows)
-        out = q_bootstrap_means(str(tmp_path)).set_index("replica")
-        assert len(out) == BOOT_B
-        for b in (0, 7, BOOT_B - 1):
-            ms = [_md5_64(f"boot:{b}:{i}") % 3 for i in range(3)]
-            ne = sum(ms)
-            sx = sum(m * ln for m, ln in zip(ms, (10, 20, 40)))
-            assert out.loc[b, "n_eff"] == ne
-            assert out.loc[b, "sx"] == sx
-            assert out.loc[b, "mean_ppm"] == ((1_000_000 * sx) // ne if ne else 0)
-        # replicas vary but center near the true mean (n_chars ∈ {10,20,40})
-        nz = out[out["n_eff"] > 0]["mean_ppm"]
-        assert nz.min() >= 10 * 1_000_000 // 4 and nz.max() <= 40 * 1_000_000

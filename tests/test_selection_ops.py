@@ -28,7 +28,7 @@ class TestSelectionOracleParity:
         con = duckdb.connect()
         for t in TABLES:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
-        for name, (fn, sql) in SELECTION_SQL_QUERIES.items():
+        for name, (fn, sql, _keep) in SELECTION_SQL_QUERIES.items():
             ray_df = to_pandas(fn(sf_dir))
             sql_df = con.execute(sql).fetchdf()
             assert compare(name, ray_df, sql_df) == [], name

@@ -1,20 +1,13 @@
-"""Tests for pipelines/validation_ops.py — temperature mixing,
-Adamic-Adar, readability, compaction planning. Each op is pinned against its own
-DuckDB oracle in-repo (repo convention: pytest alone must catch a
-divergence, independent of the driver's query sampling)."""
-
-import math
-import os
+"""Tests for pipelines/validation_ops.py — temperature mixing and
+readability. Each op is pinned against its own DuckDB oracle in-repo
+(repo convention: pytest alone must catch a divergence, independent of
+the driver's query sampling)."""
 
 import pandas as pd
-import pytest
 
 from europarl_crawler_ray.pipelines.validation_ops import (
-    COMPACT_TARGET_BYTES,
     MIX_TOTAL_CAP,
-    _AA_W,
     _mix_targets,
-    q_compaction_plan,
     q_temperature_mix,
 )
 
@@ -22,9 +15,7 @@ from europarl_crawler_ray.pipelines.validation_ops import (
 class TestOracleParity:
     NAMES = [
         "temperature_mix",
-        "adamic_adar",
         "readability",
-        "compaction_plan",
     ]
 
     def test_oracle_parity(self, ray_session, sf_dir):
@@ -87,28 +78,5 @@ class TestTemperatureMix:
     def test_no_duplicate_docs(self, ray_session, sf_dir):
         out = q_temperature_mix(sf_dir)
         assert out["doc_id"].is_unique
-
-
-class TestCompactionPlan:
-    def test_bins_respect_target_packing(self, ray_session, sf_dir):
-        out = q_compaction_plan(sf_dir)
-        if hasattr(out, "to_pandas"):
-            out = out.to_pandas()
-        # within each source, re-derive bins from the size-DESC prefix
-        # sum and check the distributed result matches exactly
-        for src, g in out.groupby("source"):
-            g = g.sort_values(["size_bytes", "doc_id"], ascending=[False, True])
-            cum = g["size_bytes"].cumsum().to_numpy()
-            want = (cum - g["size_bytes"].to_numpy()) // COMPACT_TARGET_BYTES
-            assert (g["bin"].to_numpy() == want).all(), src
-        # bins are dense from 0 per source
-        for src, g in out.groupby("source"):
-            assert g["bin"].min() == 0
-
-
-class TestAAWeights:
-    def test_scaled_int_literals(self):
-        for d, w in _AA_W.items():
-            assert w == round(1e6 / math.log(d))
 
 

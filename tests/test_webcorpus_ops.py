@@ -11,13 +11,15 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from europarl_crawler_ray.functions.extract import extract_table_cells
-from europarl_crawler_ray.pipelines.webcorpus_ops import (
+from europarl_crawler_ray.pipelines.weblinkage_ops import (
     BITEXT_SESSION_SIZE,
+    q_bitext_align,
+)
+from europarl_crawler_ray.pipelines.webcorpus_ops import (
     _surt_url,
     _table_html,
     detect_decode,
     encode_page,
-    q_bitext_align,
     q_surt_keys,
     sniff_mime,
     surt_key,
@@ -162,7 +164,7 @@ class TestAhoCorasick:
         import re
 
         from europarl_crawler_ray.functions.ahocorasick import AhoCorasick
-        from europarl_crawler_ray.pipelines.webcorpus_ops import BADWORD_LEXICON
+        from europarl_crawler_ray.pipelines.weblinkage_ops import BADWORD_LEXICON
 
         text = "sort or merge slow dup batch at scan can sorter lowlands"
         ac = AhoCorasick(BADWORD_LEXICON)
@@ -250,30 +252,10 @@ class TestWebcorpusProperties:
 
         check()
 
-    def test_ip_anonymize_prefix_lengths_preserved(self):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from europarl_crawler_ray.pipelines.webcorpus_ops import anonymize_ip
-
-        @settings(max_examples=100, deadline=None)
-        @given(
-            st.integers(min_value=0, max_value=(1 << 32) - 1),
-            st.integers(min_value=0, max_value=(1 << 32) - 1),
-        )
-        def check(a, b):
-            def shared(x, y):
-                d = x ^ y
-                return 32 - d.bit_length() if d else 32
-
-            assert shared(anonymize_ip(a), anonymize_ip(b)) == shared(a, b)
-
-        check()
-
 
 class TestRecordLinkage:
     def test_levenshtein_dp(self):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import levenshtein
+        from europarl_crawler_ray.pipelines.weblinkage_ops import levenshtein
 
         assert levenshtein("kitten", "sitting") == 3
         assert levenshtein("", "abc") == 3
@@ -286,7 +268,7 @@ class TestRecordLinkage:
         import random
         from collections import Counter
 
-        from europarl_crawler_ray.pipelines.webcorpus_ops import (
+        from europarl_crawler_ray.pipelines.weblinkage_ops import (
             LINKAGE_MAX_DIST,
             levenshtein,
         )
@@ -311,7 +293,7 @@ class TestRecordLinkage:
             }
         )
         pq.write_table(t, tmp_path / "customer.parquet")
-        from europarl_crawler_ray.pipelines.webcorpus_ops import q_record_linkage
+        from europarl_crawler_ray.pipelines.weblinkage_ops import q_record_linkage
 
         df = q_record_linkage(str(tmp_path)).to_pandas()
         true_pairs = df[df["same_entity"] == 1]
@@ -324,7 +306,7 @@ class TestRecordLinkage:
 
 class TestWinnowing:
     def test_rightmost_min_and_dedup(self):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import winnow_select
+        from europarl_crawler_ray.pipelines.weblinkage_ops import winnow_select
 
         # windows of [5,2,8,2,9] with w=3: min of [5,2,8]=2@1,
         # [2,8,2]=2 rightmost @3, [8,2,9]=2@3 -> selected {1,3}
@@ -332,7 +314,7 @@ class TestWinnowing:
         assert sel.tolist() == [1, 3]
 
     def test_guarantee_shared_substring_shares_fingerprint(self):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import (
+        from europarl_crawler_ray.pipelines.weblinkage_ops import (
             WINNOW_K,
             WINNOW_W,
         )
@@ -345,9 +327,7 @@ class TestWinnowing:
         a, b = "AAAA" + common + "BBBB", "CCCCCC" + common + "DD"
 
         def fps(t):
-            from europarl_crawler_ray.pipelines.webcorpus_ops import (
-                winnow_select,
-            )
+            from europarl_crawler_ray.pipelines.weblinkage_ops import winnow_select
 
             hs = np.array(
                 [
@@ -366,7 +346,7 @@ class TestWinnowing:
         assert fps(a) & fps(b)
 
     def test_too_short_selects_nothing(self):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import winnow_select
+        from europarl_crawler_ray.pipelines.weblinkage_ops import winnow_select
 
         assert winnow_select(np.array([3, 1], dtype=np.uint64), w=4).size == 0
 
@@ -396,9 +376,7 @@ class TestCrawlTrap:
     def test_short_doc_zeros_row_in_oracle(self):
         import duckdb
 
-        from europarl_crawler_ray.pipelines.webcorpus_ops import (
-            WINNOW_FINGERPRINT_SQL,
-        )
+        from europarl_crawler_ray.pipelines.weblinkage_ops import WINNOW_FINGERPRINT_SQL
 
         con = duckdb.connect()
         con.execute(
@@ -469,29 +447,6 @@ class TestDistributionResample:
         for _, r in df[df["lang"] == "en"].iterrows():
             kh = int(h.md5(f"rs|{int(r.doc_id)}".encode()).hexdigest()[:16], 16)
             assert (kh < thr) == bool(r.kept)
-
-
-class TestIpAnonymize:
-    def test_prefix_preservation_exact(self):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import anonymize_ip
-
-        a = 0b11000000_10101000_00000001_00000001  # 192.168.1.1
-        b = 0b11000000_10101000_00000001_11111110  # 192.168.1.254 (24-bit shared)
-        c = 0b00001010_00000000_00000000_00000001  # 10.0.0.1 (0-bit shared)
-        aa, ab, ac = anonymize_ip(a), anonymize_ip(b), anonymize_ip(c)
-
-        def shared(x, y):
-            d = x ^ y
-            return 32 - d.bit_length() if d else 32
-
-        assert shared(aa, ab) == shared(a, b) == 24
-        assert shared(aa, ac) == shared(a, c)
-        assert aa != a or ab != b  # actually pseudonymized
-
-    def test_deterministic(self):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import anonymize_ip
-
-        assert anonymize_ip(3232235777) == anonymize_ip(3232235777)
 
 
 class TestPolitenessAudit:
@@ -600,9 +555,7 @@ class TestRingRebalance:
 
 class TestGraphReciprocity:
     def test_counts_match_bruteforce(self, ray_session):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import (
-            q_graph_reciprocity,
-        )
+        from europarl_crawler_ray.pipelines.webgraph_ops import q_graph_reciprocity
 
         sf = "/root/testdata/sf0.001"
         df = q_graph_reciprocity(sf)
@@ -625,7 +578,7 @@ class TestGraphReciprocity:
 
 class TestTokenSimpson:
     def test_exact_collision_probability(self, ray_session, tmp_path):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import q_token_simpson
+        from europarl_crawler_ray.pipelines.weblinkage_ops import q_token_simpson
 
         t = pa.table(
             {
@@ -651,7 +604,7 @@ class TestTokenSimpson:
 
 class TestQuantileMap:
     def test_maps_source_percentile_onto_global(self, ray_session, tmp_path):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import q_quantile_map
+        from europarl_crawler_ray.pipelines.sketcheval_ops import q_quantile_map
 
         # source A: lengths 1,2 (cdf 5000,10000); source B: 10,20
         # global: 1,2,10,20 (cdf 2500,5000,7500,10000)
@@ -683,7 +636,7 @@ class TestKcorePeel:
 
         import pyarrow.parquet as pq_
 
-        from europarl_crawler_ray.pipelines.webcorpus_ops import (
+        from europarl_crawler_ray.pipelines.webgraph_ops import (
             KCORE_K,
             q_kcore_peel,
         )
@@ -716,7 +669,7 @@ class TestKcorePeel:
 
 class TestRadixQuantiles:
     def test_estimates_bracket_exact_quantiles(self, ray_session, tmp_path):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import (
+        from europarl_crawler_ray.pipelines.sketcheval_ops import (
             RADIX_QS_BP,
             q_radix_quantiles,
         )
@@ -750,7 +703,7 @@ class TestCocitation:
 
         import pyarrow.parquet as pq_
 
-        from europarl_crawler_ray.pipelines.webcorpus_ops import (
+        from europarl_crawler_ray.pipelines.webgraph_ops import (
             COCITE_MIN_SUPPORT,
             q_cocitation_pairs,
         )
@@ -782,7 +735,7 @@ class TestCdcChunks:
         """The CDC property: inserting text at the front shifts early
         boundaries but every boundary far enough past the edit is the
         SAME split point in content coordinates."""
-        from europarl_crawler_ray.pipelines.webcorpus_ops import (
+        from europarl_crawler_ray.pipelines.sketcheval_ops import (
             CDC_W,
             cdc_boundaries,
         )
@@ -798,9 +751,7 @@ class TestCdcChunks:
         assert len(b1) > 2  # the corpus-style text actually chunks
 
     def test_last_char_boundary_not_duplicated(self):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import (
-            cdc_boundaries,
-        )
+        from europarl_crawler_ray.pipelines.sketcheval_ops import cdc_boundaries
 
         # brute construction: find a string whose final window IS a
         # boundary and check n_chunks logic counts it once
@@ -816,9 +767,7 @@ class TestDegreeAssortativity:
 
         import pyarrow.parquet as pq_
 
-        from europarl_crawler_ray.pipelines.webcorpus_ops import (
-            q_degree_assortativity,
-        )
+        from europarl_crawler_ray.pipelines.webgraph_ops import q_degree_assortativity
 
         sf = "/root/testdata/sf0.001"
         n = pq_.ParquetFile(f"{sf}/documents.parquet").metadata.num_rows
@@ -844,9 +793,7 @@ class TestDegreeAssortativity:
 
 class TestCompressionRatio:
     def test_repetitive_text_compresses_more(self, ray_session, tmp_path):
-        from europarl_crawler_ray.pipelines.webcorpus_ops import (
-            q_compression_ratio,
-        )
+        from europarl_crawler_ray.pipelines.sketcheval_ops import q_compression_ratio
 
         import random
 
@@ -942,7 +889,6 @@ class TestLastBatchOracleParity:
         "mis_luby",
         "mmr_rerank",
         # round-4 third-session batch
-        "benford_audit",
         "butterfly_count",
         "label_prop",
     ]

@@ -24,12 +24,12 @@ def _spy_collects(monkeypatch):
 def test_driver_collects_are_exactly_the_bounded_reduces(
     ray_session, sf_dir, monkeypatch
 ):
-    from europarl_crawler_ray.pipelines.webcorpus_ops import (
+    from europarl_crawler_ray.pipelines.sketcheval_ops import (
         q_infer_types,
         q_quantile_map,
         q_radix_quantiles,
-        q_rank_normalize,
     )
+    from europarl_crawler_ray.pipelines.webcorpus_ops import q_rank_normalize
 
     con = duckdb.connect()
     exp = {
@@ -87,7 +87,7 @@ def test_md5_sample_collects_are_block_count_independent(
         q_contamination_check,
     )
     from europarl_crawler_ray.pipelines.ml_queries import q_ann_ivf
-    from europarl_crawler_ray.pipelines.webcorpus_ops import (
+    from europarl_crawler_ray.pipelines.sketcheval_ops import (
         PQ_CODEWORDS,
         q_product_quantize,
     )
